@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from . import bitsets
 from .channel import ONE, ZERO, Channel, FunnelSpec, format_prob
 from .decoding import (
     Scheme,
@@ -47,6 +48,8 @@ METRIC_MAX = "maximum"
 METRIC_AVG = "average"
 
 _BRUTE_FORCE_LIMIT = 5
+# Curve sweeps enumerate every output subset (max) or codebook (avg).
+_CURVE_SWEEP_LIMIT = 12
 
 
 def normalize_metric(metric: str) -> str:
@@ -151,20 +154,9 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     minsets = [minimal_decoding_masks(c, x, eps) for x in range(c.num_inputs)]
     _, pairs = _pack_disjoint(minsets)
     witness = scheme_from_disjoint_sets(
-        c, [(x, _bits(mask)) for x, mask in pairs]
+        c, [(x, bitsets.outputs_of(mask)) for x, mask in pairs]
     )
     return CapacityResult(METRIC_MAX, eps, len(pairs), witness)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    y = 0
-    while mask:
-        if mask & 1:
-            out.append(y)
-        mask >>= 1
-        y += 1
-    return tuple(out)
 
 
 def _pack_disjoint(minsets: list[list[int]]) -> tuple[int, list[tuple[int, int]]]:
@@ -192,15 +184,13 @@ def _pack_disjoint(minsets: list[list[int]]) -> tuple[int, list[tuple[int, int]]
     return best_count, best
 
 
-def max_capacity_via_graph(
-    c: Channel, eps, minimal_only: bool = True
-) -> CapacityResult:
+def max_capacity_via_graph(c: Channel, eps) -> CapacityResult:
     """Max-error capacity through the independence number of the conflict
     graph; requires eps < 1 (the graph characterization's domain)."""
     eps = _check_eps(eps)
     if eps == ONE:
         raise ValueError("graph path requires eps < 1; use max_capacity")
-    g = build_max_graph(c, eps, minimal_only=minimal_only)
+    g = build_max_graph(c, eps)
     size, witness = independence_number(g)
     scheme = scheme_from_disjoint_sets(c, witness.pairs)
     return CapacityResult(METRIC_MAX, eps, size, scheme)
@@ -209,6 +199,13 @@ def max_capacity_via_graph(
 # ---------------------------------------------------------------------------
 # Average-error metric
 # ---------------------------------------------------------------------------
+
+def _captured(c: Channel, codebook) -> Fraction:
+    """Row mass the pointwise-argmax decoder keeps: sum_y max_{x in cb} P(y|x)."""
+    return sum(
+        (max(c.prob(x, y) for x in codebook) for y in range(c.num_outputs)), ZERO
+    )
+
 
 def avg_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook whose optimal decoder has mean error <= eps.
@@ -219,23 +216,18 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
     which makes witnesses deterministic.
     """
     eps = _check_eps(eps)
-    nx, ny = c.num_inputs, c.num_outputs
-    global_captured = sum(
-        (max(c.prob(x, y) for x in range(nx)) for y in range(ny)), ZERO
-    )
+    nx = c.num_inputs
+    global_captured = _captured(c, range(nx))
     for k in range(nx, 0, -1):
         if ONE - global_captured / k > eps:
             continue  # even the best-case codebook of this size fails
         for cb in combinations(range(nx), k):
-            captured = sum(
-                (max(c.prob(x, y) for x in cb) for y in range(ny)), ZERO
-            )
-            if ONE - captured / k <= eps:
+            if ONE - _captured(c, cb) / k <= eps:
                 return CapacityResult(METRIC_AVG, eps, k, optimal_avg_decoder(c, cb))
     raise AssertionError("unreachable: a singleton codebook has error 0")
 
 
-def avg_capacity_via_sparse(c: Channel, eps, exhaustive_bound: int = 10) -> CapacityResult:
+def avg_capacity_via_sparse(c: Channel, eps) -> CapacityResult:
     """Average capacity through the eps-sparse number of the weighted graph.
 
     The sparse-set path matches the codebook search whenever some optimal
@@ -246,7 +238,7 @@ def avg_capacity_via_sparse(c: Channel, eps, exhaustive_bound: int = 10) -> Capa
     a smaller, still witness-sound, value.
     """
     eps = _check_eps(eps)
-    g = build_avg_graph(c, exhaustive_bound=exhaustive_bound)
+    g = build_avg_graph(c)
     size, witness = sparse_number(g, eps)
     scheme = scheme_from_disjoint_sets(c, witness.pairs)
     return CapacityResult(METRIC_AVG, eps, size, scheme)
@@ -298,7 +290,7 @@ def brute_force_capacity(c: Channel, metric: str, eps) -> CapacityResult:
 # Capacity curves
 # ---------------------------------------------------------------------------
 
-def capacity_curve(c: Channel, metric: str, exhaustive_bound: int = 12) -> CapacityCurve:
+def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
     """Exact breakpoints of codebook size as a step function of epsilon.
 
     Maximum metric: the admissible-set families change only at values
@@ -309,30 +301,26 @@ def capacity_curve(c: Channel, metric: str, exhaustive_bound: int = 12) -> Capac
     """
     metric = normalize_metric(metric)
     if metric == METRIC_MAX:
-        if c.num_outputs > exhaustive_bound:
+        if c.num_outputs > _CURVE_SWEEP_LIMIT:
             raise ValueError(
-                f"curve sweep needs <= {exhaustive_bound} outputs, channel has {c.num_outputs}"
+                f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} outputs, channel has {c.num_outputs}"
             )
         candidates = set()
         for x in range(c.num_inputs):
-            masses = _row_subset_masses(c, x)
-            candidates.update(ONE - m for m in masses)
+            candidates.update(ONE - m for m in bitsets.subset_masses(c.row(x)))
         sizes = {
             eps: max_capacity(c, eps).codebook_size for eps in candidates
         }
     else:
-        if c.num_inputs > exhaustive_bound:
+        if c.num_inputs > _CURVE_SWEEP_LIMIT:
             raise ValueError(
-                f"curve sweep needs <= {exhaustive_bound} inputs, channel has {c.num_inputs}"
+                f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} inputs, channel has {c.num_inputs}"
             )
-        nx, ny = c.num_inputs, c.num_outputs
+        nx = c.num_inputs
         err_of_size: dict[Fraction, int] = {}
         for k in range(1, nx + 1):
             for cb in combinations(range(nx), k):
-                captured = sum(
-                    (max(c.prob(x, y) for x in cb) for y in range(ny)), ZERO
-                )
-                err = ONE - captured / k
+                err = ONE - _captured(c, cb) / k
                 if err_of_size.get(err, 0) < k:
                     err_of_size[err] = k
         candidates = set(err_of_size)
@@ -349,12 +337,3 @@ def capacity_curve(c: Channel, metric: str, exhaustive_bound: int = 12) -> Capac
         if not breakpoints or k > breakpoints[-1][1]:
             breakpoints.append((eps, k))
     return CapacityCurve(metric, tuple(breakpoints))
-
-
-def _row_subset_masses(c: Channel, x: int) -> list[Fraction]:
-    row = c.row(x)
-    masses = [ZERO] * (1 << len(row))
-    for mask in range(1, 1 << len(row)):
-        low = mask & -mask
-        masses[mask] = masses[mask ^ low] + row[low.bit_length() - 1]
-    return masses

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -214,6 +214,9 @@ class CubicGraph:
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+    _incident: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.num_vertices < 1:
@@ -235,6 +238,11 @@ class CubicGraph:
         for v, d in enumerate(degree):
             if d != 3:
                 raise ValueError(f"vertex {v} has degree {d}, expected 3")
+        incident: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for i, (u, v) in enumerate(self.edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        object.__setattr__(self, "_incident", tuple(map(tuple, incident)))
 
     @classmethod
     def make(cls, num_vertices: int, edges: Iterable[Sequence[int]]) -> "CubicGraph":
@@ -243,16 +251,7 @@ class CubicGraph:
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Indices (into the edge list) of the three edges touching v."""
-        return tuple(i for i, (a, b) in enumerate(self.edges) if v in (a, b))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out))
+        return self._incident[v]
 
 
 def parse_cubic_graph(text: str) -> CubicGraph:
@@ -354,9 +353,8 @@ def gen_from_cubic_graph(g: CubicGraph) -> Channel:
     rows = []
     for v in range(g.num_vertices):
         row = [ZERO] * len(g.edges)
-        for i, (a, b) in enumerate(g.edges):
-            if v in (a, b):
-                row[i] = third
+        for i in g.incident_edges(v):
+            row[i] = third
         rows.append(tuple(row))
     return Channel(tuple(rows))
 

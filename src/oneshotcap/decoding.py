@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import bitsets
 from .channel import ONE, ZERO, Channel, format_prob
 
 # Row lcm above which Monte-Carlo sampling falls back from numpy int64
@@ -135,19 +137,8 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
         dfs(i + 1, mass, mask, lightest)
 
     dfs(0, ZERO, 0, ONE)
-    found.sort(key=lambda m: (m.bit_count(), _mask_to_outputs(m)))
+    found.sort(key=lambda m: (m.bit_count(), bitsets.outputs_of(m)))
     return found
-
-
-def _mask_to_outputs(mask: int) -> tuple[int, ...]:
-    out = []
-    y = 0
-    while mask:
-        if mask & 1:
-            out.append(y)
-        mask >>= 1
-        y += 1
-    return tuple(out)
 
 
 def enumerate_min_decoding_sets(
@@ -158,7 +149,7 @@ def enumerate_min_decoding_sets(
     Sorted by size, then lexicographically, for reproducible downstream
     graphs and witnesses.
     """
-    return [_mask_to_outputs(m) for m in minimal_decoding_masks(c, x, eps)]
+    return [bitsets.outputs_of(m) for m in minimal_decoding_masks(c, x, eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +304,7 @@ def simulate(c: Channel, s: Scheme, trials: int, seed: int) -> SimulationReport:
             errors = 0
             for _ in range(trials):
                 u = py_rng.randrange(lcm)
-                y = _bisect_right(cumulative, u)
+                y = bisect_right(cumulative, u)
                 if s.decoder[y] != x:
                     errors += 1
         stats.append(CodewordStats(x, trials, errors, exact[x]))
@@ -325,14 +316,3 @@ def simulate(c: Channel, s: Scheme, trials: int, seed: int) -> SimulationReport:
         exact_max=max(exact.values()),
         exact_avg=sum(exact.values(), ZERO) / len(exact),
     )
-
-
-def _bisect_right(cumulative: list[int], u: int) -> int:
-    lo, hi = 0, len(cumulative)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] <= u:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -18,13 +18,10 @@ For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
 member escapes; the sparse condition is then equivalent to
 sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
-form; the exhaustive fallback sums pair weights directly so the two
-accountings check each other.
+form.
 
 The independence-number solver is an exact branch and bound (max clique on
-the complement with a greedy colouring bound) over bitmask adjacency; an
-enumeration-based exhaustive mode is kept as an independent cross-check
-for small graphs.
+the complement with a greedy colouring bound) over bitmask adjacency.
 """
 
 from __future__ import annotations
@@ -33,10 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import bitsets
 from .channel import ONE, ZERO, Channel, format_prob
 from .decoding import minimal_decoding_masks
 
-_EXHAUSTIVE_NODE_LIMIT = 20
+# Node enumeration over every output subset is exponential in |Y|.
+_MAX_GRAPH_OUTPUT_LIMIT = 12
+_AVG_GRAPH_OUTPUT_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -66,32 +66,11 @@ def _make_nodes(per_input: list[list[tuple[int, Fraction]]]) -> tuple[
     nodes = []
     escapes = []
     for x, entries in enumerate(per_input):
-        entries.sort(key=lambda e: (e[0].bit_count(), _outputs_of(e[0])))
+        entries.sort(key=lambda e: (e[0].bit_count(), bitsets.outputs_of(e[0])))
         for mask, escape in entries:
-            nodes.append(OneShotNode(x, _outputs_of(mask), mask))
+            nodes.append(OneShotNode(x, bitsets.outputs_of(mask), mask))
             escapes.append(escape)
     return tuple(nodes), tuple(escapes)
-
-
-def _outputs_of(mask: int) -> tuple[int, ...]:
-    out = []
-    y = 0
-    while mask:
-        if mask & 1:
-            out.append(y)
-        mask >>= 1
-        y += 1
-    return tuple(out)
-
-
-def _subset_masses(row: Sequence[Fraction]) -> list[Fraction]:
-    """mass[mask] for every output subset, via the lowest-set-bit recursion."""
-    n = len(row)
-    masses = [ZERO] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        masses[mask] = masses[mask ^ low] + row[low.bit_length() - 1]
-    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +102,14 @@ class MaxOneShotGraph:
 
 
 def build_max_graph(
-    c: Channel,
-    eps: Fraction,
-    minimal_only: bool = True,
-    exhaustive_bound: int = 12,
+    c: Channel, eps: Fraction, minimal_only: bool = True
 ) -> MaxOneShotGraph:
     """Conflict graph whose nodes are the admissible decoding sets at eps.
 
     With minimal_only (the default) only inclusion-minimal sets become
     nodes, which preserves the independence number but keeps the graph
-    small.  The exhaustive mode enumerates every qualifying subset and is
-    limited to channels with at most `exhaustive_bound` outputs.
+    small.  Otherwise every qualifying subset becomes a node, which is
+    limited to channels with at most 12 outputs.
     """
     eps = Fraction(eps)
     if not (ZERO <= eps < ONE):
@@ -145,14 +121,14 @@ def build_max_graph(
                 [(m, ZERO) for m in minimal_decoding_masks(c, x, eps)]
             )
     else:
-        if c.num_outputs > exhaustive_bound:
+        if c.num_outputs > _MAX_GRAPH_OUTPUT_LIMIT:
             raise ValueError(
-                f"exhaustive node enumeration needs <= {exhaustive_bound} outputs, "
+                f"exhaustive node enumeration needs <= {_MAX_GRAPH_OUTPUT_LIMIT} outputs, "
                 f"channel has {c.num_outputs}"
             )
         threshold = ONE - eps
         for x in range(c.num_inputs):
-            masses = _subset_masses(c.row(x))
+            masses = bitsets.subset_masses(c.row(x))
             per_input.append(
                 [(mask, ZERO) for mask in range(1, 1 << c.num_outputs)
                  if masses[mask] >= threshold]
@@ -177,17 +153,12 @@ def _conflict_adjacency(nodes: tuple[OneShotNode, ...]) -> tuple[int, ...]:
 # Exact independent-set solvers (bitmask adjacency)
 # ---------------------------------------------------------------------------
 
-def max_independent_set(adj: Sequence[int], method: str = "bnb") -> tuple[int, int]:
+def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
     """Exact maximum independent set; returns (size, member bitmask).
 
-    method "bnb" runs branch and bound (clique search on the complement
-    with a greedy colouring bound); "exhaustive" walks every independent
-    set and is meant as a cross-check on small graphs.
+    Branch and bound: clique search on the complement with a greedy
+    colouring bound.
     """
-    if method == "exhaustive":
-        return _mis_enumerate(adj)
-    if method != "bnb":
-        raise ValueError(f"unknown method {method!r}")
     n = len(adj)
     full = (1 << n) - 1
     complement = [full & ~adj[v] & ~(1 << v) for v in range(n)]
@@ -233,37 +204,15 @@ def _max_clique(adj: Sequence[int]) -> tuple[int, int]:
     return best_size, best_mask
 
 
-def _mis_enumerate(adj: Sequence[int]) -> tuple[int, int]:
-    n = len(adj)
-    best_size = 0
-    best_mask = 0
-
-    def rec(cand: int, size: int, mask: int) -> None:
-        nonlocal best_size, best_mask
-        if size > best_size:
-            best_size, best_mask = size, mask
-        if cand == 0:
-            return
-        bit = cand & -cand
-        v = bit.bit_length() - 1
-        rec(cand & ~(adj[v] | bit), size + 1, mask | bit)
-        rec(cand & ~bit, size, mask)
-
-    rec((1 << n) - 1, 0, 0)
-    return best_size, best_mask
-
-
 def _witness_from_mask(nodes: tuple[OneShotNode, ...], mask: int) -> NodeSetWitness:
     indices = tuple(i for i in range(len(nodes)) if mask >> i & 1)
     pairs = tuple((nodes[i].input, nodes[i].outputs) for i in indices)
     return NodeSetWitness(indices, pairs)
 
 
-def independence_number(
-    g: MaxOneShotGraph, method: str = "bnb"
-) -> tuple[int, NodeSetWitness]:
+def independence_number(g: MaxOneShotGraph) -> tuple[int, NodeSetWitness]:
     """Exact independence number of the conflict graph, with a witness."""
-    size, mask = max_independent_set(g.adj, method=method)
+    size, mask = max_independent_set(g.adj)
     return size, _witness_from_mask(g.nodes, mask)
 
 
@@ -310,17 +259,17 @@ class AvgOneShotGraph:
         raise KeyError(f"no node ({x}, {target})")
 
 
-def build_avg_graph(c: Channel, exhaustive_bound: int = 10) -> AvgOneShotGraph:
+def build_avg_graph(c: Channel) -> AvgOneShotGraph:
     """Average-one-shot graph; node count is exponential in |Y|, so the
-    channel must have at most `exhaustive_bound` outputs."""
-    if c.num_outputs > exhaustive_bound:
+    channel must have at most 10 outputs."""
+    if c.num_outputs > _AVG_GRAPH_OUTPUT_LIMIT:
         raise ValueError(
-            f"average-one-shot graph needs <= {exhaustive_bound} outputs, "
+            f"average-one-shot graph needs <= {_AVG_GRAPH_OUTPUT_LIMIT} outputs, "
             f"channel has {c.num_outputs}"
         )
     per_input: list[list[tuple[int, Fraction]]] = []
     for x in range(c.num_inputs):
-        masses = _subset_masses(c.row(x))
+        masses = bitsets.subset_masses(c.row(x))
         per_input.append(
             [(mask, ONE - masses[mask]) for mask in range(1, 1 << c.num_outputs)
              if masses[mask] > ZERO]
@@ -356,9 +305,7 @@ def is_sparse_set(g: AvgOneShotGraph, indices: Sequence[int], eps: Fraction) -> 
     return total is not None and total <= Fraction(eps) * k * (k - 1)
 
 
-def sparse_number(
-    g: AvgOneShotGraph, eps: Fraction, method: str = "bnb"
-) -> tuple[int, NodeSetWitness]:
+def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitness]:
     """Largest eps-sparse node set, exactly, with a witness.
 
     The branch and bound walks inputs in order, assigning each at most one
@@ -370,10 +317,6 @@ def sparse_number(
     eps = Fraction(eps)
     if not (ZERO <= eps <= ONE):
         raise ValueError("eps must be in [0, 1]")
-    if method == "exhaustive":
-        return _sparse_exhaustive(g, eps)
-    if method != "bnb":
-        raise ValueError(f"unknown method {method!r}")
     if not g.nodes:
         raise ValueError("graph has no nodes")
 
@@ -413,23 +356,6 @@ def sparse_number(
             return k, _witness_from_mask(g.nodes, mask)
     # Singletons are always sparse: k*(k-1) = 0 bounds an empty edge set.
     return 1, _witness_from_mask(g.nodes, 1)
-
-
-def _sparse_exhaustive(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitness]:
-    """Subset enumeration against the literal definition; small graphs only."""
-    n = g.num_nodes
-    if n > _EXHAUSTIVE_NODE_LIMIT:
-        raise ValueError(f"exhaustive sparse search limited to {_EXHAUSTIVE_NODE_LIMIT} nodes")
-    best_size, best_mask = 0, 0
-    for mask in range(1, 1 << n):
-        k = mask.bit_count()
-        if k <= best_size:
-            continue
-        indices = [i for i in range(n) if mask >> i & 1]
-        total = induced_weight_sum(g, indices)
-        if total is not None and total <= eps * k * (k - 1):
-            best_size, best_mask = k, mask
-    return best_size, _witness_from_mask(g.nodes, best_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .decoding import Scheme, max_error, scheme_from_disjoint_sets
 from .graphs import max_independent_set
 
 EPS_LIMIT = Fraction(1, 3)
+_CUBIC_DRAW_LIMIT = 10000
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,9 @@ def _vertex_adjacency(g: CubicGraph) -> list[int]:
     return adj
 
 
-def graph_independence_number(
-    g: CubicGraph, method: str = "bnb"
-) -> tuple[int, tuple[int, ...]]:
+def graph_independence_number(g: CubicGraph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set of the plain graph."""
-    size, mask = max_independent_set(_vertex_adjacency(g), method=method)
+    size, mask = max_independent_set(_vertex_adjacency(g))
     return size, tuple(v for v in range(g.num_vertices) if mask >> v & 1)
 
 
@@ -168,7 +167,7 @@ def named_cubic_graphs() -> dict[str, CubicGraph]:
     }
 
 
-def gen_random_cubic(num_vertices: int, seed: int, max_attempts: int = 10000) -> CubicGraph:
+def gen_random_cubic(num_vertices: int, seed: int) -> CubicGraph:
     """Seeded random cubic graph via stub pairing with rejection.
 
     Three stubs per vertex are shuffled and paired; draws producing loops
@@ -179,7 +178,7 @@ def gen_random_cubic(num_vertices: int, seed: int, max_attempts: int = 10000) ->
         raise ValueError("cubic graphs need an even vertex count >= 4")
     rng = random.Random(seed)
     stubs = [v for v in range(num_vertices) for _ in range(3)]
-    for _ in range(max_attempts):
+    for _ in range(_CUBIC_DRAW_LIMIT):
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
         edges = set()
@@ -191,4 +190,4 @@ def gen_random_cubic(num_vertices: int, seed: int, max_attempts: int = 10000) ->
             edges.add((min(u, v), max(u, v)))
         if ok:
             return CubicGraph.make(num_vertices, sorted(edges))
-    raise RuntimeError(f"no simple cubic graph found in {max_attempts} draws")
+    raise RuntimeError(f"no simple cubic graph found in {_CUBIC_DRAW_LIMIT} draws")

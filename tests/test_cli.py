@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oneshotcap import serialize_cubic_graph
+from oneshotcap import (
+    CapacityResult,
+    Channel,
+    build_avg_graph,
+    capacity_curve,
+    optimal_avg_decoder,
+    serialize_channel,
+    serialize_cubic_graph,
+)
 from oneshotcap.cli import main
 from oneshotcap.hardness import cubic_k4
 
@@ -81,6 +89,61 @@ def test_capacity_cross_check(funnel3_file, capsys):
                  "--epsilon", "1/100", "--cross-check"]) == 0
     out = capsys.readouterr().out
     assert "cross-check ok" in out
+
+
+@pytest.fixture
+def gap_file(tmp_path):
+    """Two identical rows over one output: at eps 1/2 the best avg scheme
+    sacrifices a codeword, which the sparse-graph engine cannot represent."""
+    path = tmp_path / "gap.txt"
+    path.write_text("channel 2 1\n1\n1\n")
+    return str(path)
+
+
+def test_capacity_cross_check_avg_graph_is_lower_bound(gap_file, capsys):
+    assert main(["capacity", gap_file, "--metric", "avg",
+                 "--epsilon", "1/2", "--cross-check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["cross-check ok: brute, graph, packing",
+                   "codebook_size=2 capacity_bits=1.000000000000"]
+
+
+@pytest.mark.parametrize("engine, eps, size", [
+    ("avg_capacity", "1/2", 1),               # the exact engines differ
+    ("avg_capacity_via_sparse", "49/100", 2),  # lower bound above the exact size
+])
+def test_capacity_cross_check_planted_disagreement(
+    gap_file, capsys, monkeypatch, engine, eps, size
+):
+    def wrong(c, e):
+        return CapacityResult("average", e, size, optimal_avg_decoder(c, range(size)))
+
+    monkeypatch.setattr(f"oneshotcap.cli.{engine}", wrong)
+    assert main(["capacity", gap_file, "--metric", "avg",
+                 "--epsilon", eps, "--cross-check"]) == 1
+    assert "engine disagreement" in capsys.readouterr().err
+
+
+def _uniform(nx, ny):
+    return Channel.make([[F(1, ny)] * ny] * nx)
+
+
+@pytest.mark.parametrize("shape, call, argv, message", [
+    ((1, 13), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
+     "<= 12 outputs"),
+    ((13, 1), lambda c: capacity_curve(c, "avg"), ["curve", "--metric", "avg"],
+     "<= 12 inputs"),
+    ((1, 11), build_avg_graph, ["sparse", "--epsilon", "1/10"], "<= 10 outputs"),
+], ids=["curve-max", "curve-avg", "avg-graph"])
+def test_size_guards(tmp_path, capsys, shape, call, argv, message):
+    c = _uniform(*shape)
+    with pytest.raises(ValueError, match=message):
+        call(c)
+    path = tmp_path / "wide.txt"
+    path.write_text(serialize_channel(c))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_capacity_json(funnel3_file, capsys):
