@@ -60,7 +60,6 @@ from .capacity import (
     capacity_curve,
     funnel_closed_form,
     max_capacity,
-    max_capacity_via_graph,
 )
 from .hardness import (
     ReductionReport,

@@ -1,11 +1,11 @@
 """Capacity engines for the two one-shot error metrics.
 
-The primary engines work directly on the channel:
+The primary engines:
 
-* ``max_capacity``  -- packs pairwise-disjoint minimal decoding sets, one
-  per chosen input.  The packing size equals the independence number of
-  the maximum-one-shot graph (``max_capacity_via_graph`` crosses the two
-  paths against each other in the test suite).
+* ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
+  decoding sets, one per chosen input, found as the independence number
+  of the maximum-one-shot graph over those sets.  The test suite checks
+  it against a separate packing search (``tests/oracles.py``).
 * ``avg_capacity``  -- searches codebooks largest-first; for a fixed
   codebook the pointwise-argmax decoder is average-optimal, so the mean
   error of a codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility
@@ -38,7 +38,6 @@ from .decoding import (
     Scheme,
     avg_error,
     max_error,
-    minimal_decoding_masks,
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
 )
@@ -140,58 +139,19 @@ def _check_eps(eps) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def max_capacity(c: Channel, eps) -> CapacityResult:
-    """Largest codebook with worst-codeword error <= eps, by set packing.
+    """Largest codebook with worst-codeword error <= eps.
 
-    Packs one minimal decoding set per chosen input, pairwise disjoint; the
-    witness decoder sends each packed set to its input and every leftover
-    output to the first codeword.  eps = 1 short-circuits to the full input
-    alphabet (no error can exceed 1).
+    The independence number of the maximum-one-shot graph: one minimal
+    decoding set per chosen input, pairwise disjoint.  The witness decoder
+    sends each chosen set to its input and every leftover output to the
+    first codeword.  eps = 1 short-circuits to the full input alphabet (no
+    error can exceed 1), where the graph is not defined.
     """
     eps = _check_eps(eps)
     if eps == ONE:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return CapacityResult(METRIC_MAX, eps, c.num_inputs, scheme)
-    minsets = [minimal_decoding_masks(c, x, eps) for x in range(c.num_inputs)]
-    _, pairs = _pack_disjoint(minsets)
-    witness = scheme_from_disjoint_sets(
-        c, [(x, bitsets.outputs_of(mask)) for x, mask in pairs]
-    )
-    return CapacityResult(METRIC_MAX, eps, len(pairs), witness)
-
-
-def _pack_disjoint(minsets: list[list[int]]) -> tuple[int, list[tuple[int, int]]]:
-    """Max number of inputs assignable pairwise-disjoint sets; exact DFS."""
-    nx = len(minsets)
-    best_count = 0
-    best: list[tuple[int, int]] = []
-    cur: list[tuple[int, int]] = []
-
-    def dfs(x: int, used: int) -> None:
-        nonlocal best_count, best
-        if len(cur) + (nx - x) <= best_count:
-            return
-        if x == nx:
-            best_count, best = len(cur), cur.copy()
-            return
-        for mask in minsets[x]:
-            if not mask & used:
-                cur.append((x, mask))
-                dfs(x + 1, used | mask)
-                cur.pop()
-        dfs(x + 1, used)
-
-    dfs(0, 0)
-    return best_count, best
-
-
-def max_capacity_via_graph(c: Channel, eps) -> CapacityResult:
-    """Max-error capacity through the independence number of the conflict
-    graph; requires eps < 1 (the graph characterization's domain)."""
-    eps = _check_eps(eps)
-    if eps == ONE:
-        raise ValueError("graph path requires eps < 1; use max_capacity")
-    g = build_max_graph(c, eps)
-    size, witness = independence_number(g)
+    size, witness = independence_number(build_max_graph(c, eps))
     scheme = scheme_from_disjoint_sets(c, witness.pairs)
     return CapacityResult(METRIC_MAX, eps, size, scheme)
 

@@ -31,6 +31,10 @@ from .channel import ONE, ZERO, Channel, format_prob
 # Row lcm above which Monte-Carlo sampling falls back from numpy int64
 # arithmetic to Python integers.
 _NUMPY_LCM_LIMIT = 1 << 62
+# Most nodes of a maximum-one-shot graph, and so most minimal decoding sets
+# of one row: the graph holds N ints of N bits twice, so N = 2^15 is about
+# 256 MB.
+_MAX_GRAPH_NODE_LIMIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,15 @@ def is_avg_admissible(c: Channel, s: Scheme, eps: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
-    """Bitmask form of ``enumerate_min_decoding_sets`` (bit y = output y).
+    """Bitmask form of ``enumerate_min_decoding_sets`` (bit y = output y),
+    in search order; callers that need an order sort.
 
     Depth-first over outputs sorted by descending row probability.  A branch
     stops as soon as its mass reaches 1-eps: supersets of a qualifying set
     are never minimal.  A completed set is minimal iff dropping its
     lightest member would fall below the threshold, which subsumes the check
-    for every member.
+    for every member.  A row with more than ``_MAX_GRAPH_NODE_LIMIT``
+    minimal sets raises ValueError.
     """
     if not (ZERO <= eps < ONE):
         raise ValueError("eps must be in [0, 1) for minimal decoding sets")
@@ -128,6 +134,11 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
     def dfs(i: int, mass: Fraction, mask: int, lightest: Fraction) -> None:
         if mass >= threshold:
             if mass - lightest < threshold:
+                if len(found) == _MAX_GRAPH_NODE_LIMIT:
+                    raise ValueError(
+                        f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
+                        f"minimal decoding sets"
+                    )
                 found.append(mask)
             return
         if i == len(order) or mass + suffix[i] < threshold:
@@ -137,7 +148,6 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
         dfs(i + 1, mass, mask, lightest)
 
     dfs(0, ZERO, 0, ONE)
-    found.sort(key=lambda m: (m.bit_count(), bitsets.outputs_of(m)))
     return found
 
 
@@ -149,7 +159,9 @@ def enumerate_min_decoding_sets(
     Sorted by size, then lexicographically, for reproducible downstream
     graphs and witnesses.
     """
-    return [bitsets.outputs_of(m) for m in minimal_decoding_masks(c, x, eps)]
+    sets = [bitsets.outputs_of(m) for m in minimal_decoding_masks(c, x, eps)]
+    sets.sort(key=lambda d: (len(d), d))
+    return sets
 
 
 # ---------------------------------------------------------------------------

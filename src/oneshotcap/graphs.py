@@ -21,18 +21,20 @@ sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
 form.
 
 The independence-number solver is an exact branch and bound (max clique on
-the complement with a greedy colouring bound) over bitmask adjacency.
+the complement with a greedy colouring bound) over bitmask adjacency; it
+is the max-metric engine behind ``capacity.max_capacity``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import bitsets
 from .channel import ONE, ZERO, Channel, format_prob
-from .decoding import minimal_decoding_masks
+from .decoding import _MAX_GRAPH_NODE_LIMIT, minimal_decoding_masks
 
 # Node enumeration over every output subset is exponential in |Y|.
 _MAX_GRAPH_OUTPUT_LIMIT = 12
@@ -66,9 +68,10 @@ def _make_nodes(per_input: list[list[tuple[int, Fraction]]]) -> tuple[
     nodes = []
     escapes = []
     for x, entries in enumerate(per_input):
-        entries.sort(key=lambda e: (e[0].bit_count(), bitsets.outputs_of(e[0])))
-        for mask, escape in entries:
-            nodes.append(OneShotNode(x, bitsets.outputs_of(mask), mask))
+        keyed = [(bitsets.outputs_of(mask), mask, escape) for mask, escape in entries]
+        keyed.sort(key=lambda e: (len(e[0]), e[0]))
+        for outputs, mask, escape in keyed:
+            nodes.append(OneShotNode(x, outputs, mask))
             escapes.append(escape)
     return tuple(nodes), tuple(escapes)
 
@@ -109,43 +112,52 @@ def build_max_graph(
     With minimal_only (the default) only inclusion-minimal sets become
     nodes, which preserves the independence number but keeps the graph
     small.  Otherwise every qualifying subset becomes a node, which is
-    limited to channels with at most 12 outputs.
+    limited to channels with at most 12 outputs.  Either way a graph of
+    more than ``_MAX_GRAPH_NODE_LIMIT`` nodes is refused with ValueError.
     """
     eps = Fraction(eps)
     if not (ZERO <= eps < ONE):
         raise ValueError("eps must be in [0, 1) for the maximum-one-shot graph")
+    if not minimal_only and c.num_outputs > _MAX_GRAPH_OUTPUT_LIMIT:
+        raise ValueError(
+            f"exhaustive node enumeration needs <= {_MAX_GRAPH_OUTPUT_LIMIT} outputs, "
+            f"channel has {c.num_outputs}"
+        )
+    threshold = ONE - eps
     per_input: list[list[tuple[int, Fraction]]] = []
-    if minimal_only:
-        for x in range(c.num_inputs):
-            per_input.append(
-                [(m, ZERO) for m in minimal_decoding_masks(c, x, eps)]
-            )
-    else:
-        if c.num_outputs > _MAX_GRAPH_OUTPUT_LIMIT:
-            raise ValueError(
-                f"exhaustive node enumeration needs <= {_MAX_GRAPH_OUTPUT_LIMIT} outputs, "
-                f"channel has {c.num_outputs}"
-            )
-        threshold = ONE - eps
-        for x in range(c.num_inputs):
+    total = 0
+    for x in range(c.num_inputs):
+        if minimal_only:
+            masks = minimal_decoding_masks(c, x, eps)
+        else:
             masses = bitsets.subset_masses(c.row(x))
-            per_input.append(
-                [(mask, ZERO) for mask in range(1, 1 << c.num_outputs)
-                 if masses[mask] >= threshold]
+            masks = [m for m in range(1, 1 << c.num_outputs) if masses[m] >= threshold]
+        total += len(masks)
+        if total > _MAX_GRAPH_NODE_LIMIT:
+            raise ValueError(
+                f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
+        per_input.append([(m, ZERO) for m in masks])
     nodes, _ = _make_nodes(per_input)
     adj = _conflict_adjacency(nodes)
     return MaxOneShotGraph(eps, nodes, adj)
 
 
 def _conflict_adjacency(nodes: tuple[OneShotNode, ...]) -> tuple[int, ...]:
-    n = len(nodes)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nodes[i].input == nodes[j].input or nodes[i].mask & nodes[j].mask:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    """Node i's neighbours: the nodes sharing its input or one of its outputs."""
+    by_input: dict[int, int] = defaultdict(int)
+    by_output: dict[int, int] = defaultdict(int)
+    for i, node in enumerate(nodes):
+        bit = 1 << i
+        by_input[node.input] |= bit
+        for y in node.outputs:
+            by_output[y] |= bit
+    adj = []
+    for i, node in enumerate(nodes):
+        mask = by_input[node.input]
+        for y in node.outputs:
+            mask |= by_output[y]
+        adj.append(mask & ~(1 << i))
     return tuple(adj)
 
 

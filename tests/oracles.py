@@ -36,6 +36,33 @@ def oracle_minimal_sets(c: Channel, x: int, eps: Fraction) -> list[tuple[int, ..
     return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))
 
 
+def oracle_packing(c: Channel, eps: Fraction) -> int:
+    """Max-error codebook size by packing pairwise-disjoint minimal sets.
+
+    Depth-first over inputs, each taking one of its minimal sets or none,
+    pruned only by "picked so far plus inputs left"; no conflict graph.
+    At eps = 1 every row's only minimal set is the empty set.
+    """
+    nx = c.num_inputs
+    sets = [[frozenset(d) for d in oracle_minimal_sets(c, x, eps)] for x in range(nx)]
+    best = 0
+
+    def dfs(x: int, used: frozenset, count: int) -> None:
+        nonlocal best
+        if count + (nx - x) <= best:
+            return
+        if x == nx:
+            best = count
+            return
+        for d in sets[x]:
+            if not d & used:
+                dfs(x + 1, used | d, count + 1)
+        dfs(x + 1, used, count)
+
+    dfs(0, frozenset(), 0)
+    return best
+
+
 def oracle_scheme_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
     """Per-codeword errors by explicit pre-image summation."""
     errors = {}

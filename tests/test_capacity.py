@@ -10,16 +10,17 @@ from oneshotcap import (
     avg_capacity_via_sparse,
     avg_error,
     brute_force_capacity,
+    build_max_graph,
     capacity_curve,
     funnel_closed_form,
     gen_funnel,
+    gen_random,
     identity_channel,
     max_capacity,
-    max_capacity_via_graph,
     max_error,
 )
 from corpus import random_channels
-from oracles import oracle_capacity
+from oracles import oracle_capacity, oracle_packing
 
 F = Fraction
 
@@ -60,8 +61,8 @@ def test_eps_one_short_circuit(funnel3):
     r = max_capacity(funnel3, F(1))
     assert r.codebook_size == 3
     assert max_error(funnel3, r.witness) <= 1
-    with pytest.raises(ValueError, match="eps < 1"):
-        max_capacity_via_graph(funnel3, F(1))
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        build_max_graph(funnel3, F(1))
 
 
 def test_witnesses_are_admissible(funnel3):
@@ -89,10 +90,22 @@ def test_result_validation(funnel3):
 def test_max_engines_agree_with_oracle():
     for c in random_channels(20, seed0=2000):
         for eps in [F(0), F(1, 10), F(1, 3), F(1, 2)]:
-            k_pack = max_capacity(c, eps).codebook_size
-            k_graph = max_capacity_via_graph(c, eps).codebook_size
+            k_graph = max_capacity(c, eps).codebook_size
+            k_pack = oracle_packing(c, eps)
             k_brute = brute_force_capacity(c, "max", eps).codebook_size
-            assert k_pack == k_graph == k_brute
+            assert k_graph == k_pack == k_brute
+
+
+def test_max_capacity_matches_packing_oracle_beyond_brute_force():
+    # 6x6 to 8x8: past brute force's 5x5 limit, so the packing oracle is
+    # the only independent reference here
+    for n in (6, 7, 8):
+        for i in range(4):
+            c = gen_random(n, n, seed=2500 + 10 * n + i, denominator_bound=12)
+            for eps in [F(0), F(1, 10), F(1, 4), F(1, 3), F(1, 2)]:
+                r = max_capacity(c, eps)
+                assert r.codebook_size == oracle_packing(c, eps)
+                assert max_error(c, r.witness) <= eps
 
 
 def test_avg_engines_agree_with_oracle():

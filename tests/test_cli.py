@@ -8,6 +8,7 @@ from oneshotcap import (
     Channel,
     build_avg_graph,
     capacity_curve,
+    max_capacity,
     optimal_avg_decoder,
     serialize_channel,
     serialize_cubic_graph,
@@ -74,21 +75,25 @@ def test_capacity_identity_at_zero(tmp_path, capsys):
 
 def test_capacity_engines_and_witness(funnel3_file, tmp_path, capsys):
     witness_path = tmp_path / "w.json"
-    for engine in ("packing", "graph", "brute"):
-        assert main(["capacity", funnel3_file, "--metric", "avg",
-                     "--epsilon", "1/200", "--engine", engine,
-                     "--witness", str(witness_path)]) == 0
-        assert "codebook_size=2" in capsys.readouterr().out
-        scheme = json.loads(witness_path.read_text())
-        assert len(scheme["codebook"]) == 2
-        assert len(scheme["decoder"]) == 3
+    cases = [("avg", "1/200", 2), ("max", "1/100", 2),
+             ("max", "1", 3)]  # "graph" names the one max engine, so it answers at eps 1
+    for metric, eps, size in cases:
+        for engine in ("packing", "graph", "brute"):
+            assert main(["capacity", funnel3_file, "--metric", metric,
+                         "--epsilon", eps, "--engine", engine,
+                         "--witness", str(witness_path)]) == 0
+            assert f"codebook_size={size}" in capsys.readouterr().out
+            scheme = json.loads(witness_path.read_text())
+            assert len(scheme["codebook"]) == size
+            assert len(scheme["decoder"]) == 3
 
 
 def test_capacity_cross_check(funnel3_file, capsys):
     assert main(["capacity", funnel3_file, "--metric", "max",
                  "--epsilon", "1/100", "--cross-check"]) == 0
-    out = capsys.readouterr().out
-    assert "cross-check ok" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["cross-check ok: brute, packing",
+                   "codebook_size=2 capacity_bits=1.000000000000"]
 
 
 @pytest.fixture
@@ -103,9 +108,19 @@ def gap_file(tmp_path):
 def test_capacity_cross_check_avg_graph_is_lower_bound(gap_file, capsys):
     assert main(["capacity", gap_file, "--metric", "avg",
                  "--epsilon", "1/2", "--cross-check"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out == ["cross-check ok: brute, graph, packing",
-                   "codebook_size=2 capacity_bits=1.000000000000"]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["cross-check ok: brute, graph, packing",
+                                         "codebook_size=2 capacity_bits=1.000000000000"]
+    assert captured.err == ""
+    # choosing the lower-bound engine keeps its answer on stdout and says
+    # on stderr how far short it falls
+    assert main(["capacity", gap_file, "--metric", "avg", "--engine", "graph",
+                 "--epsilon", "1/2", "--cross-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["cross-check ok: brute, graph, packing",
+                                         "codebook_size=1 capacity_bits=0.000000000000"]
+    assert captured.err == ("note: graph engine gives codebook_size=1, a lower bound; "
+                            "the exact engines give 2\n")
 
 
 @pytest.mark.parametrize("engine, eps, size", [
@@ -134,7 +149,14 @@ def _uniform(nx, ny):
     ((13, 1), lambda c: capacity_curve(c, "avg"), ["curve", "--metric", "avg"],
      "<= 12 inputs"),
     ((1, 11), build_avg_graph, ["sparse", "--epsilon", "1/10"], "<= 10 outputs"),
-], ids=["curve-max", "curve-avg", "avg-graph"])
+    # C(22, 11) minimal sets in one row: the per-row search stops first
+    ((1, 22), lambda c: max_capacity(c, F(1, 2)),
+     ["capacity", "--metric", "max", "--epsilon", "1/2"],
+     "more than 32768 minimal decoding sets"),
+    # 3 * C(16, 8) = 38610 nodes, each row under the cap
+    ((3, 16), lambda c: max_capacity(c, F(1, 2)),
+     ["capacity", "--metric", "max", "--epsilon", "1/2"], "more than 32768 nodes"),
+], ids=["curve-max", "curve-avg", "avg-graph", "max-row-sets", "max-graph-nodes"])
 def test_size_guards(tmp_path, capsys, shape, call, argv, message):
     c = _uniform(*shape)
     with pytest.raises(ValueError, match=message):

@@ -131,4 +131,6 @@ def test_reduction_agrees_on_random_cubic_corpus():
         n = 4 + 2 * (i % 6)  # 4, 6, ..., 14
         g = gen_random_cubic(n, seed=3000 + i)
         for eps in [F(0), F(1, 4), F(33, 100)]:
-            assert verify_reduction(g, eps).agree
+            report = verify_reduction(g, eps)
+            assert report.agree
+            assert report.graph_alpha == oracle_mis(_vertex_adjacency(g))
