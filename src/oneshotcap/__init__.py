@@ -55,7 +55,6 @@ from .capacity import (
     CapacityCurve,
     CapacityResult,
     avg_capacity,
-    avg_capacity_via_sparse,
     brute_force_capacity,
     capacity_curve,
     funnel_closed_form,

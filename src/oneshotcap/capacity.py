@@ -1,6 +1,6 @@
 """Capacity engines for the two one-shot error metrics.
 
-The primary engines:
+One exact engine per metric:
 
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
   decoding sets, one per chosen input, found as the independence number
@@ -9,8 +9,10 @@ The primary engines:
 * ``avg_capacity``  -- searches codebooks largest-first; for a fixed
   codebook the pointwise-argmax decoder is average-optimal, so the mean
   error of a codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility
-  is a single exact comparison.  ``avg_capacity_via_sparse`` goes through
-  the eps-sparse number of the average-one-shot graph instead.
+  is a single exact comparison.  The paper's graph quantity, the
+  eps-sparse number of the average-one-shot graph (``graphs.sparse_number``),
+  is at most this capacity, and equal unless the best scheme sacrifices a
+  codeword (decoding error exactly 1).
 
 ``brute_force_capacity`` enumerates every codebook and every total decoder
 on tiny channels; it is the independent oracle the engines are validated
@@ -41,7 +43,7 @@ from .decoding import (
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
 )
-from .graphs import build_avg_graph, build_max_graph, independence_number, sparse_number
+from .graphs import build_max_graph, independence_number
 
 METRIC_MAX = "maximum"
 METRIC_AVG = "average"
@@ -114,9 +116,7 @@ class CapacityCurve:
                 raise ValueError("breakpoints must increase strictly in both fields")
 
     def value_at(self, eps: Fraction) -> int:
-        eps = Fraction(eps)
-        if not (ZERO <= eps <= ONE):
-            raise ValueError("eps must be in [0, 1]")
+        eps = _check_eps(eps)
         thresholds = [t for t, _ in self.breakpoints]
         return self.breakpoints[bisect_right(thresholds, eps) - 1][1]
 
@@ -185,23 +185,6 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
             if ONE - _captured(c, cb) / k <= eps:
                 return CapacityResult(METRIC_AVG, eps, k, optimal_avg_decoder(c, cb))
     raise AssertionError("unreachable: a singleton codebook has error 0")
-
-
-def avg_capacity_via_sparse(c: Channel, eps) -> CapacityResult:
-    """Average capacity through the eps-sparse number of the weighted graph.
-
-    The sparse-set path matches the codebook search whenever some optimal
-    scheme keeps positive decoding mass on every codeword.  A scheme may
-    instead sacrifice a codeword outright (decoding error exactly 1, e.g.
-    duplicate rows fighting over a single output at large eps); such
-    codewords have no graph node, so on those instances this path returns
-    a smaller, still witness-sound, value.
-    """
-    eps = _check_eps(eps)
-    g = build_avg_graph(c)
-    size, witness = sparse_number(g, eps)
-    scheme = scheme_from_disjoint_sets(c, witness.pairs)
-    return CapacityResult(METRIC_AVG, eps, size, scheme)
 
 
 # ---------------------------------------------------------------------------

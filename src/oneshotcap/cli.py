@@ -21,7 +21,6 @@ from .capacity import (
     _BRUTE_FORCE_LIMIT,
     METRIC_MAX,
     avg_capacity,
-    avg_capacity_via_sparse,
     brute_force_capacity,
     capacity_curve,
     max_capacity,
@@ -77,28 +76,11 @@ def _cmd_validate(args) -> int:
 
 def _engines_for(metric: str, c: Channel, eps: Fraction) -> dict[str, object]:
     """Engine name -> callable; only engines applicable to this instance."""
-    engines = {}
-    if metric == METRIC_MAX:
-        engines["packing"] = lambda: max_capacity(c, eps)
-    else:
-        engines["packing"] = lambda: avg_capacity(c, eps)
-        engines["graph"] = lambda: avg_capacity_via_sparse(c, eps)
+    solve = max_capacity if metric == METRIC_MAX else avg_capacity
+    engines = {"packing": lambda: solve(c, eps)}
     if c.num_inputs <= _BRUTE_FORCE_LIMIT and c.num_outputs <= _BRUTE_FORCE_LIMIT:
         engines["brute"] = lambda: brute_force_capacity(c, metric, eps)
     return engines
-
-
-def _disagree(metric: str, sizes: dict[str, int]) -> bool:
-    """Whether the engines' codebook sizes contradict each other.
-
-    The avg graph engine cannot represent a scheme that sacrifices a
-    codeword (decoding error exactly 1), so it is a witnessed lower bound:
-    it may fall short of the exact engines but never exceed them.
-    """
-    if metric == METRIC_MAX:
-        return len(set(sizes.values())) != 1
-    exact = {k for name, k in sizes.items() if name != "graph"}
-    return len(exact) != 1 or sizes["graph"] > min(exact)
 
 
 def _cmd_capacity(args) -> int:
@@ -106,21 +88,17 @@ def _cmd_capacity(args) -> int:
     metric = normalize_metric(args.metric)
     eps = args.epsilon
     engines = _engines_for(metric, c, eps)
-    # The max metric has one engine besides brute force; "graph" names it too.
-    engine = "packing" if metric == METRIC_MAX and args.engine == "graph" else args.engine
+    # Each metric has one engine besides brute force; "graph" names it too.
+    engine = "packing" if args.engine == "graph" else args.engine
     if args.cross_check:
         results = {name: run() for name, run in engines.items()}
         sizes = {name: r.codebook_size for name, r in results.items()}
         result = results[engine] if engine in results else next(iter(results.values()))
-        if _disagree(metric, sizes):
+        if len(set(sizes.values())) != 1:
             detail = ", ".join(f"{n}={k}" for n, k in sizes.items())
             print(f"engine disagreement: {detail}", file=sys.stderr)
             return 1
         print(f"cross-check ok: {', '.join(sorted(sizes))}")
-        exact = max(sizes.values())
-        if result.codebook_size < exact:
-            print(f"note: {engine} engine gives codebook_size={result.codebook_size}, "
-                  f"a lower bound; the exact engines give {exact}", file=sys.stderr)
     else:
         if engine not in engines:
             raise ValueError(
@@ -226,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=["max", "avg"])
     p.add_argument("--epsilon", required=True, type=_eps_arg)
     p.add_argument("--engine", default="packing", choices=["packing", "graph", "brute"],
-                   help="max: packing (also named graph) is the conflict graph's "
-                        "independence number; avg: packing is the codebook search, "
-                        "graph the sparse-set lower bound; brute: 5x5 channels at most")
+                   help="packing (also named graph) is the exact engine: for max the "
+                        "conflict graph's independence number, for avg the codebook "
+                        "search; brute: 5x5 channels at most")
     p.add_argument("--witness", help="write the witness scheme JSON here")
     p.add_argument("--cross-check", action="store_true",
                    help="run each distinct engine once; fail on disagreement")

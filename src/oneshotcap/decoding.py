@@ -32,8 +32,8 @@ from .channel import ONE, ZERO, Channel, format_prob
 # arithmetic to Python integers.
 _NUMPY_LCM_LIMIT = 1 << 62
 # Most nodes of a maximum-one-shot graph, and so most minimal decoding sets
-# of one row: the graph holds N ints of N bits twice, so N = 2^15 is about
-# 256 MB.
+# of one row: the graph holds N ints of N bits once, so N = 2^15 is about
+# 128 MB.
 _MAX_GRAPH_NODE_LIMIT = 1 << 15
 
 

@@ -20,9 +20,9 @@ member escapes; the sparse condition is then equivalent to
 sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
 form.
 
-The independence-number solver is an exact branch and bound (max clique on
-the complement with a greedy colouring bound) over bitmask adjacency; it
-is the max-metric engine behind ``capacity.max_capacity``.
+The independence-number solver is an exact branch and bound with a greedy
+colouring bound, run directly on the bitmask adjacency; it is the
+max-metric engine behind ``capacity.max_capacity``.
 """
 
 from __future__ import annotations
@@ -168,17 +168,10 @@ def _conflict_adjacency(nodes: tuple[OneShotNode, ...]) -> tuple[int, ...]:
 def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
     """Exact maximum independent set; returns (size, member bitmask).
 
-    Branch and bound: clique search on the complement with a greedy
-    colouring bound.
+    Branch and bound over the adjacency itself with a greedy colouring
+    bound: each colour class is a clique, so it holds at most one member
+    of an independent set.
     """
-    n = len(adj)
-    full = (1 << n) - 1
-    complement = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    return _max_clique(complement)
-
-
-def _max_clique(adj: Sequence[int]) -> tuple[int, int]:
-    n = len(adj)
     best_size = 0
     best_mask = 0
 
@@ -188,8 +181,8 @@ def _max_clique(adj: Sequence[int]) -> tuple[int, int]:
             if r_size > best_size:
                 best_size, best_mask = r_size, r_mask
             return
-        # Greedy colouring: vertices in colour class c cannot extend a
-        # clique by more than c, so colour numbers bound the branches.
+        # Greedy colouring: vertices in colour class c cannot extend an
+        # independent set by more than c, so colour numbers bound the branches.
         order: list[int] = []
         bound: list[int] = []
         colour = 0
@@ -200,7 +193,7 @@ def _max_clique(adj: Sequence[int]) -> tuple[int, int]:
             while avail:
                 bit = avail & -avail
                 v = bit.bit_length() - 1
-                avail &= ~(adj[v] | bit)
+                avail &= adj[v] & ~bit  # a self-loop must not stall the class
                 rest &= ~bit
                 order.append(v)
                 bound.append(colour)
@@ -209,10 +202,10 @@ def _max_clique(adj: Sequence[int]) -> tuple[int, int]:
                 return
             v = order[i]
             bit = 1 << v
-            expand(r_size + 1, r_mask | bit, cand & adj[v])
+            expand(r_size + 1, r_mask | bit, cand & ~(adj[v] | bit))
             cand &= ~bit
 
-    expand(0, 0, (1 << n) - 1)
+    expand(0, 0, (1 << len(adj)) - 1)
     return best_size, best_mask
 
 

@@ -7,9 +7,9 @@ from oneshotcap import (
     Channel,
     FunnelSpec,
     avg_capacity,
-    avg_capacity_via_sparse,
     avg_error,
     brute_force_capacity,
+    build_avg_graph,
     build_max_graph,
     capacity_curve,
     funnel_closed_form,
@@ -18,6 +18,8 @@ from oneshotcap import (
     identity_channel,
     max_capacity,
     max_error,
+    scheme_from_disjoint_sets,
+    sparse_number,
 )
 from corpus import random_channels
 from oracles import oracle_capacity, oracle_packing
@@ -112,7 +114,7 @@ def test_avg_engines_agree_with_oracle():
     for c in random_channels(12, seed0=2100, square_ish=True):
         for eps in [F(0), F(1, 10), F(1, 3)]:
             k_search = avg_capacity(c, eps).codebook_size
-            k_sparse = avg_capacity_via_sparse(c, eps).codebook_size
+            k_sparse, _ = sparse_number(build_avg_graph(c), eps)
             k_brute = brute_force_capacity(c, "avg", eps).codebook_size
             assert k_search == k_sparse == k_brute
 
@@ -140,21 +142,22 @@ def test_sparse_path_sacrifice_gap():
 
     A scheme may sacrifice a codeword outright (decoding error exactly 1);
     such a codeword has no positive-mass node in the graph, so the sparse
-    number undershoots the codebook search exactly on those instances.
+    number undershoots the avg capacity exactly on those instances.
     The smallest case: two identical rows over a single output at eps=1/2,
     where codebook {0,1} with the lone output decoding to 0 has mean error
     (0 + 1)/2 = 1/2.
     """
     c = Channel.make([["1"], ["1"]])
+    g = build_avg_graph(c)
     assert brute_force_capacity(c, "avg", F(1, 2)).codebook_size == 2
     assert avg_capacity(c, F(1, 2)).codebook_size == 2
-    sparse = avg_capacity_via_sparse(c, F(1, 2))
-    assert sparse.codebook_size == 1
-    # the sparse result stays a sound lower bound: its witness is admissible
-    assert avg_error(c, sparse.witness) <= F(1, 2)
-    # below eps = 1/2 no sacrifice fits the budget and the paths agree
+    size, witness = sparse_number(g, F(1, 2))
+    assert size == 1
+    # the sparse witness is still a sound scheme: its mean error fits eps
+    assert avg_error(c, scheme_from_disjoint_sets(c, witness.pairs)) <= F(1, 2)
+    # below eps = 1/2 no sacrifice fits the budget and the two agree
     assert avg_capacity(c, F(49, 100)).codebook_size == 1
-    assert avg_capacity_via_sparse(c, F(49, 100)).codebook_size == 1
+    assert sparse_number(g, F(49, 100))[0] == 1
 
 
 def test_monotonicity_and_metric_order():

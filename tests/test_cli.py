@@ -8,6 +8,7 @@ from oneshotcap import (
     Channel,
     build_avg_graph,
     capacity_curve,
+    gen_random,
     max_capacity,
     optimal_avg_decoder,
     serialize_channel,
@@ -86,6 +87,18 @@ def test_capacity_engines_and_witness(funnel3_file, tmp_path, capsys):
             scheme = json.loads(witness_path.read_text())
             assert len(scheme["codebook"]) == size
             assert len(scheme["decoder"]) == 3
+    # past brute force's limit, "graph" and "packing" are one engine too
+    for seed in range(3):
+        path = tmp_path / f"r{seed}.txt"
+        path.write_text(serialize_channel(gen_random(6, 6, seed=seed, denominator_bound=24)))
+        for metric in ("max", "avg"):
+            for eps in ("1/10", "1/3"):
+                outs = []
+                for engine in ("packing", "graph"):
+                    assert main(["capacity", str(path), "--metric", metric,
+                                 "--epsilon", eps, "--engine", engine, "--json"]) == 0
+                    outs.append(capsys.readouterr().out)
+                assert outs[0] == outs[1]
 
 
 def test_capacity_cross_check(funnel3_file, capsys):
@@ -99,33 +112,32 @@ def test_capacity_cross_check(funnel3_file, capsys):
 @pytest.fixture
 def gap_file(tmp_path):
     """Two identical rows over one output: at eps 1/2 the best avg scheme
-    sacrifices a codeword, which the sparse-graph engine cannot represent."""
+    sacrifices a codeword, which the sparse number of the avg graph cannot
+    represent."""
     path = tmp_path / "gap.txt"
     path.write_text("channel 2 1\n1\n1\n")
     return str(path)
 
 
-def test_capacity_cross_check_avg_graph_is_lower_bound(gap_file, capsys):
-    assert main(["capacity", gap_file, "--metric", "avg",
-                 "--epsilon", "1/2", "--cross-check"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["cross-check ok: brute, graph, packing",
-                                         "codebook_size=2 capacity_bits=1.000000000000"]
-    assert captured.err == ""
-    # choosing the lower-bound engine keeps its answer on stdout and says
-    # on stderr how far short it falls
+def test_capacity_avg_graph_engine_is_exact_on_gap_channel(gap_file, capsys):
+    # "graph" names the exact avg engine, so it answers 2 where the sparse
+    # number stops at 1, with nothing on stderr
     assert main(["capacity", gap_file, "--metric", "avg", "--engine", "graph",
-                 "--epsilon", "1/2", "--cross-check"]) == 0
+                 "--epsilon", "1/2"]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["cross-check ok: brute, graph, packing",
-                                         "codebook_size=1 capacity_bits=0.000000000000"]
-    assert captured.err == ("note: graph engine gives codebook_size=1, a lower bound; "
-                            "the exact engines give 2\n")
+    assert captured.out == "codebook_size=2 capacity_bits=1.000000000000\n"
+    assert captured.err == ""
+    for engine in ("packing", "graph"):
+        assert main(["capacity", gap_file, "--metric", "avg", "--engine", engine,
+                     "--epsilon", "1/2", "--cross-check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["cross-check ok: brute, packing",
+                                             "codebook_size=2 capacity_bits=1.000000000000"]
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("engine, eps, size", [
-    ("avg_capacity", "1/2", 1),               # the exact engines differ
-    ("avg_capacity_via_sparse", "49/100", 2),  # lower bound above the exact size
+    ("avg_capacity", "1/2", 1),  # the exact engines differ
 ])
 def test_capacity_cross_check_planted_disagreement(
     gap_file, capsys, monkeypatch, engine, eps, size
