@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
-
-from .channel import ZERO
 
 
 def outputs_of(mask: int) -> tuple[int, ...]:
@@ -20,10 +17,11 @@ def outputs_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subset_masses(row: Sequence[Fraction]) -> list[Fraction]:
-    """mass[mask] for every output subset, via the lowest-set-bit recursion."""
+def subset_masses(row: Sequence[int]) -> list[int]:
+    """mass[mask] for every output subset of an integer weight row, via the
+    lowest-set-bit recursion."""
     n = len(row)
-    masses = [ZERO] * (1 << n)
+    masses = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         masses[mask] = masses[mask ^ low] + row[low.bit_length() - 1]

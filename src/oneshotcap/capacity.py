@@ -21,9 +21,10 @@ against and is deliberately kept literal.
 Capacity values are reported as the exact codebook size k; log2(k) is only
 ever rendered for display, never compared.
 
-All epsilon comparisons are exact rational comparisons; the capacity-vs-
-epsilon step function jumps exactly at rational breakpoints and
-``capacity_curve`` recovers those breakpoints exactly.
+Every search compares integer masses (``Channel.weights``) against
+``Channel.min_mass(eps, k)``, so epsilon comparisons are exact; the step
+function jumps at rational breakpoints and ``capacity_curve`` recovers
+them exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import bitsets
-from .channel import ONE, ZERO, Channel, FunnelSpec, format_prob
+from .channel import Channel, FunnelSpec, format_prob
 from .decoding import (
     Scheme,
     avg_error,
@@ -109,7 +110,7 @@ class CapacityCurve:
     breakpoints: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        if not self.breakpoints or self.breakpoints[0][0] != ZERO:
+        if not self.breakpoints or self.breakpoints[0][0] != 0:
             raise ValueError("curve must start at epsilon = 0")
         for (t0, k0), (t1, k1) in zip(self.breakpoints, self.breakpoints[1:]):
             if not (t0 < t1 and k0 < k1):
@@ -129,7 +130,7 @@ class CapacityCurve:
 
 def _check_eps(eps) -> Fraction:
     eps = Fraction(eps)
-    if not (ZERO <= eps <= ONE):
+    if not (0 <= eps <= 1):
         raise ValueError("eps must be in [0, 1]")
     return eps
 
@@ -148,7 +149,7 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     error can exceed 1), where the graph is not defined.
     """
     eps = _check_eps(eps)
-    if eps == ONE:
+    if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return CapacityResult(METRIC_MAX, eps, c.num_inputs, scheme)
     size, witness = independence_number(build_max_graph(c, eps))
@@ -160,11 +161,9 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
 # Average-error metric
 # ---------------------------------------------------------------------------
 
-def _captured(c: Channel, codebook) -> Fraction:
-    """Row mass the pointwise-argmax decoder keeps: sum_y max_{x in cb} P(y|x)."""
-    return sum(
-        (max(c.prob(x, y) for x in codebook) for y in range(c.num_outputs)), ZERO
-    )
+def _captured(c: Channel, codebook) -> int:
+    """Mass the pointwise-argmax decoder keeps: sum_y max_{x in cb} weights[x][y]."""
+    return sum(map(max, zip(*(c.weights[x] for x in codebook))))
 
 
 def avg_capacity(c: Channel, eps) -> CapacityResult:
@@ -179,10 +178,11 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
     nx = c.num_inputs
     global_captured = _captured(c, range(nx))
     for k in range(nx, 0, -1):
-        if ONE - global_captured / k > eps:
+        need = c.min_mass(eps, k)
+        if global_captured < need:
             continue  # even the best-case codebook of this size fails
         for cb in combinations(range(nx), k):
-            if ONE - _captured(c, cb) / k <= eps:
+            if _captured(c, cb) >= need:
                 return CapacityResult(METRIC_AVG, eps, k, optimal_avg_decoder(c, cb))
     raise AssertionError("unreachable: a singleton codebook has error 0")
 
@@ -238,9 +238,9 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
 
     Maximum metric: the admissible-set families change only at values
     1 - mass(D) over output subsets D, so those are the only candidate
-    thresholds.  Average metric: the capacity jumps only at achievable
-    optimal-decoder mean errors, one per codebook.  Candidates are
-    evaluated exactly and equal consecutive sizes are merged.
+    thresholds.  Average metric: size k first becomes admissible at the
+    least optimal-decoder mean error over codebooks of size k.  Candidates
+    come from distinct integer masses; equal consecutive sizes are merged.
     """
     metric = normalize_metric(metric)
     if metric == METRIC_MAX:
@@ -248,34 +248,26 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             raise ValueError(
                 f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} outputs, channel has {c.num_outputs}"
             )
-        candidates = set()
-        for x in range(c.num_inputs):
-            candidates.update(ONE - m for m in bitsets.subset_masses(c.row(x)))
-        sizes = {
-            eps: max_capacity(c, eps).codebook_size for eps in candidates
-        }
+        masses = set()
+        for row in c.weights:
+            masses.update(bitsets.subset_masses(row))
+        sizes = {}
+        for m in masses:
+            eps = 1 - Fraction(m, c.scale)
+            sizes[eps] = max_capacity(c, eps).codebook_size
     else:
         if c.num_inputs > _CURVE_SWEEP_LIMIT:
             raise ValueError(
                 f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} inputs, channel has {c.num_inputs}"
             )
         nx = c.num_inputs
-        err_of_size: dict[Fraction, int] = {}
+        sizes = {}  # least mean error of each size; on a tie the larger size
         for k in range(1, nx + 1):
-            for cb in combinations(range(nx), k):
-                err = ONE - _captured(c, cb) / k
-                if err_of_size.get(err, 0) < k:
-                    err_of_size[err] = k
-        candidates = set(err_of_size)
-        # size at threshold v = best size among errors <= v
-        sizes = {}
-        running = 0
-        for err in sorted(candidates):
-            running = max(running, err_of_size[err])
-            sizes[err] = running
+            best = max(_captured(c, cb) for cb in combinations(range(nx), k))
+            sizes[1 - Fraction(best, k * c.scale)] = k
 
     breakpoints: list[tuple[Fraction, int]] = []
-    for eps in sorted(candidates):
+    for eps in sorted(sizes):
         k = sizes[eps]
         if not breakpoints or k > breakpoints[-1][1]:
             breakpoints.append((eps, k))

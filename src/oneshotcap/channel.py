@@ -1,12 +1,13 @@
 """Discrete channels with exact rational transition probabilities.
 
 A channel is an |X| x |Y| matrix of transition probabilities P(Y=y|X=x).
-Every probability is a `fractions.Fraction`, every row sums to exactly 1,
-and every comparison made downstream (admissibility thresholds, capacity
-breakpoints) is an exact rational comparison.  Binary floating point never
-enters any capacity-relevant decision: capacity is a step function of the
-error budget and jumps exactly at rational thresholds, so a float epsilon
-could land on the wrong side of a breakpoint.
+Every probability is an int or a `fractions.Fraction`, every row sums to
+exactly 1, and the channel also holds the matrix as ints over one common
+denominator ``scale``; the searches compare those integer masses with
+``min_mass(eps, k)``, so every admissibility test is exact.  Binary floating
+point never enters any capacity-relevant decision: capacity is a step
+function of the error budget and jumps exactly at rational thresholds, so a
+float epsilon could land on the wrong side of a breakpoint.
 
 The module also provides the channel generators used throughout the test
 suite and the demos:
@@ -31,14 +32,12 @@ File formats (UTF-8 text, ``#`` starts a comment):
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # "p/q" with integer p, q, or a plain finite decimal (no signs, no exponents).
 _PROB_TOKEN = re.compile(r"^(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)$")
@@ -60,7 +59,7 @@ def parse_prob(token: str, where: str = "probability") -> Fraction:
             f"{where}: {token!r} is not a p/q fraction or finite decimal"
         )
     value = Fraction(token)
-    if not (ZERO <= value <= ONE):
+    if not (0 <= value <= 1):
         raise ChannelFormatError(f"{where}: {token!r} is outside [0, 1]")
     return value
 
@@ -76,16 +75,19 @@ def _as_prob(entry, where: str) -> Fraction:
     if isinstance(entry, str):
         return parse_prob(entry, where)
     value = Fraction(entry)
-    if not (ZERO <= value <= ONE):
+    if not (0 <= value <= 1):
         raise ValueError(f"{where}: {entry!r} is outside [0, 1]")
     return value
 
 
 @dataclass(frozen=True)
 class Channel:
-    """Immutable transition matrix, indexed [input][output]."""
+    """Immutable transition matrix, indexed [input][output]; ``scale`` is the
+    lcm of all denominators and ``weights[x][y] = P(y|x) * scale`` (ints)."""
 
     rows: tuple[tuple[Fraction, ...], ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    weights: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -99,11 +101,21 @@ class Channel:
                     f"row {x}: expected {width} entries, got {len(row)}"
                 )
             for y, p in enumerate(row):
-                if not (ZERO <= p <= ONE):
+                if not isinstance(p, (int, Fraction)):
+                    raise ValueError(f"entry ({x},{y}): {p!r} is not an int or a Fraction")
+                if not (0 <= p.numerator <= p.denominator):
                     raise ValueError(f"entry ({x},{y}): {p} is outside [0, 1]")
-            total = sum(row)
-            if total != ONE:
+        scale = math.lcm(*{p.denominator for row in self.rows for p in row})
+        weights = tuple(
+            tuple(p.numerator * (scale // p.denominator) for p in row)
+            for row in self.rows
+        )
+        for x, row in enumerate(weights):
+            if sum(row) != scale:
+                total = Fraction(sum(row), scale)
                 raise ValueError(f"row {x}: probabilities sum to {total}, not 1")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def make(cls, rows: Iterable[Iterable]) -> "Channel":
@@ -128,16 +140,19 @@ class Channel:
     def row(self, x: int) -> tuple[Fraction, ...]:
         return self.rows[x]
 
-    def support(self, x: int) -> tuple[int, ...]:
-        """Outputs with positive probability under input x."""
-        return tuple(y for y, p in enumerate(self.rows[x]) if p > ZERO)
-
     def support_mask(self, x: int) -> int:
         mask = 0
-        for y, p in enumerate(self.rows[x]):
-            if p > ZERO:
+        for y, w in enumerate(self.weights[x]):
+            if w:
                 mask |= 1 << y
         return mask
+
+    def min_mass(self, eps, k: int) -> int:
+        """Least integer mass m with m / scale >= k * (1 - eps): k codewords
+        keeping mass M have mean error <= eps exactly when M >= m."""
+        eps = Fraction(eps)
+        need = k * self.scale * (eps.denominator - eps.numerator)
+        return -(-need // eps.denominator)
 
 
 def identity_channel(n: int) -> Channel:
@@ -188,7 +203,7 @@ def parse_channel(text: str) -> Channel:
             for y, tok in enumerate(tokens)
         )
         total = sum(row)
-        if total != ONE:
+        if total != 1:
             raise ChannelFormatError(
                 f"line {lineno}: row {x} sums to {format_prob(total)}, not 1"
             )
@@ -314,7 +329,7 @@ class FunnelSpec:
             raise ValueError("funnel family needs n >= 2 symbols")
         if len(self.e) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} leak probabilities, got {len(self.e)}")
-        prev = ZERO
+        prev = 0
         for i, ei in enumerate(self.e, start=1):
             if not isinstance(ei, Fraction):
                 raise ValueError(f"e_{i} must be a Fraction")
@@ -324,7 +339,7 @@ class FunnelSpec:
                     f"e_{i} = {ei} after {prev}"
                 )
             prev = ei
-        if self.e[-1] > ONE:
+        if self.e[-1] > 1:
             raise ValueError(f"e_{self.n - 1} = {self.e[-1]} exceeds 1")
 
     @classmethod
@@ -334,13 +349,12 @@ class FunnelSpec:
 
 def gen_funnel(spec: FunnelSpec) -> Channel:
     """Channel of the funnel family: row i puts 1-e_i on output i, e_i on 0."""
-    rows = []
-    rows.append(tuple(ONE if y == 0 else ZERO for y in range(spec.n)))
+    rows = [tuple(Fraction(1 if y == 0 else 0) for y in range(spec.n))]
     for i in range(1, spec.n):
         ei = spec.e[i - 1]
-        row = [ZERO] * spec.n
+        row = [Fraction(0)] * spec.n
         row[0] = ei
-        row[i] = ONE - ei
+        row[i] = 1 - ei
         rows.append(tuple(row))
     return Channel(tuple(rows))
 
@@ -352,7 +366,7 @@ def gen_from_cubic_graph(g: CubicGraph) -> Channel:
     third = Fraction(1, 3)
     rows = []
     for v in range(g.num_vertices):
-        row = [ZERO] * len(g.edges)
+        row = [Fraction(0)] * len(g.edges)
         for i in g.incident_edges(v):
             row[i] = third
         rows.append(tuple(row))

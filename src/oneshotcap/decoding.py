@@ -9,9 +9,10 @@ Fractions.
 
 ``enumerate_min_decoding_sets`` is the workhorse behind the capacity
 engines: for an error budget eps, it lists the inclusion-minimal output
-sets that capture at least 1-eps of an input's row mass.  Only minimal
-sets matter when packing pre-images, since shrinking a pre-image to a
-minimal subset preserves disjointness.
+sets that capture at least 1-eps of an input's row mass (integer weights
+against ``Channel.min_mass``).  Only minimal sets matter when packing
+pre-images, since shrinking a pre-image to a minimal subset preserves
+disjointness.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import bitsets
-from .channel import ONE, ZERO, Channel, format_prob
+from .channel import Channel, format_prob
 
 # Row lcm above which Monte-Carlo sampling falls back from numpy int64
 # arithmetic to Python integers.
@@ -79,10 +79,10 @@ def _check_dims(c: Channel, s: Scheme) -> None:
 def per_codeword_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
     """Exact decoding error 1 - P(Y in preimage(x) | X=x) for each codeword."""
     _check_dims(c, s)
-    captured = {x: ZERO for x in s.codebook}
+    captured = {x: Fraction(0) for x in s.codebook}
     for y, x in enumerate(s.decoder):
         captured[x] += c.prob(x, y)
-    return {x: ONE - captured[x] for x in s.codebook}
+    return {x: 1 - captured[x] for x in s.codebook}
 
 
 def max_error(c: Channel, s: Scheme) -> Fraction:
@@ -93,7 +93,7 @@ def max_error(c: Channel, s: Scheme) -> Fraction:
 def avg_error(c: Channel, s: Scheme) -> Fraction:
     """Mean per-codeword decoding error, exactly."""
     errors = per_codeword_errors(c, s)
-    return sum(errors.values(), ZERO) / len(errors)
+    return sum(errors.values()) / len(errors)
 
 
 def is_max_admissible(c: Channel, s: Scheme, eps: Fraction) -> bool:
@@ -119,19 +119,19 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
     for every member.  A row with more than ``_MAX_GRAPH_NODE_LIMIT``
     minimal sets raises ValueError.
     """
-    if not (ZERO <= eps < ONE):
+    if not (0 <= eps < 1):
         raise ValueError("eps must be in [0, 1) for minimal decoding sets")
-    threshold = ONE - eps
-    row = c.row(x)
+    threshold = c.min_mass(eps, 1)
+    row = c.weights[x]
     order = sorted(range(c.num_outputs), key=lambda y: (-row[y], y))
     weights = [row[y] for y in order]
-    suffix = [ZERO] * (len(order) + 1)
+    suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
     found: list[int] = []
 
-    def dfs(i: int, mass: Fraction, mask: int, lightest: Fraction) -> None:
+    def dfs(i: int, mass: int, mask: int, lightest: int) -> None:
         if mass >= threshold:
             if mass - lightest < threshold:
                 if len(found) == _MAX_GRAPH_NODE_LIMIT:
@@ -147,7 +147,7 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
         dfs(i + 1, mass + w, mask | (1 << order[i]), min(lightest, w))
         dfs(i + 1, mass, mask, lightest)
 
-    dfs(0, ZERO, 0, ONE)
+    dfs(0, 0, 0, c.scale)
     return found
 
 
@@ -182,9 +182,9 @@ def optimal_avg_decoder(c: Channel, codebook: Sequence[int]) -> Scheme:
     decoder = []
     for y in range(c.num_outputs):
         best = members[0]
-        best_p = c.prob(best, y)
+        best_p = c.weights[best][y]
         for x in members[1:]:
-            p = c.prob(x, y)
+            p = c.weights[x][y]
             if p > best_p:
                 best, best_p = x, p
         decoder.append(best)
@@ -271,35 +271,24 @@ class SimulationReport:
         }
 
 
-def _row_thresholds(c: Channel, x: int) -> tuple[list[int], int]:
-    """Cumulative integer masses for inverse-CDF sampling of row x.
-
-    Scaling by the lcm of the row's denominators keeps the sampling exact:
-    a uniform integer below the lcm falls in bin y with probability exactly
-    P(y|x).
-    """
-    row = c.row(x)
-    lcm = math.lcm(*(p.denominator for p in row))
-    cumulative = []
-    acc = 0
-    for p in row:
-        acc += p.numerator * (lcm // p.denominator)
-        cumulative.append(acc)
-    return cumulative, lcm
-
-
 def simulate(c: Channel, s: Scheme, trials: int, seed: int) -> SimulationReport:
     """Transmit each codeword `trials` times and report empirical error rates.
 
-    Sampling is exact (integer thresholds over the row lcm) and
-    deterministic in the seed.  Rows with small lcm are sampled in bulk via
-    numpy; astronomically fine-grained rows fall back to Python integers.
+    Sampling is exact (integer thresholds over the row lcm, which is
+    ``scale`` over the gcd of the row's weights) and deterministic in the
+    seed.  Rows with small lcm are sampled in bulk via numpy (imported here,
+    on first use); astronomically fine-grained rows fall back to Python ints.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_dims(c, s)
     exact = per_codeword_errors(c, s)
-    thresholds = {x: _row_thresholds(c, x) for x in s.codebook}
+    thresholds = {}
+    for x in s.codebook:
+        g = math.gcd(c.scale, *c.weights[x])
+        thresholds[x] = list(accumulate(w // g for w in c.weights[x])), c.scale // g
     use_numpy = all(lcm < _NUMPY_LCM_LIMIT for _, lcm in thresholds.values())
     rng = np.random.default_rng(seed) if use_numpy else None
     py_rng = None if use_numpy else random.Random(seed)
@@ -326,5 +315,5 @@ def simulate(c: Channel, s: Scheme, trials: int, seed: int) -> SimulationReport:
         seed=seed,
         per_codeword=tuple(stats),
         exact_max=max(exact.values()),
-        exact_avg=sum(exact.values(), ZERO) / len(exact),
+        exact_avg=sum(exact.values()) / len(exact),
     )

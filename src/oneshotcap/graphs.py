@@ -18,7 +18,7 @@ For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
 member escapes; the sparse condition is then equivalent to
 sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
-form.
+form, with the escapes as integers over their common denominator.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
@@ -27,13 +27,14 @@ max-metric engine behind ``capacity.max_capacity``.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import bitsets
-from .channel import ONE, ZERO, Channel, format_prob
+from .channel import Channel, format_prob
 from .decoding import _MAX_GRAPH_NODE_LIMIT, minimal_decoding_masks
 
 # Node enumeration over every output subset is exponential in |Y|.
@@ -116,28 +117,28 @@ def build_max_graph(
     more than ``_MAX_GRAPH_NODE_LIMIT`` nodes is refused with ValueError.
     """
     eps = Fraction(eps)
-    if not (ZERO <= eps < ONE):
+    if not (0 <= eps < 1):
         raise ValueError("eps must be in [0, 1) for the maximum-one-shot graph")
     if not minimal_only and c.num_outputs > _MAX_GRAPH_OUTPUT_LIMIT:
         raise ValueError(
             f"exhaustive node enumeration needs <= {_MAX_GRAPH_OUTPUT_LIMIT} outputs, "
             f"channel has {c.num_outputs}"
         )
-    threshold = ONE - eps
+    threshold = c.min_mass(eps, 1)
     per_input: list[list[tuple[int, Fraction]]] = []
     total = 0
     for x in range(c.num_inputs):
         if minimal_only:
             masks = minimal_decoding_masks(c, x, eps)
         else:
-            masses = bitsets.subset_masses(c.row(x))
+            masses = bitsets.subset_masses(c.weights[x])
             masks = [m for m in range(1, 1 << c.num_outputs) if masses[m] >= threshold]
         total += len(masks)
         if total > _MAX_GRAPH_NODE_LIMIT:
             raise ValueError(
                 f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
-        per_input.append([(m, ZERO) for m in masks])
+        per_input.append([(m, 0) for m in masks])
     nodes, _ = _make_nodes(per_input)
     adj = _conflict_adjacency(nodes)
     return MaxOneShotGraph(eps, nodes, adj)
@@ -274,10 +275,11 @@ def build_avg_graph(c: Channel) -> AvgOneShotGraph:
         )
     per_input: list[list[tuple[int, Fraction]]] = []
     for x in range(c.num_inputs):
-        masses = bitsets.subset_masses(c.row(x))
+        masses = bitsets.subset_masses(c.weights[x])
+        escape = {m: Fraction(c.scale - m, c.scale) for m in set(masses)}
         per_input.append(
-            [(mask, ONE - masses[mask]) for mask in range(1, 1 << c.num_outputs)
-             if masses[mask] > ZERO]
+            [(mask, escape[masses[mask]])
+             for mask in range(1, 1 << c.num_outputs) if masses[mask]]
         )
     nodes, escapes = _make_nodes(per_input)
     supports = tuple(c.support_mask(x) for x in range(c.num_inputs))
@@ -288,7 +290,7 @@ def induced_weight_sum(g: AvgOneShotGraph, indices: Sequence[int]) -> Fraction |
     """Total induced edge weight, each unordered pair counted once; None if
     the set contains an infinite edge."""
     indices = list(indices)
-    total = ZERO
+    total = Fraction(0)
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
             w = g.edge_weight(indices[a], indices[b])
@@ -316,29 +318,32 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     The branch and bound walks inputs in order, assigning each at most one
     node with dset disjoint from the claimed outputs; for target size k >= 2
     the sparse condition reduces to sum(escapes) <= eps*k, which prunes by
-    escape budget.  Nodes padded with zero-probability outputs are skipped:
-    their in-support core has the same escape and blocks fewer outputs.
+    escape budget, in integers over the escapes' lcm.  Nodes padded with
+    zero-probability outputs are skipped: their in-support core has the same
+    escape and blocks fewer outputs.
     """
     eps = Fraction(eps)
-    if not (ZERO <= eps <= ONE):
+    if not (0 <= eps <= 1):
         raise ValueError("eps must be in [0, 1]")
     if not g.nodes:
         raise ValueError("graph has no nodes")
 
-    groups: list[list[tuple[Fraction, int, int]]] = [[] for _ in range(g.num_inputs)]
+    scale = math.lcm(*(e.denominator for e in g.escapes))
+    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_inputs)]
     for i, node in enumerate(g.nodes):
         if node.mask & ~g.supports[node.input]:
             continue
-        groups[node.input].append((g.escapes[i], node.mask, i))
+        e = g.escapes[i]
+        groups[node.input].append((e.numerator * (scale // e.denominator), node.mask, i))
     for entries in groups:
         entries.sort(key=lambda e: (e[0], e[1]))
 
     nx = g.num_inputs
     for k in range(nx, 1, -1):
-        budget = eps * k
+        budget = eps.numerator * k * scale // eps.denominator
         chosen: list[int] = []
 
-        def dfs(x: int, count: int, esc_sum: Fraction, used: int) -> bool:
+        def dfs(x: int, count: int, esc_sum: int, used: int) -> bool:
             if count == k:
                 return True
             if count + (nx - x) < k:
@@ -354,7 +359,7 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
                 chosen.pop()
             return dfs(x + 1, count, esc_sum, used)
 
-        if dfs(0, 0, ZERO, 0):
+        if dfs(0, 0, 0, 0):
             mask = 0
             for i in chosen:
                 mask |= 1 << i

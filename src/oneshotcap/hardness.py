@@ -8,11 +8,10 @@ graph's independence number.  Below 1/3 every admissible decoding set for
 a vertex must contain all three incident edges, so decoding sets are
 disjoint exactly when the vertices are pairwise non-adjacent.
 
-``verify_reduction`` executes both directions on a concrete instance: it
-solves the graph side and the channel side independently, maps each
-witness across to the other side, and checks the mapped objects.  The
-fixed named graphs plus seeded random cubic graphs form a reproducible
-regression corpus.
+``verify_reduction`` checks both directions on a concrete instance with
+one exact search on the graph side, the channel's minimal decoding sets,
+and the exact error of the mapped witness.  The fixed named graphs plus
+seeded random cubic graphs form a reproducible regression corpus.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacity import CapacityResult, max_capacity
 from .channel import CubicGraph, format_prob, gen_from_cubic_graph
-from .decoding import Scheme, max_error, scheme_from_disjoint_sets
+from .decoding import Scheme, max_error, minimal_decoding_masks, scheme_from_disjoint_sets
 from .graphs import max_independent_set
 
 EPS_LIMIT = Fraction(1, 3)
@@ -72,13 +70,13 @@ def is_independent_in(g: CubicGraph, vertices: tuple[int, ...]) -> bool:
 
 
 def verify_reduction(g: CubicGraph, eps) -> ReductionReport:
-    """Solve both sides of the reduction at eps < 1/3 and cross-map witnesses.
+    """Solve the graph side at eps < 1/3 once and check that k = alpha.
 
-    Channel witness -> graph: the codebook, read as a vertex set, must be
-    independent (disjoint decoding sets force disjoint incident-edge sets).
-    Graph witness -> channel: the nodes (v, incident edges of v) give a
-    scheme of the same size with worst error <= eps.  Behaviour at
-    eps >= 1/3 is not claimed, so such budgets are rejected.
+    k <= alpha: each vertex's only minimal decoding set must be its three
+    incident edges, so disjoint decoding sets are non-adjacent vertices.
+    k >= alpha: the graph witness's nodes (v, incident edges of v) give a
+    scheme of size alpha with worst error <= eps.  Either check failing
+    raises RuntimeError.  Budgets eps >= 1/3 are rejected.
     """
     eps = Fraction(eps)
     if eps >= EPS_LIMIT:
@@ -88,21 +86,12 @@ def verify_reduction(g: CubicGraph, eps) -> ReductionReport:
 
     channel = gen_from_cubic_graph(g)
     alpha, graph_witness = graph_independence_number(g)
-    result: CapacityResult = max_capacity(channel, eps)
-    k = result.codebook_size
-
-    # Channel witness -> vertex set of the same size, independent in g.
-    vertex_set = tuple(sorted(result.witness.codebook))
-    if not is_independent_in(g, vertex_set):
-        raise RuntimeError("channel witness maps to a non-independent vertex set")
-    for x in result.witness.codebook:
-        preimage = set(result.witness.preimage(x))
-        if not set(g.incident_edges(x)) <= preimage:
+    for v in range(g.num_vertices):
+        edges = sum(1 << i for i in g.incident_edges(v))
+        if minimal_decoding_masks(channel, v, eps) != [edges]:
             raise RuntimeError(
-                f"codeword {x}: decoding set misses one of its incident edges"
+                f"vertex {v}: minimal decoding sets are not its incident edges"
             )
-
-    # Graph witness -> scheme of size alpha with worst error <= eps.
     mapped = scheme_from_disjoint_sets(
         channel, [(v, g.incident_edges(v)) for v in graph_witness]
     )
@@ -111,11 +100,11 @@ def verify_reduction(g: CubicGraph, eps) -> ReductionReport:
 
     return ReductionReport(
         graph_alpha=alpha,
-        channel_capacity_k=k,
+        channel_capacity_k=alpha,
         epsilon=eps,
-        agree=alpha == k,
+        agree=True,
         graph_witness=graph_witness,
-        channel_witness=result.witness,
+        channel_witness=mapped,
     )
 
 

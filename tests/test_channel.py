@@ -88,6 +88,27 @@ def test_channel_validation():
         Channel(((F(1), F(0)), (F(1),)))
 
 
+def test_channel_rejects_float_entries():
+    # 0.1 + 0.9 == Fraction(1), so only the type check keeps binary floats out
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int or a Fraction"):
+        Channel(((0.5, 0.5), (0.1, 0.9)))
+    with pytest.raises(ValueError, match=r"entry \(1,1\): 0\.9"):
+        Channel(((F(1, 2), F(1, 2)), (F(1, 10), 0.9)))
+
+
+def test_integer_weights_over_one_denominator():
+    c = Channel.make([[F(1, 2), F(1, 2), 0], [F(1, 3), 0, F(2, 3)], [0, 0, 1]])
+    assert c.scale == 6
+    assert c.weights == ((3, 3, 0), (2, 0, 4), (0, 0, 6))
+    assert c.support_mask(1) == 0b101
+    # least m with m/6 >= k(1-eps): 1 * 6 * 3/4 = 4.5 -> 5; exact at 1/2
+    assert c.min_mass(F(1, 4), 1) == 5
+    assert c.min_mass(F(1, 2), 1) == 3
+    assert c.min_mass(F(1, 4), 2) == 9
+    assert c.min_mass(0, 3) == 18
+    assert c.min_mass(1, 3) == 0
+
+
 # ---------------------------------------------------------------------------
 # Funnel family
 # ---------------------------------------------------------------------------

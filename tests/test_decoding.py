@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +239,15 @@ def test_simulate_huge_lcm_uses_exact_fallback():
     assert all(st.errors in range(401) for st in a.per_codeword)
     # codeword 1 is deterministic, so it can never miss
     assert a.per_codeword[1].errors == 0
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is only needed by simulate, which imports it on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, oneshotcap, oneshotcap.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

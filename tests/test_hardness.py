@@ -88,6 +88,22 @@ def test_minimal_sets_are_exactly_incident_edges_below_third():
                 [g.incident_edges(v)]
 
 
+def test_reduction_checks_minimal_sets_of_every_vertex(monkeypatch):
+    # a vertex whose minimal set is not its incident edges breaks k <= alpha
+    import oneshotcap.hardness as hardness
+
+    g = cubic_petersen()
+    real = hardness.minimal_decoding_masks
+
+    def wrong(channel, x, eps):
+        masks = real(channel, x, eps)
+        return [masks[0] & (masks[0] - 1)] if x == 7 else masks
+
+    monkeypatch.setattr(hardness, "minimal_decoding_masks", wrong)
+    with pytest.raises(RuntimeError, match="vertex 7"):
+        verify_reduction(g, F(1, 4))
+
+
 def test_reduction_rejects_eps_at_least_third():
     g = cubic_k4()
     with pytest.raises(ValueError, match="eps < 1/3"):

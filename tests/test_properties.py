@@ -2,8 +2,12 @@
 
 Channels are up to 4x4 with each row made of entries k/d for one d <= 12.
 The budgets drawn are 0, the exact candidate thresholds 1 - mass(D) over
-every row and output subset D (where the capacity steps), and the
-midpoints between consecutive thresholds (inside the steps).
+every row and output subset D (where the max capacity steps), the
+midpoints between consecutive thresholds (inside the steps), and every
+codebook's exact optimal mean error 1 - captured/k (where the avg capacity
+steps).  At these budgets the engines' integer admissibility tests sit at
+exact equality.  One fixed channel has coprime denominators, so that its
+common denominator exceeds 2^62.
 """
 
 from fractions import Fraction
@@ -14,12 +18,17 @@ from hypothesis import strategies as st
 
 from oneshotcap import (
     Channel,
+    Scheme,
     avg_capacity,
     brute_force_capacity,
+    build_avg_graph,
     max_capacity,
     parse_channel,
     serialize_channel,
+    simulate,
+    sparse_number,
 )
+from oracles import oracle_sparse_number
 
 F = Fraction
 
@@ -47,17 +56,53 @@ def eps_candidates(c: Channel) -> list[Fraction]:
             for d in combinations(row, k):
                 thresholds.add(1 - sum(d))
     steps = sorted(thresholds)
-    return steps + [(a + b) / 2 for a, b in zip(steps, steps[1:])]
+    avg_errors = set()
+    for k in range(1, c.num_inputs + 1):
+        for cb in combinations(c.rows, k):
+            captured = sum(max(column) for column in zip(*cb))
+            avg_errors.add(1 - captured / k)
+    return steps + [(a + b) / 2 for a, b in zip(steps, steps[1:])] + sorted(avg_errors)
+
+
+def check_engines(c: Channel, eps: Fraction) -> None:
+    assert max_capacity(c, eps).codebook_size == \
+        brute_force_capacity(c, "max", eps).codebook_size
+    assert avg_capacity(c, eps).codebook_size == \
+        brute_force_capacity(c, "avg", eps).codebook_size
+    g = build_avg_graph(c)
+    if g.num_nodes <= 20:
+        assert sparse_number(g, eps)[0] == oracle_sparse_number(g, eps)
 
 
 @SETTINGS
 @given(channels(), st.data())
 def test_engines_match_brute_force(c, data):
-    eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
-    assert max_capacity(c, eps).codebook_size == \
-        brute_force_capacity(c, "max", eps).codebook_size
-    assert avg_capacity(c, eps).codebook_size == \
-        brute_force_capacity(c, "avg", eps).codebook_size
+    check_engines(c, data.draw(st.sampled_from(eps_candidates(c)), label="eps"))
+
+
+# Rows over 2, 3 and two coprime denominators near 2^31.
+P, Q = 2**31 - 1, 2**31 - 19
+COPRIME = Channel.make([
+    [F(1, 2), F(1, 2), 0, 0],
+    [F(1, 3), 0, F(2, 3), 0],
+    [F(P // 3, P), F(P // 4, P), F(P - P // 3 - P // 4, P), 0],
+    [0, F(Q // 5, Q), F(Q // 2, Q), F(Q - Q // 5 - Q // 2, Q)],
+])
+
+
+def test_engines_match_brute_force_beyond_int64_scale():
+    assert COPRIME.scale == 6 * P * Q > 2**62
+    for eps in eps_candidates(COPRIME):
+        check_engines(COPRIME, eps)
+
+
+def test_simulate_small_rows_of_a_large_scale_channel():
+    # codeword rows with lcm 2 and 3 sample as they do in a channel of their own
+    own = Channel(COPRIME.rows[:2])
+    scheme = Scheme((0, 1), (0, 0, 1, 1))
+    assert own.scale == 6
+    assert simulate(COPRIME, scheme, trials=2000, seed=5).to_json_dict() == \
+        simulate(own, scheme, trials=2000, seed=5).to_json_dict()
 
 
 @SETTINGS
