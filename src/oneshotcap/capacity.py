@@ -44,7 +44,7 @@ from .decoding import (
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
 )
-from .graphs import build_max_graph, independence_number
+from .graphs import _bounded_independent_set, build_max_graph, independence_number
 
 METRIC_MAX = "maximum"
 METRIC_AVG = "average"
@@ -238,9 +238,14 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
 
     Maximum metric: the admissible-set families change only at values
     1 - mass(D) over output subsets D, so those are the only candidate
-    thresholds.  Average metric: size k first becomes admissible at the
-    least optimal-decoder mean error over codebooks of size k.  Candidates
-    come from distinct integer masses; equal consecutive sizes are merged.
+    thresholds.  The size never falls as eps grows, so the sorted
+    candidates are split in halves and an interval whose two ends have
+    equal sizes is settled without solving inside it; each midpoint is
+    solved with its ends' sizes as floor and ceiling of the search.  Only
+    sizes are computed, no witness.  Average metric: size k first becomes
+    admissible at the least optimal-decoder mean error over codebooks of
+    size k.  Candidates come from distinct integer masses; equal
+    consecutive sizes are merged.
     """
     metric = normalize_metric(metric)
     if metric == METRIC_MAX:
@@ -251,10 +256,26 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
         masses = set()
         for row in c.weights:
             masses.update(bitsets.subset_masses(row))
-        sizes = {}
-        for m in masses:
-            eps = 1 - Fraction(m, c.scale)
-            sizes[eps] = max_capacity(c, eps).codebook_size
+        # from eps = 0 (the full output set) to eps = 1 (the empty set)
+        thresholds = [1 - Fraction(m, c.scale) for m in sorted(masses, reverse=True)]
+
+        def solve(i: int, floor: int, ceiling: int) -> int:
+            adj = build_max_graph(c, thresholds[i]).adj
+            return _bounded_independent_set(adj, floor, ceiling)[0]
+
+        last = len(thresholds) - 1
+        known = {0: solve(0, 1, c.num_inputs), last: c.num_inputs}  # index -> size
+
+        def settle(lo: int, hi: int) -> None:
+            if hi - lo < 2 or known[lo] == known[hi]:
+                return  # every threshold inside has the ends' size
+            mid = (lo + hi) // 2
+            known[mid] = solve(mid, known[lo], known[hi])
+            settle(lo, mid)
+            settle(mid, hi)
+
+        settle(0, last)
+        sizes = {thresholds[i]: k for i, k in known.items()}
     else:
         if c.num_inputs > _CURVE_SWEEP_LIMIT:
             raise ValueError(

@@ -74,6 +74,8 @@ def format_prob(value: Fraction) -> str:
 def _as_prob(entry, where: str) -> Fraction:
     if isinstance(entry, str):
         return parse_prob(entry, where)
+    if not isinstance(entry, (int, Fraction)):
+        raise ValueError(f"{where}: {entry!r} is not an int, a Fraction or a str")
     value = Fraction(entry)
     if not (0 <= value <= 1):
         raise ValueError(f"{where}: {entry!r} is outside [0, 1]")

@@ -14,6 +14,9 @@ Two graphs drive the two capacity metrics:
   An eps-sparse set (induced weight at most eps*k*(k-1), each unordered
   pair counted once) corresponds to a scheme with average error <= eps.
 
+A node holds its input and its output set D as a bitmask; the output tuple
+is derived from the mask on demand (witnesses, dumps), never stored.
+
 For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
 member escapes; the sparse condition is then equivalent to
@@ -22,7 +25,10 @@ form, with the escapes as integers over their common denominator.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
-max-metric engine behind ``capacity.max_capacity``.
+max-metric engine behind ``capacity.max_capacity``.  The same search, given
+a floor and a ceiling known to bracket the answer, starts its incumbent at
+the floor and stops at the ceiling; ``capacity.capacity_curve`` uses it
+with the sizes at neighbouring thresholds.
 """
 
 from __future__ import annotations
@@ -42,13 +48,22 @@ _MAX_GRAPH_OUTPUT_LIMIT = 12
 _AVG_GRAPH_OUTPUT_LIMIT = 10
 
 
+# Byte b -> 255 - (b with its 8 bits in reverse order); see _make_nodes.
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 @dataclass(frozen=True)
 class OneShotNode:
-    """A candidate decoder pre-image: input symbol x with output set D."""
+    """A candidate decoder pre-image: input symbol x with output set D,
+    held as a bitmask (bit y set means output y is in D)."""
 
     input: int
-    outputs: tuple[int, ...]
     mask: int
+
+    @property
+    def outputs(self) -> tuple[int, ...]:
+        """The outputs in D, in increasing order."""
+        return bitsets.outputs_of(self.mask)
 
 
 @dataclass(frozen=True)
@@ -62,17 +77,29 @@ class NodeSetWitness:
         return [[x, list(outputs)] for x, outputs in self.pairs]
 
 
-def _make_nodes(per_input: list[list[tuple[int, Fraction]]]) -> tuple[
+def _make_nodes(per_input: list[list[tuple[int, Fraction]]], width: int) -> tuple[
     tuple[OneShotNode, ...], tuple[Fraction, ...]
 ]:
-    """Canonical node order: by input, then |D|, then lexicographic D."""
+    """Canonical node order: by input, then |D|, then lexicographic D.
+
+    Among sets of one size, D precedes D' lexicographically exactly when
+    the lowest output of the symmetric difference is in D.  The key below
+    orders masks so: the mask's little-endian bytes, each mapped through
+    ``_REVERSED_COMPLEMENT``, put output 8k+j at byte k, bit 7-j, as 0
+    where D holds it, so the first differing byte and bit are at that
+    lowest output, and there D's key is the smaller.
+    """
+    nbytes = (width + 7) // 8
+
+    def order(entry: tuple[int, Fraction]) -> tuple[int, bytes]:
+        mask = entry[0]
+        return mask.bit_count(), mask.to_bytes(nbytes, "little").translate(_REVERSED_COMPLEMENT)
+
     nodes = []
     escapes = []
     for x, entries in enumerate(per_input):
-        keyed = [(bitsets.outputs_of(mask), mask, escape) for mask, escape in entries]
-        keyed.sort(key=lambda e: (len(e[0]), e[0]))
-        for outputs, mask, escape in keyed:
-            nodes.append(OneShotNode(x, outputs, mask))
+        for mask, escape in sorted(entries, key=order):
+            nodes.append(OneShotNode(x, mask))
             escapes.append(escape)
     return tuple(nodes), tuple(escapes)
 
@@ -139,7 +166,7 @@ def build_max_graph(
                 f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
         per_input.append([(m, 0) for m in masks])
-    nodes, _ = _make_nodes(per_input)
+    nodes, _ = _make_nodes(per_input, c.num_outputs)
     adj = _conflict_adjacency(nodes)
     return MaxOneShotGraph(eps, nodes, adj)
 
@@ -147,17 +174,24 @@ def build_max_graph(
 def _conflict_adjacency(nodes: tuple[OneShotNode, ...]) -> tuple[int, ...]:
     """Node i's neighbours: the nodes sharing its input or one of its outputs."""
     by_input: dict[int, int] = defaultdict(int)
-    by_output: dict[int, int] = defaultdict(int)
+    by_output: dict[int, int] = defaultdict(int)  # keyed by the output's bit
+    output_bits = []
     for i, node in enumerate(nodes):
         bit = 1 << i
         by_input[node.input] |= bit
-        for y in node.outputs:
-            by_output[y] |= bit
+        lows = []
+        rest = node.mask
+        while rest:
+            low = rest & -rest
+            lows.append(low)
+            by_output[low] |= bit
+            rest ^= low
+        output_bits.append(lows)
     adj = []
     for i, node in enumerate(nodes):
         mask = by_input[node.input]
-        for y in node.outputs:
-            mask |= by_output[y]
+        for low in output_bits[i]:
+            mask |= by_output[low]
         adj.append(mask & ~(1 << i))
     return tuple(adj)
 
@@ -173,7 +207,20 @@ def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
     bound: each colour class is a clique, so it holds at most one member
     of an independent set.
     """
-    best_size = 0
+    return _bounded_independent_set(adj, 0, len(adj))
+
+
+class _CeilingReached(Exception):
+    pass
+
+
+def _bounded_independent_set(adj: Sequence[int], floor: int, ceiling: int) -> tuple[int, int]:
+    """The search of ``max_independent_set`` for a caller that knows
+    floor <= alpha <= ceiling: the incumbent starts at ``floor`` (mask 0,
+    no witness), so only larger sets are sought, and the search stops at
+    the first set of ``ceiling`` members.  Returns alpha and a witness
+    mask, which is 0 when alpha == floor."""
+    best_size = floor
     best_mask = 0
 
     def expand(r_size: int, r_mask: int, cand: int) -> None:
@@ -181,6 +228,8 @@ def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
         if cand == 0:
             if r_size > best_size:
                 best_size, best_mask = r_size, r_mask
+                if best_size >= ceiling:
+                    raise _CeilingReached
             return
         # Greedy colouring: vertices in colour class c cannot extend an
         # independent set by more than c, so colour numbers bound the branches.
@@ -206,7 +255,10 @@ def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
             expand(r_size + 1, r_mask | bit, cand & ~(adj[v] | bit))
             cand &= ~bit
 
-    expand(0, 0, (1 << len(adj)) - 1)
+    try:
+        expand(0, 0, (1 << len(adj)) - 1)
+    except _CeilingReached:
+        pass
     return best_size, best_mask
 
 
@@ -258,11 +310,11 @@ class AvgOneShotGraph:
         return self.escapes[i] + self.escapes[j]
 
     def node_index(self, x: int, outputs: Sequence[int]) -> int:
-        target = tuple(sorted(outputs))
+        target = sum(1 << y for y in set(outputs))
         for i, node in enumerate(self.nodes):
-            if node.input == x and node.outputs == target:
+            if node.input == x and node.mask == target:
                 return i
-        raise KeyError(f"no node ({x}, {target})")
+        raise KeyError(f"no node ({x}, {tuple(sorted(outputs))})")
 
 
 def build_avg_graph(c: Channel) -> AvgOneShotGraph:
@@ -281,7 +333,7 @@ def build_avg_graph(c: Channel) -> AvgOneShotGraph:
             [(mask, escape[masses[mask]])
              for mask in range(1, 1 << c.num_outputs) if masses[mask]]
         )
-    nodes, escapes = _make_nodes(per_input)
+    nodes, escapes = _make_nodes(per_input, c.num_outputs)
     supports = tuple(c.support_mask(x) for x in range(c.num_inputs))
     return AvgOneShotGraph(nodes, escapes, c.num_inputs, c.num_outputs, supports)
 

@@ -36,6 +36,8 @@ class ReductionReport:
     channel_capacity_k: int
     epsilon: Fraction
     agree: bool
+    """Always true: ``verify_reduction`` raises rather than return a
+    disagreement.  Kept because ``verify-reduction`` prints it in its JSON."""
     graph_witness: tuple[int, ...]
     channel_witness: Scheme
 

@@ -63,6 +63,24 @@ def oracle_packing(c: Channel, eps: Fraction) -> int:
     return best
 
 
+def oracle_curve_max(c: Channel) -> tuple[tuple[Fraction, int], ...]:
+    """Max-metric curve breakpoints: ``oracle_packing`` at every candidate
+    threshold 1 - mass(D), D any output subset of any row, in increasing
+    order, keeping each threshold where the size grows.  No conflict graph,
+    no bisection."""
+    ny = c.num_outputs
+    thresholds = {
+        ONE - subset_mass(c.row(x), [y for y in range(ny) if mask >> y & 1])
+        for x in range(c.num_inputs) for mask in range(1 << ny)
+    }
+    breakpoints = []
+    for eps in sorted(thresholds):
+        k = oracle_packing(c, eps)
+        if not breakpoints or k > breakpoints[-1][1]:
+            breakpoints.append((eps, k))
+    return tuple(breakpoints)
+
+
 def oracle_scheme_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
     """Per-codeword errors by explicit pre-image summation."""
     errors = {}

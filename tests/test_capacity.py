@@ -22,7 +22,7 @@ from oneshotcap import (
     sparse_number,
 )
 from corpus import random_channels
-from oracles import oracle_capacity, oracle_packing
+from oracles import oracle_capacity, oracle_curve_max, oracle_packing
 
 F = Fraction
 
@@ -255,6 +255,15 @@ def test_curve_lookup_matches_direct_engines():
             for _ in range(20):
                 eps = F(rng.randrange(0, 1001), 1000)
                 assert curve.value_at(eps) == engine(c, eps).codebook_size
+
+
+def test_max_curve_matches_oracle_beyond_brute_force():
+    # the curve settles whole runs of thresholds from their ends' sizes;
+    # the oracle packs at every threshold
+    for n in (6, 7, 8):
+        for i in range(4):
+            c = gen_random(n, n, seed=2600 + 10 * n + i, denominator_bound=12)
+            assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
 
 
 def test_curve_csv_format(funnel3):

@@ -94,6 +94,11 @@ def test_channel_rejects_float_entries():
         Channel(((0.5, 0.5), (0.1, 0.9)))
     with pytest.raises(ValueError, match=r"entry \(1,1\): 0\.9"):
         Channel(((F(1, 2), F(1, 2)), (F(1, 10), 0.9)))
+    # Channel.make names the float too, whether it is a binary fraction or not
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int, a Fraction or a str"):
+        Channel.make([[0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.1 is not an int, a Fraction or a str"):
+        Channel.make([[0.1, 0.9]])
 
 
 def test_integer_weights_over_one_denominator():

@@ -16,6 +16,7 @@ from oneshotcap import (
     sparse_number,
 )
 from oneshotcap.channel import Channel, gen_random, identity_channel
+from oneshotcap.graphs import _bounded_independent_set
 from corpus import random_channels
 from oracles import oracle_mis, oracle_sparse_number
 
@@ -142,6 +143,26 @@ def test_bnb_equals_exhaustive_on_random_graphs():
                 assert not adj[v] & mask_bnb
 
 
+def test_bounded_search_finds_alpha_between_floor_and_ceiling():
+    rng = random.Random(32)
+    for trial in range(30):
+        n = rng.randrange(1, 15)
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.35:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        alpha = oracle_mis(adj)
+        for floor in range(alpha + 1):
+            for ceiling in range(alpha, n + 1):
+                size, mask = _bounded_independent_set(adj, floor, ceiling)
+                assert size == alpha, (trial, floor, ceiling)
+                # a witness whenever the search had to beat the floor
+                assert mask.bit_count() == (alpha if alpha > floor else 0)
+                assert all(not adj[v] & mask for v in range(n) if mask >> v & 1)
+
+
 def test_witnesses_always_decode_within_budget():
     for c in random_channels(16, seed0=1500, max_outputs=4):
         for eps in EPS_GRID:
@@ -181,6 +202,20 @@ def test_avg_graph_counts_positive_mass_nodes(funnel3):
     # row 0 has support {0}: subsets containing output 0 -> 4 of 8
     # rows 1, 2 have two-point support: 6 of 8
     assert per_input == {0: 4, 1: 6, 2: 6}
+
+
+def test_node_order_is_input_then_size_then_lexicographic():
+    # full-support rows make every output subset a node; widths 1 to 10
+    # cover masks that span two bytes
+    for ny in range(1, 11):
+        row = [F(1, ny)] * ny
+        g = build_avg_graph(Channel.make([row, row]))
+        expected = sorted(
+            (x, len(d), d)
+            for x in range(2)
+            for d in (tuple(y for y in range(ny) if m >> y & 1) for m in range(1, 1 << ny))
+        )
+        assert [(n.input, len(n.outputs), n.outputs) for n in g.nodes] == expected
 
 
 def test_avg_graph_output_bound():

@@ -22,13 +22,14 @@ from oneshotcap import (
     avg_capacity,
     brute_force_capacity,
     build_avg_graph,
+    capacity_curve,
     max_capacity,
     parse_channel,
     serialize_channel,
     simulate,
     sparse_number,
 )
-from oracles import oracle_sparse_number
+from oracles import oracle_curve_max, oracle_sparse_number
 
 F = Fraction
 
@@ -78,6 +79,12 @@ def check_engines(c: Channel, eps: Fraction) -> None:
 @given(channels(), st.data())
 def test_engines_match_brute_force(c, data):
     check_engines(c, data.draw(st.sampled_from(eps_candidates(c)), label="eps"))
+
+
+@SETTINGS
+@given(channels())
+def test_max_curve_matches_oracle(c):
+    assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
 
 
 # Rows over 2, 3 and two coprime denominators near 2^31.

@@ -1,0 +1,137 @@
+"""Compare the command-line tool's output in this checkout and another one.
+
+    python3 tools/stdout_diff.py <other-checkout>
+
+Builds each benchmark workload's seed-1 corpus with ``bench/corpus.py``
+(imported as it is), plus a ``graph-dump`` group: the max variant at
+eps 1/10 and 1/3, with and without ``--minimal-only``, and the avg
+variant, on 10 seeded random channels.  The files are written once and
+both checkouts read the same files.  One worker process per checkout
+imports that checkout's ``src`` and runs every op in-process through
+``oneshotcap.cli.main``.  Stdout, stderr and the exit code are compared op
+by op; the first differences are printed.  Exits 1 on any difference,
+0 when every op matches.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+SHOWN = 5  # differences printed in full
+
+
+def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+    """(group, key, argv) of every op, with the input files written."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from corpus import WORKLOADS, build_corpus
+    from oneshotcap.channel import gen_random, serialize_channel
+
+    ops = []
+    for workload in WORKLOADS:
+        corpus = build_corpus(workload, SEED)
+        paths = corpus.write(directory / workload)
+        ops += [(workload, op.key, op.argv(paths[op.instance])) for op in corpus.ops]
+    dumps = directory / "graph-dump"
+    dumps.mkdir()
+    for i in range(10):
+        path = dumps / f"random{i}.txt"
+        path.write_text(serialize_channel(gen_random(3 + i % 3, 3 + i % 4, SEED + i, 24)),
+                        encoding="utf-8")
+        variants = [("avg", "avg", [])]
+        for eps in ("1/10", "1/3"):
+            variants += [(f"max@{eps}", "max", ["--epsilon", eps]),
+                         (f"max-minimal@{eps}", "max", ["--epsilon", eps, "--minimal-only"])]
+        for name, variant, extra in variants:
+            argv = ["graph-dump", str(path), "--variant", variant, *extra]
+            ops.append(("graph-dump", f"{path.stem}/{name}", argv))
+    return ops
+
+
+def _worker(src: str, manifest: str, out: str) -> int:
+    """Run every op of the manifest with the ``oneshotcap`` under ``src``."""
+    sys.path.insert(0, src)
+    import oneshotcap.cli
+
+    if Path(oneshotcap.cli.__file__).resolve().parent != (Path(src) / "oneshotcap").resolve():
+        raise SystemExit(f"error: imported oneshotcap from {oneshotcap.cli.__file__}")
+    results = []
+    for argv in json.loads(Path(manifest).read_text(encoding="utf-8")):
+        stdout, stderr = StringIO(), StringIO()
+        try:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = oneshotcap.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # recorded and compared like any other outcome
+            code = f"exception {type(exc).__name__}: {exc}"
+        results.append([stdout.getvalue(), stderr.getvalue(), code])
+    Path(out).write_text(json.dumps(results), encoding="utf-8")
+    return 0
+
+
+def _first_line_diff(a: str, b: str) -> str:
+    la, lb = a.splitlines(), b.splitlines()
+    for n, (x, y) in enumerate(zip(la, lb), 1):
+        if x != y:
+            return f"line {n}: {x!r} != {y!r}"
+    if len(la) != len(lb):
+        return f"{len(la)} lines != {len(lb)} lines"
+    return "the lines match; the line endings differ"
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--worker"]:
+        return _worker(*argv[1:])
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "oneshotcap").is_dir():
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    checkouts = {"this": ROOT, "other": Path(argv[0]).resolve()}
+    with tempfile.TemporaryDirectory(prefix="stdout_diff-") as tmp:
+        work = Path(tmp)
+        ops = _corpus_ops(work)
+        manifest = work / "manifest.json"
+        manifest.write_text(json.dumps([a for _, _, a in ops]), encoding="utf-8")
+        workers = {
+            side: subprocess.Popen([sys.executable, __file__, "--worker",
+                                    str(checkout / "src"), str(manifest),
+                                    str(work / f"{side}.json")])
+            for side, checkout in checkouts.items()
+        }
+        for side, proc in workers.items():
+            if proc.wait() != 0:
+                print(f"error: the worker for {checkouts[side]} failed", file=sys.stderr)
+                return 2
+        results = {side: json.loads((work / f"{side}.json").read_text(encoding="utf-8"))
+                   for side in checkouts}
+
+    counts: dict[str, list[int]] = {}
+    shown = 0
+    for (group, key, op_argv), mine, theirs in zip(ops, results["this"], results["other"]):
+        tally = counts.setdefault(group, [0, 0])
+        tally[0] += 1
+        if mine == theirs:
+            continue
+        tally[1] += 1
+        if shown < SHOWN:
+            shown += 1
+            print(f"DIFF {group} {key}: oneshotcap {' '.join(op_argv[:1] + op_argv[2:])}")
+            for field, a, b in zip(("stdout", "stderr"), mine, theirs):
+                if a != b:
+                    print(f"  {field}: {_first_line_diff(a, b)}")
+            if mine[2] != theirs[2]:
+                print(f"  exit code: {mine[2]!r} != {theirs[2]!r}")
+    for group, (total, differ) in counts.items():
+        print(f"{group}: {total} ops, {differ} differ")
+    return 1 if any(differ for _, differ in counts.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
