@@ -37,14 +37,38 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, NoReturn, Sequence
 
-# "p/q" with integer p, q, or a plain finite decimal (no signs, no exponents).
-_PROB_TOKEN = re.compile(r"^(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)$")
+# "p/q" with integer p, q, or a plain finite decimal (no signs, no
+# exponents); the lookahead makes a decimal start with a digit or ".<digit>".
+_PROB_TOKEN = re.compile(r"^(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?)$")
+_EXACT = (int, Fraction)
 
 
 class ChannelFormatError(ValueError):
     """Malformed channel or graph file, with a row/column location."""
+
+
+def _prob_ratio(token: str, where: str) -> tuple[int, int]:
+    """The (numerator, denominator) that ``parse_prob`` reduces, checked."""
+    token = token.strip()
+    match = _PROB_TOKEN.match(token)
+    if match is None:
+        raise ChannelFormatError(
+            f"{where}: {token!r} is not a p/q fraction or finite decimal"
+        )
+    num, den, whole, digits = match.groups()
+    if den is not None:
+        n, d = int(num), int(den)
+        if d == 0:
+            raise ChannelFormatError(f"{where}: {token!r} has a zero denominator")
+    else:
+        digits = digits or ""
+        n, d = int(whole + digits), 10 ** len(digits)
+    if n > d:
+        raise ChannelFormatError(f"{where}: {token!r} is outside [0, 1]")
+    return n, d
 
 
 def parse_prob(token: str, where: str = "probability") -> Fraction:
@@ -53,15 +77,7 @@ def parse_prob(token: str, where: str = "probability") -> Fraction:
     Decimals are converted in base 10 (d digits after the point become a
     numerator over 10^d); they are never routed through binary floats.
     """
-    token = token.strip()
-    if not _PROB_TOKEN.match(token):
-        raise ChannelFormatError(
-            f"{where}: {token!r} is not a p/q fraction or finite decimal"
-        )
-    value = Fraction(token)
-    if not (0 <= value <= 1):
-        raise ChannelFormatError(f"{where}: {token!r} is outside [0, 1]")
-    return value
+    return Fraction(*_prob_ratio(token, where))
 
 
 def format_prob(value: Fraction) -> str:
@@ -74,12 +90,26 @@ def format_prob(value: Fraction) -> str:
 def _as_prob(entry, where: str) -> Fraction:
     if isinstance(entry, str):
         return parse_prob(entry, where)
-    if not isinstance(entry, (int, Fraction)):
+    if not isinstance(entry, _EXACT):
         raise ValueError(f"{where}: {entry!r} is not an int, a Fraction or a str")
     value = Fraction(entry)
     if not (0 <= value <= 1):
         raise ValueError(f"{where}: {entry!r} is outside [0, 1]")
     return value
+
+
+def _raise_entry_fault(rows) -> NoReturn:
+    """Raise the error for the first row of the wrong width or entry that is
+    not an exact probability, in row-major order."""
+    width = len(rows[0])
+    for x, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
+        for y, p in enumerate(row):
+            if not isinstance(p, _EXACT):
+                raise ValueError(f"entry ({x},{y}): {p!r} is not an int or a Fraction")
+            if not (0 <= p.numerator <= p.denominator):
+                raise ValueError(f"entry ({x},{y}): {p} is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,21 +127,17 @@ class Channel:
         width = len(self.rows[0])
         if width == 0:
             raise ValueError("channel needs at least one output")
-        for x, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(
-                    f"row {x}: expected {width} entries, got {len(row)}"
-                )
-            for y, p in enumerate(row):
-                if not isinstance(p, (int, Fraction)):
-                    raise ValueError(f"entry ({x},{y}): {p!r} is not an int or a Fraction")
-                if not (0 <= p.numerator <= p.denominator):
-                    raise ValueError(f"entry ({x},{y}): {p} is outside [0, 1]")
-        scale = math.lcm(*{p.denominator for row in self.rows for p in row})
-        weights = tuple(
-            tuple(p.numerator * (scale // p.denominator) for p in row)
-            for row in self.rows
-        )
+        # Each entry's numerator and denominator are read once; the checks
+        # run a row at a time, and _raise_entry_fault names the first fault.
+        ratios = []
+        for row in self.rows:
+            if len(row) != width or not all(map(isinstance, row, repeat(_EXACT))):
+                _raise_entry_fault(self.rows)
+            ratios.append([p.as_integer_ratio() for p in row])
+        scale = math.lcm(*{d for row in ratios for _, d in row})
+        weights = tuple(tuple([n * (scale // d) for n, d in row]) for row in ratios)
+        if any(min(row) < 0 or max(row) > scale for row in weights):
+            _raise_entry_fault(self.rows)
         for x, row in enumerate(weights):
             if sum(row) != scale:
                 total = Fraction(sum(row), scale)
@@ -194,22 +220,28 @@ def parse_channel(text: str) -> Channel:
     if len(body) != nx:
         raise ChannelFormatError(f"expected {nx} rows, found {len(body)}")
     rows = []
+    # Each distinct token is parsed once, where it first appears: n, d, n/d.
+    known: dict[str, tuple[int, int, Fraction]] = {}
     for x, (lineno, line) in enumerate(body):
         tokens = line.split()
         if len(tokens) != ny:
             raise ChannelFormatError(
                 f"line {lineno}: row {x} has {len(tokens)} entries, expected {ny}"
             )
-        row = tuple(
-            parse_prob(tok, f"line {lineno}: row {x}, column {y}")
-            for y, tok in enumerate(tokens)
-        )
-        total = sum(row)
-        if total != 1:
+        entries = []
+        for y, tok in enumerate(tokens):
+            entry = known.get(tok)
+            if entry is None:
+                n, d = _prob_ratio(tok, f"line {lineno}: row {x}, column {y}")
+                entry = known[tok] = (n, d, Fraction(n, d))
+            entries.append(entry)
+        common = math.lcm(*{d for _, d, _ in entries})
+        total = sum(n * (common // d) for n, d, _ in entries)
+        if total != common:
             raise ChannelFormatError(
-                f"line {lineno}: row {x} sums to {format_prob(total)}, not 1"
+                f"line {lineno}: row {x} sums to {format_prob(Fraction(total, common))}, not 1"
             )
-        rows.append(row)
+        rows.append(tuple(value for _, _, value in entries))
     return Channel(tuple(rows))
 
 

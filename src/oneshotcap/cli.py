@@ -11,6 +11,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -188,7 +189,11 @@ def _cmd_gen_cubic(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the one parser shared by every ``main`` call in this process,
+    built on the first call (not at import).  Parsing leaves it unchanged:
+    each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="oneshotcap",
         description="Exact one-shot capacity of discrete channels.",

@@ -74,6 +74,61 @@ def test_parse_rejects_bad_shapes():
         parse_prob("1e-2")  # exponents are not finite-decimal syntax here
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ChannelFormatError) as exc:
+        parse_prob("1/0", "epsilon")
+    assert str(exc.value) == "epsilon: '1/0' has a zero denominator"
+    with pytest.raises(ChannelFormatError) as exc:
+        parse_channel("channel 2 2\n1 0\n1/0 1\n")
+    assert str(exc.value) == "line 3: row 1, column 0: '1/0' has a zero denominator"
+    with pytest.raises(ChannelFormatError, match="'0/0' has a zero denominator"):
+        parse_prob("0/0")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("channel 2 2\n1 0\n49/100 1/2\n", "line 3: row 1 sums to 99/100, not 1"),
+    ("channel 1 2\n1 1\n", "line 2: row 0 sums to 2, not 1"),
+    ("channel 1 3\n0.25 0.5 0.3\n", "line 2: row 0 sums to 21/20, not 1"),
+    ("channel 1 2\n1/2 3/2\n", "line 2: row 0, column 1: '3/2' is outside [0, 1]"),
+    ("channel 1 2\n1.5 0\n", "line 2: row 0, column 0: '1.5' is outside [0, 1]"),
+    ("channel 2 1\n1\nnope\n",
+     "line 3: row 1, column 0: 'nope' is not a p/q fraction or finite decimal"),
+    ("channel 2 2\n1 0 0\n0 1\n", "line 2: row 0 has 3 entries, expected 2"),
+    # a token seen before is checked where it first appears
+    ("channel 2 2\n1/2 1/2\n1/2 7/5\n", "line 3: row 1, column 1: '7/5' is outside [0, 1]"),
+], ids=["sum", "sum-int", "sum-decimal", "range", "range-decimal", "token", "width",
+        "repeated-token"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ChannelFormatError) as exc:
+        parse_channel(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Channel.make([[F(1, 2), F(1, 4)]]), "row 0: probabilities sum to 3/4, not 1"),
+    (lambda: Channel.make([[F(3, 2), F(-1, 2)]]), "entry (0,0): Fraction(3, 2) is outside [0, 1]"),
+    (lambda: Channel.make([[0.5, 0.5]]), "entry (0,0): 0.5 is not an int, a Fraction or a str"),
+    (lambda: Channel(((F(1, 2), F(1, 4)),)), "row 0: probabilities sum to 3/4, not 1"),
+    (lambda: Channel(((F(1), F(0)), (F(1, 3), F(1, 3)))),
+     "row 1: probabilities sum to 2/3, not 1"),
+    (lambda: Channel(((1, 1),)), "row 0: probabilities sum to 2, not 1"),
+    (lambda: Channel(((F(3, 2), F(-1, 2)),)), "entry (0,0): 3/2 is outside [0, 1]"),
+    (lambda: Channel(((F(1), F(0)), (F(1, 2), F(-1, 2)))), "entry (1,1): -1/2 is outside [0, 1]"),
+    (lambda: Channel(((0.5, 0.5), (0.1, 0.9))), "entry (0,0): 0.5 is not an int or a Fraction"),
+    # the first fault in row-major order is named, whatever its kind
+    (lambda: Channel(((F(3, 2), F(-1, 2)), (0.5, 0.5))), "entry (0,0): 3/2 is outside [0, 1]"),
+    (lambda: Channel(((F(1), 0.0), (F(1),))), "entry (0,1): 0.0 is not an int or a Fraction"),
+    (lambda: Channel(((F(1), F(0)), (F(1),), (F(2), F(-1)))), "row 1: expected 2 entries, got 1"),
+    (lambda: Channel(((F(1, 2), F(1, 2)), (F(2), F(-1)))), "entry (1,0): 2 is outside [0, 1]"),
+], ids=["make-sum", "make-range", "make-float", "sum", "sum-row-1", "sum-int", "range",
+        "range-negative", "float", "range-before-float", "float-before-width",
+        "width-before-range", "range-after-good-row"])
+def test_channel_error_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_roundtrip_exact(funnel3):
     for c in [funnel3] + random_channels(20, seed0=500):
         assert parse_channel(serialize_channel(c)) == c

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,8 @@ from oneshotcap import (
     serialize_channel,
     serialize_cubic_graph,
 )
-from oneshotcap.cli import main
+import oneshotcap
+from oneshotcap.cli import build_parser, main
 from oneshotcap.hardness import cubic_k4
 
 F = Fraction
@@ -290,3 +294,62 @@ def test_usage_errors_exit_2(funnel3_file):
 def test_missing_file_is_engine_error(capsys):
     assert main(["validate", "/nonexistent/channel.txt"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_zero_denominator_is_a_clean_error(tmp_path, funnel3_file, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("channel 1 2\n1/0 1\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 2: row 0, column 0: '1/0' has a zero denominator\n"
+    assert main(["gen", "funnel", "--n", "2", "--e", "1/0"]) == 1
+    assert capsys.readouterr().err == "error: leak probability: '1/0' has a zero denominator\n"
+    # a bad epsilon is a usage error, whatever is wrong with it
+    for eps in ("1/0", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", funnel3_file, "--metric", "max", "--epsilon", eps])
+        assert exc.value.code == 2
+        assert f"argument --epsilon: invalid _eps_arg value: '{eps}'" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_not_at_import():
+    src = Path(oneshotcap.__file__).resolve().parent.parent
+    script = ("import oneshotcap.cli as cli\n"
+              "print(cli.build_parser.cache_info().misses)\n"
+              "cli.main(['gen', 'random', '--nx', '2', '--ny', '2', '--seed', '1', '--denom', '4'])\n"
+              "cli.main(['gen', 'cubic', '--vertices', '4', '--seed', '1'])\n"
+              "print(cli.build_parser.cache_info().misses)\n")
+    run = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[0] == "0"
+    assert run.stdout.splitlines()[-1] == "1"
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_reused_parser_leaks_no_state(funnel3_file, capsys):
+    capacity = ["capacity", funnel3_file, "--metric", "max", "--epsilon", "1/50"]
+    dump = ["graph-dump", funnel3_file, "--variant", "max", "--epsilon", "1/50"]
+    pairs = [
+        (capacity + ["--json"], capacity),
+        (capacity + ["--cross-check"], capacity),
+        (dump + ["--minimal-only"], dump),
+        (["capacity", funnel3_file, "--metric", "nope", "--epsilon", "0"], capacity),
+    ]
+    for first, second in pairs:
+        build_parser.cache_clear()
+        alone = _outcome(second, capsys)  # on a parser built for this call
+        assert _outcome(first, capsys) != alone
+        assert _outcome(second, capsys) == alone
+        assert build_parser.cache_info().misses == 1
+    # the usage error really was one, and the plain call prints no JSON line
+    assert _outcome(pairs[-1][0], capsys)[2] == 2
+    assert _outcome(capacity, capsys) == \
+        ("codebook_size=3 capacity_bits=1.584962500721\n", "", 0)

@@ -10,14 +10,18 @@ exact equality.  One fixed channel has coprime denominators, so that its
 common denominator exceeds 2^62.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneshotcap import (
     Channel,
+    ChannelFormatError,
     Scheme,
     avg_capacity,
     brute_force_capacity,
@@ -25,6 +29,7 @@ from oneshotcap import (
     capacity_curve,
     max_capacity,
     parse_channel,
+    parse_prob,
     serialize_channel,
     simulate,
     sparse_number,
@@ -118,3 +123,23 @@ def test_parse_serialize_round_trip(c):
     text = serialize_channel(c)
     assert parse_channel(text) == c
     assert serialize_channel(parse_channel(text)) == text
+
+
+@SETTINGS
+@given(st.text(alphabet="0123456789./ ", max_size=8))
+def test_parse_prob_matches_fraction_text(token):
+    """parse_prob accepts what the file format allows and agrees with
+    ``Fraction(text)``, which it no longer calls."""
+    text = token.strip()
+    if not re.fullmatch(r"\d+/\d+|\d+(?:\.\d*)?|\.\d+", text):
+        fault = "is not a p/q fraction or finite decimal"
+    elif "/" in text and int(text.split("/")[1]) == 0:
+        fault = "has a zero denominator"
+    elif Fraction(text) > 1:
+        fault = "is outside [0, 1]"
+    else:
+        assert parse_prob(token) == Fraction(text)
+        return
+    with pytest.raises(ChannelFormatError) as exc:
+        parse_prob(token, "p")
+    assert str(exc.value) == f"p: {text!r} {fault}"

@@ -5,12 +5,17 @@
 Builds each benchmark workload's seed-1 corpus with ``bench/corpus.py``
 (imported as it is), plus a ``graph-dump`` group: the max variant at
 eps 1/10 and 1/3, with and without ``--minimal-only``, and the avg
-variant, on 10 seeded random channels.  The files are written once and
-both checkouts read the same files.  One worker process per checkout
-imports that checkout's ``src`` and runs every op in-process through
-``oneshotcap.cli.main``.  Stdout, stderr and the exit code are compared op
-by op; the first differences are printed.  Exits 1 on any difference,
-0 when every op matches.
+variant, on 10 seeded random channels.  An ``errors`` group runs first:
+usage errors (a bad epsilon, an unknown ``--metric`` choice, an unknown
+command) and failing ops (a missing file, a row that does not sum to 1,
+``verify-reduction`` at eps 1/3, ``--engine brute`` past its size limit,
+``graph-dump --variant max`` without ``--epsilon``), so every later op
+runs after the parser has raised ``SystemExit``.  The files are written
+once and both checkouts read the same files.  One worker process per
+checkout imports that checkout's ``src`` and runs every op in-process
+through ``oneshotcap.cli.main``.  Stdout, stderr and the exit code are
+compared op by op; the first differences are printed.  Exits 1 on any
+difference, 0 when every op matches.
 """
 
 from __future__ import annotations
@@ -28,13 +33,41 @@ SEED = 1
 SHOWN = 5  # differences printed in full
 
 
+def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+    """Ops that end in a usage error (exit 2) or an error message (exit 1)."""
+    from oneshotcap.channel import gen_random, serialize_channel, serialize_cubic_graph
+    from oneshotcap.hardness import cubic_k4
+
+    errors = directory / "errors"
+    errors.mkdir()
+    channel, big, unsummed, graph = (errors / f"{name}.txt" for name in
+                                     ("channel", "random6x6", "unsummed", "k4"))
+    channel.write_text("channel 2 2\n1 0\n1/4 3/4\n", encoding="utf-8")
+    big.write_text(serialize_channel(gen_random(6, 6, SEED, 24)), encoding="utf-8")
+    unsummed.write_text("channel 2 2\n1 0\n49/100 1/2\n", encoding="utf-8")
+    graph.write_text(serialize_cubic_graph(cubic_k4()), encoding="utf-8")
+    ops = {
+        "bad-epsilon": ["capacity", str(channel), "--metric", "max", "--epsilon", "one tenth"],
+        "unknown-metric": ["capacity", str(channel), "--metric", "mean", "--epsilon", "0"],
+        "unknown-command": ["capacities", str(channel)],
+        "missing-file": ["validate", str(errors / "missing.txt")],
+        "row-sum": ["validate", str(unsummed)],
+        "verify-reduction@1_3": ["verify-reduction", str(graph), "--epsilon", "1/3"],
+        "brute-6x6": ["capacity", str(big), "--metric", "max", "--epsilon", "1/10",
+                      "--engine", "brute"],
+        "graph-dump-max-no-epsilon": ["graph-dump", str(channel), "--variant", "max"],
+    }
+    return [("errors", key, argv) for key, argv in ops.items()]
+
+
 def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
-    """(group, key, argv) of every op, with the input files written."""
+    """(group, key, argv) of every op, with the input files written; the
+    ``errors`` group comes first."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from corpus import WORKLOADS, build_corpus
     from oneshotcap.channel import gen_random, serialize_channel
 
-    ops = []
+    ops = _error_ops(directory)
     for workload in WORKLOADS:
         corpus = build_corpus(workload, SEED)
         paths = corpus.write(directory / workload)
