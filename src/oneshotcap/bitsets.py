@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
+
+# Byte b -> 255 - (b with its 8 bits in reverse order); see canonical_order.
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def outputs_of(mask: int) -> tuple[int, ...]:
@@ -26,3 +30,28 @@ def subset_masses(row: Sequence[int]) -> list[int]:
         low = mask & -mask
         masses[mask] = masses[mask ^ low] + row[low.bit_length() - 1]
     return masses
+
+
+def canonical_order(masks: Sequence[int], width: int) -> list[int]:
+    """Masks of at most ``width`` bits sorted by size, then by their output
+    tuples in lexicographic order: the one node order of every graph.
+
+    Among sets of one size, D precedes D' lexicographically exactly when
+    the lowest output of the symmetric difference is in D.  The key below
+    orders masks so: the mask's little-endian bytes, each mapped through
+    ``_REVERSED_COMPLEMENT``, put output 8k+j at byte k, bit 7-j, as 0
+    where D holds it, so the first differing byte and bit are at that
+    lowest output, and there D's key is the smaller.
+    """
+    nbytes = (width + 7) // 8
+
+    def key(mask: int) -> tuple[int, bytes]:
+        return mask.bit_count(), mask.to_bytes(nbytes, "little").translate(_REVERSED_COMPLEMENT)
+
+    return sorted(masks, key=key)
+
+
+@functools.cache
+def all_masks(width: int) -> tuple[int, ...]:
+    """Every nonempty mask of ``width`` bits, in ``canonical_order``."""
+    return tuple(canonical_order(range(1, 1 << width), width))

@@ -62,7 +62,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _eps_arg(text: str) -> Fraction:
-    return parse_prob(text, "epsilon")
+    try:
+        return parse_prob(text, "epsilon")
+    except ChannelFormatError as exc:  # argparse would drop a ValueError's reason
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,10 @@ def _check_dims(c: Channel, s: Scheme) -> None:
 def per_codeword_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
     """Exact decoding error 1 - P(Y in preimage(x) | X=x) for each codeword."""
     _check_dims(c, s)
-    captured = {x: Fraction(0) for x in s.codebook}
+    captured = dict.fromkeys(s.codebook, 0)
     for y, x in enumerate(s.decoder):
-        captured[x] += c.prob(x, y)
-    return {x: 1 - captured[x] for x in s.codebook}
+        captured[x] += c.weights[x][y]
+    return {x: Fraction(c.scale - m, c.scale) for x, m in captured.items()}
 
 
 def max_error(c: Channel, s: Scheme) -> Fraction:
@@ -159,9 +159,8 @@ def enumerate_min_decoding_sets(
     Sorted by size, then lexicographically, for reproducible downstream
     graphs and witnesses.
     """
-    sets = [bitsets.outputs_of(m) for m in minimal_decoding_masks(c, x, eps)]
-    sets.sort(key=lambda d: (len(d), d))
-    return sets
+    masks = bitsets.canonical_order(minimal_decoding_masks(c, x, eps), c.num_outputs)
+    return [bitsets.outputs_of(m) for m in masks]
 
 
 # ---------------------------------------------------------------------------

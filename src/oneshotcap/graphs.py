@@ -21,7 +21,7 @@ For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
 member escapes; the sparse condition is then equivalent to
 sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
-form, with the escapes as integers over their common denominator.
+form, with the escapes as integers over the channel's scale.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
@@ -33,7 +33,6 @@ with the sizes at neighbouring thresholds.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,10 +45,6 @@ from .decoding import _MAX_GRAPH_NODE_LIMIT, minimal_decoding_masks
 # Node enumeration over every output subset is exponential in |Y|.
 _MAX_GRAPH_OUTPUT_LIMIT = 12
 _AVG_GRAPH_OUTPUT_LIMIT = 10
-
-
-# Byte b -> 255 - (b with its 8 bits in reverse order); see _make_nodes.
-_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -75,33 +70,6 @@ class NodeSetWitness:
 
     def to_json_list(self) -> list:
         return [[x, list(outputs)] for x, outputs in self.pairs]
-
-
-def _make_nodes(per_input: list[list[tuple[int, Fraction]]], width: int) -> tuple[
-    tuple[OneShotNode, ...], tuple[Fraction, ...]
-]:
-    """Canonical node order: by input, then |D|, then lexicographic D.
-
-    Among sets of one size, D precedes D' lexicographically exactly when
-    the lowest output of the symmetric difference is in D.  The key below
-    orders masks so: the mask's little-endian bytes, each mapped through
-    ``_REVERSED_COMPLEMENT``, put output 8k+j at byte k, bit 7-j, as 0
-    where D holds it, so the first differing byte and bit are at that
-    lowest output, and there D's key is the smaller.
-    """
-    nbytes = (width + 7) // 8
-
-    def order(entry: tuple[int, Fraction]) -> tuple[int, bytes]:
-        mask = entry[0]
-        return mask.bit_count(), mask.to_bytes(nbytes, "little").translate(_REVERSED_COMPLEMENT)
-
-    nodes = []
-    escapes = []
-    for x, entries in enumerate(per_input):
-        for mask, escape in sorted(entries, key=order):
-            nodes.append(OneShotNode(x, mask))
-            escapes.append(escape)
-    return tuple(nodes), tuple(escapes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +120,23 @@ def build_max_graph(
             f"channel has {c.num_outputs}"
         )
     threshold = c.min_mass(eps, 1)
-    per_input: list[list[tuple[int, Fraction]]] = []
-    total = 0
+    nodes: list[OneShotNode] = []
     for x in range(c.num_inputs):
         if minimal_only:
-            masks = minimal_decoding_masks(c, x, eps)
+            masks = bitsets.canonical_order(minimal_decoding_masks(c, x, eps), c.num_outputs)
         else:
             masses = bitsets.subset_masses(c.weights[x])
-            masks = [m for m in range(1, 1 << c.num_outputs) if masses[m] >= threshold]
-        total += len(masks)
-        if total > _MAX_GRAPH_NODE_LIMIT:
+            masks = [m for m in bitsets.all_masks(c.num_outputs) if masses[m] >= threshold]
+        if len(nodes) + len(masks) > _MAX_GRAPH_NODE_LIMIT:
             raise ValueError(
                 f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
-        per_input.append([(m, 0) for m in masks])
-    nodes, _ = _make_nodes(per_input, c.num_outputs)
+        nodes.extend(OneShotNode(x, m) for m in masks)
     adj = _conflict_adjacency(nodes)
-    return MaxOneShotGraph(eps, nodes, adj)
+    return MaxOneShotGraph(eps, tuple(nodes), adj)
 
 
-def _conflict_adjacency(nodes: tuple[OneShotNode, ...]) -> tuple[int, ...]:
+def _conflict_adjacency(nodes: Sequence[OneShotNode]) -> tuple[int, ...]:
     """Node i's neighbours: the nodes sharing its input or one of its outputs."""
     by_input: dict[int, int] = defaultdict(int)
     by_output: dict[int, int] = defaultdict(int)  # keyed by the output's bit
@@ -288,15 +253,19 @@ class AvgOneShotGraph:
     for the infinite case.
     """
 
+    channel: Channel
     nodes: tuple[OneShotNode, ...]
-    escapes: tuple[Fraction, ...]
-    num_inputs: int
-    num_outputs: int
-    supports: tuple[int, ...]
+    masses: tuple[int, ...]  # node i captures masses[i] / channel.scale of its row
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def escapes(self) -> tuple[Fraction, ...]:
+        """P(Y not in D | X=x) for each node, exactly."""
+        scale = self.channel.scale
+        return tuple(Fraction(scale - m, scale) for m in self.masses)
 
     def is_conflict(self, i: int, j: int) -> bool:
         a, b = self.nodes[i], self.nodes[j]
@@ -307,7 +276,8 @@ class AvgOneShotGraph:
             raise ValueError("no self edges")
         if self.is_conflict(i, j):
             return None
-        return self.escapes[i] + self.escapes[j]
+        scale = self.channel.scale
+        return Fraction(2 * scale - self.masses[i] - self.masses[j], scale)
 
     def node_index(self, x: int, outputs: Sequence[int]) -> int:
         target = sum(1 << y for y in set(outputs))
@@ -325,17 +295,15 @@ def build_avg_graph(c: Channel) -> AvgOneShotGraph:
             f"average-one-shot graph needs <= {_AVG_GRAPH_OUTPUT_LIMIT} outputs, "
             f"channel has {c.num_outputs}"
         )
-    per_input: list[list[tuple[int, Fraction]]] = []
+    nodes = []
+    masses = []
     for x in range(c.num_inputs):
-        masses = bitsets.subset_masses(c.weights[x])
-        escape = {m: Fraction(c.scale - m, c.scale) for m in set(masses)}
-        per_input.append(
-            [(mask, escape[masses[mask]])
-             for mask in range(1, 1 << c.num_outputs) if masses[mask]]
-        )
-    nodes, escapes = _make_nodes(per_input, c.num_outputs)
-    supports = tuple(c.support_mask(x) for x in range(c.num_inputs))
-    return AvgOneShotGraph(nodes, escapes, c.num_inputs, c.num_outputs, supports)
+        row_masses = bitsets.subset_masses(c.weights[x])
+        for mask in bitsets.all_masks(c.num_outputs):
+            if row_masses[mask]:
+                nodes.append(OneShotNode(x, mask))
+                masses.append(row_masses[mask])
+    return AvgOneShotGraph(c, tuple(nodes), tuple(masses))
 
 
 def induced_weight_sum(g: AvgOneShotGraph, indices: Sequence[int]) -> Fraction | None:
@@ -370,7 +338,7 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     The branch and bound walks inputs in order, assigning each at most one
     node with dset disjoint from the claimed outputs; for target size k >= 2
     the sparse condition reduces to sum(escapes) <= eps*k, which prunes by
-    escape budget, in integers over the escapes' lcm.  Nodes padded with
+    escape budget, in integers over the channel's scale.  Nodes padded with
     zero-probability outputs are skipped: their in-support core has the same
     escape and blocks fewer outputs.
     """
@@ -380,19 +348,19 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     if not g.nodes:
         raise ValueError("graph has no nodes")
 
-    scale = math.lcm(*(e.denominator for e in g.escapes))
-    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_inputs)]
+    c = g.channel
+    supports = [c.support_mask(x) for x in range(c.num_inputs)]
+    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(c.num_inputs)]
     for i, node in enumerate(g.nodes):
-        if node.mask & ~g.supports[node.input]:
+        if node.mask & ~supports[node.input]:
             continue
-        e = g.escapes[i]
-        groups[node.input].append((e.numerator * (scale // e.denominator), node.mask, i))
+        groups[node.input].append((c.scale - g.masses[i], node.mask, i))
     for entries in groups:
         entries.sort(key=lambda e: (e[0], e[1]))
 
-    nx = g.num_inputs
+    nx = c.num_inputs
     for k in range(nx, 1, -1):
-        budget = eps.numerator * k * scale // eps.denominator
+        budget = eps.numerator * k * c.scale // eps.denominator
         chosen: list[int] = []
 
         def dfs(x: int, count: int, esc_sum: int, used: int) -> bool:

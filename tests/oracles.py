@@ -8,6 +8,7 @@ escape-sum form, literal definition checks instead of solver output.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from oneshotcap import Channel, Scheme
 
@@ -127,16 +128,36 @@ def oracle_capacity(c: Channel, metric: str, eps: Fraction) -> int:
     return best
 
 
+def oracle_avg_graph(c: Channel) -> list[tuple[int, tuple[int, ...], Fraction]]:
+    """(input, outputs, escape) of every average-one-shot graph node: each
+    output subset with positive mass, by subset loop, listed by input, then
+    size, then output tuple; the escape is 1 minus the summed Fractions."""
+    ny = c.num_outputs
+    nodes = []
+    for x in range(c.num_inputs):
+        for mask in range(1, 1 << ny):
+            outputs = tuple(y for y in range(ny) if mask >> y & 1)
+            mass = subset_mass(c.row(x), outputs)
+            if mass > 0:
+                nodes.append((x, outputs, ONE - mass))
+    return sorted(nodes, key=lambda n: (n[0], len(n[1]), n[1]))
+
+
 def oracle_sparse_number(graph, eps: Fraction) -> int:
-    """Largest eps-sparse node set by subset loop with literal pair sums."""
-    n = graph.num_nodes
-    assert n <= 20, "subset-loop oracle limited to 20 nodes"
+    """Largest eps-sparse node set by a loop over node sets with literal pair
+    sums.  Two nodes of one input are joined by an infinite edge, so the loop
+    takes at most one node per input; every set it skips holds such an edge."""
+    choices: dict[int, list] = {}
+    for i, node in enumerate(graph.nodes):
+        choices.setdefault(node.input, [None]).append(i)
+    assert prod(len(c) for c in choices.values()) <= 1 << 20, \
+        "set-loop oracle limited to 2^20 node sets"
     best = 0
-    for mask in range(1, 1 << n):
-        k = mask.bit_count()
+    for pick in product(*choices.values()):
+        indices = [i for i in pick if i is not None]
+        k = len(indices)
         if k <= best:
             continue
-        indices = [i for i in range(n) if mask >> i & 1]
         total = ZERO
         infinite = False
         for a in range(k):

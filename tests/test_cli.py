@@ -304,12 +304,19 @@ def test_zero_denominator_is_a_clean_error(tmp_path, funnel3_file, capsys):
         "error: line 2: row 0, column 0: '1/0' has a zero denominator\n"
     assert main(["gen", "funnel", "--n", "2", "--e", "1/0"]) == 1
     assert capsys.readouterr().err == "error: leak probability: '1/0' has a zero denominator\n"
-    # a bad epsilon is a usage error, whatever is wrong with it
-    for eps in ("1/0", "abc"):
-        with pytest.raises(SystemExit) as exc:
-            main(["capacity", funnel3_file, "--metric", "max", "--epsilon", eps])
-        assert exc.value.code == 2
-        assert f"argument --epsilon: invalid _eps_arg value: '{eps}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps, reason", [
+    ("1/0", "has a zero denominator"),
+    ("3/2", "is outside [0, 1]"),
+    ("one tenth", "is not a p/q fraction or finite decimal"),
+])
+def test_bad_epsilon_is_a_usage_error_with_its_reason(funnel3_file, capsys, eps, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", funnel3_file, "--metric", "max", "--epsilon", eps])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"oneshotcap capacity: error: argument --epsilon: epsilon: {eps!r} {reason}"
 
 
 def test_parser_is_built_once_and_not_at_import():

@@ -123,6 +123,16 @@ def test_min_sets_match_subset_oracle():
                     oracle_minimal_sets(c, x, eps)
 
 
+def test_min_sets_order_on_a_two_byte_row():
+    # 14 outputs: hundreds of sets of several sizes, most reaching past output 7
+    c = gen_random(1, 14, seed=2, denominator_bound=24)
+    for eps in (F(1, 3), F(1, 2)):
+        sets = enumerate_min_decoding_sets(c, 0, eps)
+        assert len(set(sets)) == len(sets) > 200
+        assert len({len(d) for d in sets}) >= 4
+        assert sets == sorted(sets, key=lambda d: (len(d), d))
+
+
 def test_min_sets_reject_eps_one(funnel3):
     with pytest.raises(ValueError):
         enumerate_min_decoding_sets(funnel3, 0, F(1))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,10 +16,11 @@ from oneshotcap import (
     scheme_from_disjoint_sets,
     sparse_number,
 )
+from oneshotcap import bitsets
 from oneshotcap.channel import Channel, gen_random, identity_channel
 from oneshotcap.graphs import _bounded_independent_set
-from corpus import random_channels
-from oracles import oracle_mis, oracle_sparse_number
+from corpus import COPRIME, random_channels
+from oracles import oracle_avg_graph, oracle_mis, oracle_sparse_number
 
 F = Fraction
 
@@ -216,6 +218,42 @@ def test_node_order_is_input_then_size_then_lexicographic():
             for d in (tuple(y for y in range(ny) if m >> y & 1) for m in range(1, 1 << ny))
         )
         assert [(n.input, len(n.outputs), n.outputs) for n in g.nodes] == expected
+
+
+def test_canonical_order_is_size_then_lexicographic():
+    # seeded random masks of 1 to 3 bytes against a sort of their output tuples
+    rng = random.Random(91)
+    for width in range(1, 25):
+        masks = rng.sample(range(1, 1 << width), min(300, (1 << width) - 1))
+
+        def outputs(mask):
+            return tuple(y for y in range(width) if mask >> y & 1)
+
+        expected = sorted(masks, key=lambda m: (len(outputs(m)), outputs(m)))
+        assert bitsets.canonical_order(masks, width) == expected
+
+
+def test_avg_graph_fields_match_oracle():
+    # escapes of 1/2 over a scale of 4, and a zero entry
+    halves = Channel.make([["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"]])
+    assert any(e.denominator < halves.scale for e in build_avg_graph(halves).escapes)
+    channels = [halves, COPRIME, *random_channels(8, seed0=1900, max_inputs=3, max_outputs=4)]
+    for c in channels:
+        g = build_avg_graph(c)
+        expected = oracle_avg_graph(c)
+        assert [(n.input, n.outputs) for n in g.nodes] == [(x, d) for x, d, _ in expected]
+        escapes = tuple(e for _, _, e in expected)
+        assert g.escapes == escapes
+        assert all(type(m) is int for m in g.masses)
+        assert g.masses == tuple((1 - e) * c.scale for e in escapes)
+        for i, j in combinations(range(g.num_nodes), 2):
+            (x, d, e), (x2, d2, e2) = expected[i], expected[j]
+            weight = None if x == x2 or set(d) & set(d2) else e + e2
+            assert g.edge_weight(i, j) == weight
+        for eps in EPS_GRID + [F(1)]:
+            size, witness = sparse_number(g, eps)
+            assert size == oracle_sparse_number(g, eps)
+            assert is_sparse_set(g, witness.indices, eps)
 
 
 def test_avg_graph_output_bound():

@@ -34,6 +34,7 @@ from oneshotcap import (
     simulate,
     sparse_number,
 )
+from corpus import COPRIME, P, Q
 from oracles import oracle_curve_max, oracle_sparse_number
 
 F = Fraction
@@ -90,16 +91,6 @@ def test_engines_match_brute_force(c, data):
 @given(channels())
 def test_max_curve_matches_oracle(c):
     assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
-
-
-# Rows over 2, 3 and two coprime denominators near 2^31.
-P, Q = 2**31 - 1, 2**31 - 19
-COPRIME = Channel.make([
-    [F(1, 2), F(1, 2), 0, 0],
-    [F(1, 3), 0, F(2, 3), 0],
-    [F(P // 3, P), F(P // 4, P), F(P - P // 3 - P // 4, P), 0],
-    [0, F(Q // 5, Q), F(Q // 2, Q), F(Q - Q // 5 - Q // 2, Q)],
-])
 
 
 def test_engines_match_brute_force_beyond_int64_scale():

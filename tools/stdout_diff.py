@@ -4,8 +4,9 @@
 
 Builds each benchmark workload's seed-1 corpus with ``bench/corpus.py``
 (imported as it is), plus a ``graph-dump`` group: the max variant at
-eps 1/10 and 1/3, with and without ``--minimal-only``, and the avg
-variant, on 10 seeded random channels.  An ``errors`` group runs first:
+eps 1/10 and 1/3, with and without ``--minimal-only``, the avg
+variant, and ``sparse`` at eps 0, 1/3, 1/2 and 1 (edges of the escape
+budget), on 10 seeded random channels.  An ``errors`` group runs first:
 usage errors (a bad epsilon, an unknown ``--metric`` choice, an unknown
 command) and failing ops (a missing file, a row that does not sum to 1,
 ``verify-reduction`` at eps 1/3, ``--engine brute`` past its size limit,
@@ -85,6 +86,9 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         for name, variant, extra in variants:
             argv = ["graph-dump", str(path), "--variant", variant, *extra]
             ops.append(("graph-dump", f"{path.stem}/{name}", argv))
+        for eps in ("0", "1/3", "1/2", "1"):
+            ops.append(("graph-dump", f"{path.stem}/sparse@{eps}",
+                        ["sparse", str(path), "--epsilon", eps]))
     return ops
 
 
