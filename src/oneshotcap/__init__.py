@@ -1,11 +1,12 @@
 """Exact solvers for the one-shot capacity of discrete channels.
 
-Everything capacity-relevant is exact: a `Channel` holds its matrix as
+Everything capacity-relevant is exact: a `Channel` is its matrix as
 integer weights over one common denominator, the searches compare integer
-masses, and `fractions.Fraction` appears only at the boundary (parsing,
-error metrics, results).  Capacity values are exact codebook sizes with
-log2 rendered only for display.  See the README for the library tour and
-the `demos/` scripts for worked examples.
+masses, and `fractions.Fraction` appears only at the boundary (epsilon
+parsing, the `Channel.rows` view, error metrics, results).  Capacity
+values are exact codebook sizes with log2 rendered only for display.  See
+the README for the library tour and the `demos/` scripts for worked
+examples.
 """
 
 from .channel import (

@@ -1,13 +1,13 @@
 """Discrete channels with exact rational transition probabilities.
 
-A channel is an |X| x |Y| matrix of transition probabilities P(Y=y|X=x).
-Every probability is an int or a `fractions.Fraction`, every row sums to
-exactly 1, and the channel also holds the matrix as ints over one common
-denominator ``scale``; the searches compare those integer masses with
-``min_mass(eps, k)``, so every admissibility test is exact.  Binary floating
-point never enters any capacity-relevant decision: capacity is a step
-function of the error budget and jumps exactly at rational thresholds, so a
-float epsilon could land on the wrong side of a breakpoint.
+A channel is an |X| x |Y| matrix of transition probabilities P(Y=y|X=x),
+held as integer ``weights`` over one common ``scale`` in lowest terms:
+P(y|x) = weights[x][y] / scale.  The searches compare those integer masses
+with ``min_mass(eps, k)``, so every admissibility test is exact; ``rows`` is
+a `fractions.Fraction` view built when first read.  Binary floating point
+never enters any capacity-relevant decision: capacity is a step function of
+the error budget and jumps exactly at rational thresholds, so a float
+epsilon could land on the wrong side of a breakpoint.
 
 The module also provides the channel generators used throughout the test
 suite and the demos:
@@ -37,13 +37,12 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, NoReturn, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 # "p/q" with integer p, q, or a plain finite decimal (no signs, no
 # exponents); the lookahead makes a decimal start with a digit or ".<digit>".
 _PROB_TOKEN = re.compile(r"^(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?)$")
-_EXACT = (int, Fraction)
 
 
 class ChannelFormatError(ValueError):
@@ -80,87 +79,86 @@ def parse_prob(token: str, where: str = "probability") -> Fraction:
     return Fraction(*_prob_ratio(token, where))
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """Render n/d in lowest terms as "p/q", or "p" when the denominator is 1."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def format_prob(value: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format_ratio(value.numerator, value.denominator)
 
 
-def _as_prob(entry, where: str) -> Fraction:
+def _as_ratio(entry, where: str) -> tuple[int, int]:
     if isinstance(entry, str):
-        return parse_prob(entry, where)
-    if not isinstance(entry, _EXACT):
+        return _prob_ratio(entry, where)
+    if not isinstance(entry, (int, Fraction)):
         raise ValueError(f"{where}: {entry!r} is not an int, a Fraction or a str")
-    value = Fraction(entry)
-    if not (0 <= value <= 1):
+    if not (0 <= entry <= 1):
         raise ValueError(f"{where}: {entry!r} is outside [0, 1]")
-    return value
-
-
-def _raise_entry_fault(rows) -> NoReturn:
-    """Raise the error for the first row of the wrong width or entry that is
-    not an exact probability, in row-major order."""
-    width = len(rows[0])
-    for x, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
-        for y, p in enumerate(row):
-            if not isinstance(p, _EXACT):
-                raise ValueError(f"entry ({x},{y}): {p!r} is not an int or a Fraction")
-            if not (0 <= p.numerator <= p.denominator):
-                raise ValueError(f"entry ({x},{y}): {p} is outside [0, 1]")
+    return entry.as_integer_ratio()
 
 
 @dataclass(frozen=True)
 class Channel:
-    """Immutable transition matrix, indexed [input][output]; ``scale`` is the
-    lcm of all denominators and ``weights[x][y] = P(y|x) * scale`` (ints)."""
+    """Immutable transition matrix, indexed [input][output]: P(y|x) =
+    weights[x][y] / scale in lowest terms, so ``scale`` is the lcm of the
+    reduced denominators and equal channels compare and hash equal."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    weights: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __post_init__(self):
-        if not self.rows:
+        scale = self.scale
+        if not isinstance(scale, int) or scale < 1:
+            raise ValueError(f"scale must be a positive int, got {scale!r}")
+        weights = tuple(map(tuple, self.weights))
+        if not weights:
             raise ValueError("channel needs at least one input")
-        width = len(self.rows[0])
+        width = len(weights[0])
         if width == 0:
             raise ValueError("channel needs at least one output")
-        # Each entry's numerator and denominator are read once; the checks
-        # run a row at a time, and _raise_entry_fault names the first fault.
-        ratios = []
-        for row in self.rows:
-            if len(row) != width or not all(map(isinstance, row, repeat(_EXACT))):
-                _raise_entry_fault(self.rows)
-            ratios.append([p.as_integer_ratio() for p in row])
-        scale = math.lcm(*{d for row in ratios for _, d in row})
-        weights = tuple(tuple([n * (scale // d) for n, d in row]) for row in ratios)
-        if any(min(row) < 0 or max(row) > scale for row in weights):
-            _raise_entry_fault(self.rows)
         for x, row in enumerate(weights):
+            if len(row) != width:
+                raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
+            for y, w in enumerate(row):
+                if not isinstance(w, int) or w < 0:
+                    raise ValueError(f"entry ({x},{y}): {w!r} is not a non-negative int")
             if sum(row) != scale:
-                total = Fraction(sum(row), scale)
+                total = _format_ratio(sum(row), scale)
                 raise ValueError(f"row {x}: probabilities sum to {total}, not 1")
+        g = math.gcd(scale, *(w for row in weights for w in row))
+        if g > 1:
+            scale //= g
+            weights = tuple(tuple([w // g for w in row]) for row in weights)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def make(cls, rows: Iterable[Iterable]) -> "Channel":
         """Build a Channel from any nested iterable of ints/Fractions/strings."""
-        converted = tuple(
-            tuple(_as_prob(p, f"entry ({x},{y})") for y, p in enumerate(row))
-            for x, row in enumerate(rows)
-        )
-        return cls(converted)
+        ratios = []
+        for x, row in enumerate(rows):
+            row = tuple(row)
+            if ratios and len(row) != len(ratios[0]):
+                raise ValueError(f"row {x}: expected {len(ratios[0])} entries, got {len(row)}")
+            ratios.append([_as_ratio(p, f"entry ({x},{y})") for y, p in enumerate(row)])
+        scale = math.lcm(*{d for row in ratios for _, d in row})
+        return cls([[n * (scale // d) for n, d in row] for row in ratios], scale)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as Fractions, built on first read."""
+        return tuple(tuple(Fraction(w, self.scale) for w in row) for row in self.weights)
 
     @property
     def num_inputs(self) -> int:
-        return len(self.rows)
+        return len(self.weights)
 
     @property
     def num_outputs(self) -> int:
-        return len(self.rows[0])
+        return len(self.weights[0])
 
     def prob(self, x: int, y: int) -> Fraction:
         return self.rows[x][y]
@@ -220,8 +218,8 @@ def parse_channel(text: str) -> Channel:
     if len(body) != nx:
         raise ChannelFormatError(f"expected {nx} rows, found {len(body)}")
     rows = []
-    # Each distinct token is parsed once, where it first appears: n, d, n/d.
-    known: dict[str, tuple[int, int, Fraction]] = {}
+    # Each distinct token is parsed once, where it first appears.
+    known: dict[str, tuple[int, int]] = {}
     for x, (lineno, line) in enumerate(body):
         tokens = line.split()
         if len(tokens) != ny:
@@ -232,24 +230,24 @@ def parse_channel(text: str) -> Channel:
         for y, tok in enumerate(tokens):
             entry = known.get(tok)
             if entry is None:
-                n, d = _prob_ratio(tok, f"line {lineno}: row {x}, column {y}")
-                entry = known[tok] = (n, d, Fraction(n, d))
+                entry = known[tok] = _prob_ratio(tok, f"line {lineno}: row {x}, column {y}")
             entries.append(entry)
-        common = math.lcm(*{d for _, d, _ in entries})
-        total = sum(n * (common // d) for n, d, _ in entries)
+        common = math.lcm(*{d for _, d in entries})
+        total = sum(n * (common // d) for n, d in entries)
         if total != common:
             raise ChannelFormatError(
-                f"line {lineno}: row {x} sums to {format_prob(Fraction(total, common))}, not 1"
+                f"line {lineno}: row {x} sums to {_format_ratio(total, common)}, not 1"
             )
-        rows.append(tuple(value for _, _, value in entries))
-    return Channel(tuple(rows))
+        rows.append(entries)
+    scale = math.lcm(*{d for _, d in known.values()})
+    return Channel([[n * (scale // d) for n, d in row] for row in rows], scale)
 
 
 def serialize_channel(c: Channel) -> str:
     """Render a Channel in the channel file format. Round-trips exactly."""
     lines = [f"channel {c.num_inputs} {c.num_outputs}"]
-    for row in c.rows:
-        lines.append(" ".join(format_prob(p) for p in row))
+    for row in c.weights:
+        lines.append(" ".join(_format_ratio(w, c.scale) for w in row))
     return "\n".join(lines) + "\n"
 
 
@@ -383,28 +381,25 @@ class FunnelSpec:
 
 def gen_funnel(spec: FunnelSpec) -> Channel:
     """Channel of the funnel family: row i puts 1-e_i on output i, e_i on 0."""
-    rows = [tuple(Fraction(1 if y == 0 else 0) for y in range(spec.n))]
-    for i in range(1, spec.n):
-        ei = spec.e[i - 1]
-        row = [Fraction(0)] * spec.n
-        row[0] = ei
-        row[i] = 1 - ei
-        rows.append(tuple(row))
-    return Channel(tuple(rows))
+    rows = [[1] + [0] * (spec.n - 1)]
+    for i, ei in enumerate(spec.e, start=1):
+        row = [0] * spec.n
+        row[0], row[i] = ei, 1 - ei
+        rows.append(row)
+    return Channel.make(rows)
 
 
 def gen_from_cubic_graph(g: CubicGraph) -> Channel:
     """Reduction channel: inputs = vertices, outputs = edges, mass 1/3 on
     each of a vertex's three incident edges.  Rows sum to 1 exactly because
     the graph is 3-regular."""
-    third = Fraction(1, 3)
     rows = []
     for v in range(g.num_vertices):
-        row = [Fraction(0)] * len(g.edges)
+        row = [0] * len(g.edges)
         for i in g.incident_edges(v):
-            row[i] = third
-        rows.append(tuple(row))
-    return Channel(tuple(rows))
+            row[i] = 1
+        rows.append(row)
+    return Channel(rows, 3)
 
 
 def gen_random(
@@ -428,5 +423,5 @@ def gen_random(
         counts = [0] * num_outputs
         for _ in range(d):
             counts[rng.randrange(num_outputs)] += 1
-        rows.append(tuple(Fraction(k, d) for k in counts))
-    return Channel(tuple(rows))
+        rows.append(counts)
+    return Channel(rows, d)

@@ -91,9 +91,10 @@ def max_error(c: Channel, s: Scheme) -> Fraction:
 
 
 def avg_error(c: Channel, s: Scheme) -> Fraction:
-    """Mean per-codeword decoding error, exactly."""
-    errors = per_codeword_errors(c, s)
-    return sum(errors.values()) / len(errors)
+    """Mean per-codeword decoding error, exactly, from the pre-images' total mass."""
+    _check_dims(c, s)
+    total = len(s.codebook) * c.scale
+    return Fraction(total - sum(c.weights[x][y] for y, x in enumerate(s.decoder)), total)
 
 
 def is_max_admissible(c: Channel, s: Scheme, eps: Fraction) -> bool:
@@ -112,7 +113,8 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
     """Bitmask form of ``enumerate_min_decoding_sets`` (bit y = output y),
     in search order; callers that need an order sort.
 
-    Depth-first over outputs sorted by descending row probability.  A branch
+    Depth-first over the outputs of non-zero probability (a minimal set
+    holds no other), sorted by descending probability.  A branch
     stops as soon as its mass reaches 1-eps: supersets of a qualifying set
     are never minimal.  A completed set is minimal iff dropping its
     lightest member would fall below the threshold, which subsumes the check
@@ -123,7 +125,7 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
         raise ValueError("eps must be in [0, 1) for minimal decoding sets")
     threshold = c.min_mass(eps, 1)
     row = c.weights[x]
-    order = sorted(range(c.num_outputs), key=lambda y: (-row[y], y))
+    order = sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y])
     weights = [row[y] for y in order]
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
@@ -314,5 +316,5 @@ def simulate(c: Channel, s: Scheme, trials: int, seed: int) -> SimulationReport:
         seed=seed,
         per_codeword=tuple(stats),
         exact_max=max(exact.values()),
-        exact_avg=sum(exact.values()) / len(exact),
+        exact_avg=avg_error(c, s),
     )

@@ -108,25 +108,52 @@ def test_parse_error_messages(text, message):
     (lambda: Channel.make([[F(1, 2), F(1, 4)]]), "row 0: probabilities sum to 3/4, not 1"),
     (lambda: Channel.make([[F(3, 2), F(-1, 2)]]), "entry (0,0): Fraction(3, 2) is outside [0, 1]"),
     (lambda: Channel.make([[0.5, 0.5]]), "entry (0,0): 0.5 is not an int, a Fraction or a str"),
-    (lambda: Channel(((F(1, 2), F(1, 4)),)), "row 0: probabilities sum to 3/4, not 1"),
-    (lambda: Channel(((F(1), F(0)), (F(1, 3), F(1, 3)))),
+    (lambda: Channel.make(((F(1, 2), F(1, 4)),)), "row 0: probabilities sum to 3/4, not 1"),
+    (lambda: Channel.make(((F(1), F(0)), (F(1, 3), F(1, 3)))),
      "row 1: probabilities sum to 2/3, not 1"),
-    (lambda: Channel(((1, 1),)), "row 0: probabilities sum to 2, not 1"),
-    (lambda: Channel(((F(3, 2), F(-1, 2)),)), "entry (0,0): 3/2 is outside [0, 1]"),
-    (lambda: Channel(((F(1), F(0)), (F(1, 2), F(-1, 2)))), "entry (1,1): -1/2 is outside [0, 1]"),
-    (lambda: Channel(((0.5, 0.5), (0.1, 0.9))), "entry (0,0): 0.5 is not an int or a Fraction"),
+    (lambda: Channel.make(((1, 1),)), "row 0: probabilities sum to 2, not 1"),
+    (lambda: Channel.make(((F(3, 2), F(-1, 2)),)),
+     "entry (0,0): Fraction(3, 2) is outside [0, 1]"),
+    (lambda: Channel.make(((F(1), F(0)), (F(1, 2), F(-1, 2)))),
+     "entry (1,1): Fraction(-1, 2) is outside [0, 1]"),
+    (lambda: Channel.make(((0.5, 0.5), (0.1, 0.9))),
+     "entry (0,0): 0.5 is not an int, a Fraction or a str"),
     # the first fault in row-major order is named, whatever its kind
-    (lambda: Channel(((F(3, 2), F(-1, 2)), (0.5, 0.5))), "entry (0,0): 3/2 is outside [0, 1]"),
-    (lambda: Channel(((F(1), 0.0), (F(1),))), "entry (0,1): 0.0 is not an int or a Fraction"),
-    (lambda: Channel(((F(1), F(0)), (F(1),), (F(2), F(-1)))), "row 1: expected 2 entries, got 1"),
-    (lambda: Channel(((F(1, 2), F(1, 2)), (F(2), F(-1)))), "entry (1,0): 2 is outside [0, 1]"),
+    (lambda: Channel.make(((F(3, 2), F(-1, 2)), (0.5, 0.5))),
+     "entry (0,0): Fraction(3, 2) is outside [0, 1]"),
+    (lambda: Channel.make(((F(1), 0.0), (F(1),))),
+     "entry (0,1): 0.0 is not an int, a Fraction or a str"),
+    (lambda: Channel.make(((F(1), F(0)), (F(1),), (F(2), F(-1)))),
+     "row 1: expected 2 entries, got 1"),
+    (lambda: Channel.make(((F(1, 2), F(1, 2)), (F(2), F(-1)))),
+     "entry (1,0): Fraction(2, 1) is outside [0, 1]"),
+    # Channel(weights, scale) checks integer weights over a positive scale; the
+    # float row sums to the scale exactly, so only the type check rejects it
+    (lambda: Channel(((1, 0.5, 0.5),), 2), "entry (0,1): 0.5 is not a non-negative int"),
+    (lambda: Channel(((1, 0), (2, -1)), 1), "entry (1,1): -1 is not a non-negative int"),
+    (lambda: Channel(((1, 1), (2,)), 2), "row 1: expected 2 entries, got 1"),
+    (lambda: Channel(((1, 1), (1, 2)), 2), "row 1: probabilities sum to 3/2, not 1"),
+    (lambda: Channel(((1,),), 0), "scale must be a positive int, got 0"),
+    (lambda: Channel(((0,),), -1), "scale must be a positive int, got -1"),
+    (lambda: Channel((), 1), "channel needs at least one input"),
+    (lambda: Channel(((),), 1), "channel needs at least one output"),
 ], ids=["make-sum", "make-range", "make-float", "sum", "sum-row-1", "sum-int", "range",
         "range-negative", "float", "range-before-float", "float-before-width",
-        "width-before-range", "range-after-good-row"])
+        "width-before-range", "range-after-good-row", "weights-float", "weights-negative",
+        "weights-ragged", "weights-sum", "weights-scale-zero", "weights-scale-negative",
+        "weights-no-inputs", "weights-no-outputs"])
 def test_channel_error_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_channel_is_kept_in_lowest_terms():
+    c = Channel(((2, 2), (4, 0)), 4)
+    made = Channel.make([[F(1, 2), F(1, 2)], [1, 0]])
+    assert c == made and hash(c) == hash(made)
+    assert c.scale == 2 and c.weights == ((1, 1), (2, 0))
+    assert c.rows == ((F(1, 2), F(1, 2)), (F(1), F(0)))
 
 
 def test_roundtrip_exact(funnel3):
@@ -140,16 +167,16 @@ def test_channel_validation():
     with pytest.raises(ValueError, match="outside"):
         Channel.make([[F(3, 2), F(-1, 2)]])
     with pytest.raises(ValueError, match="expected 2 entries"):
-        Channel(((F(1), F(0)), (F(1),)))
+        Channel.make(((F(1), F(0)), (F(1),)))
 
 
 def test_channel_rejects_float_entries():
     # 0.1 + 0.9 == Fraction(1), so only the type check keeps binary floats out
-    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int or a Fraction"):
-        Channel(((0.5, 0.5), (0.1, 0.9)))
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int, a Fraction or a str"):
+        Channel.make(((0.5, 0.5), (0.1, 0.9)))
     with pytest.raises(ValueError, match=r"entry \(1,1\): 0\.9"):
-        Channel(((F(1, 2), F(1, 2)), (F(1, 10), 0.9)))
-    # Channel.make names the float too, whether it is a binary fraction or not
+        Channel.make(((F(1, 2), F(1, 2)), (F(1, 10), 0.9)))
+    # the float is named whether it is a binary fraction or not
     with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int, a Fraction or a str"):
         Channel.make([[0.5, 0.5]])
     with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.1 is not an int, a Fraction or a str"):

@@ -10,6 +10,7 @@ exact equality.  One fixed channel has coprime denominators, so that its
 common denominator exceeds 2^62.
 """
 
+import math
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -54,6 +55,14 @@ def channels(draw):
     nx = draw(st.integers(1, 4))
     ny = draw(st.integers(1, 4))
     return Channel.make([draw(rows(ny)) for _ in range(nx)])
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda ny: st.lists(rows(ny), min_size=1, max_size=4)))
+def test_make_keeps_rows_over_the_lcm_of_denominators(matrix):
+    c = Channel.make(matrix)
+    assert c.rows == tuple(map(tuple, matrix))
+    assert c.scale == math.lcm(*(p.denominator for row in matrix for p in row))
 
 
 def eps_candidates(c: Channel) -> list[Fraction]:
@@ -101,7 +110,7 @@ def test_engines_match_brute_force_beyond_int64_scale():
 
 def test_simulate_small_rows_of_a_large_scale_channel():
     # codeword rows with lcm 2 and 3 sample as they do in a channel of their own
-    own = Channel(COPRIME.rows[:2])
+    own = Channel.make(COPRIME.rows[:2])
     scheme = Scheme((0, 1), (0, 0, 1, 1))
     assert own.scale == 6
     assert simulate(COPRIME, scheme, trials=2000, seed=5).to_json_dict() == \

@@ -6,7 +6,12 @@ Builds each benchmark workload's seed-1 corpus with ``bench/corpus.py``
 (imported as it is), plus a ``graph-dump`` group: the max variant at
 eps 1/10 and 1/3, with and without ``--minimal-only``, the avg
 variant, and ``sparse`` at eps 0, 1/3, 1/2 and 1 (edges of the escape
-budget), on 10 seeded random channels.  An ``errors`` group runs first:
+budget), on 10 seeded random channels; and a ``generators`` group: ``gen
+random`` from 1x1 up over denominators whose counts share factors, ``gen
+funnel``, ``reduce`` on the 5 named and 10 random cubic graphs,
+``validate`` on each of those channels written to a file, and
+``simulate`` on the max and avg witness schemes of a few of them.  An
+``errors`` group runs first:
 usage errors (a bad epsilon, an unknown ``--metric`` choice, an unknown
 command) and failing ops (a missing file, a row that does not sum to 1,
 ``verify-reduction`` at eps 1/3, ``--engine brute`` past its size limit,
@@ -61,6 +66,53 @@ def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     return [("errors", key, argv) for key, argv in ops.items()]
 
 
+def _generator_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+    """Ops that print generated channels, and ops on those channels."""
+    from oneshotcap.capacity import avg_capacity, max_capacity
+    from oneshotcap.channel import (FunnelSpec, gen_from_cubic_graph, gen_funnel, gen_random,
+                                    parse_prob, serialize_channel, serialize_cubic_graph)
+    from oneshotcap.hardness import gen_random_cubic, named_cubic_graphs
+
+    gens = directory / "generators"
+    gens.mkdir()
+    ops, channels = [], {}
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 5), (5, 3), (6, 6), (8, 12)]
+    for i, (nx, ny) in enumerate(shapes):
+        for denom in (1, 2, 12, 24, 60):
+            name = f"random{nx}x{ny}d{denom}"
+            ops.append(("generators", f"{name}/gen", [
+                "gen", "random", "--nx", str(nx), "--ny", str(ny),
+                "--seed", str(SEED + i), "--denom", str(denom)]))
+            channels[name] = gen_random(nx, ny, SEED + i, denom)
+    for n, leaks in [(2, "1"), (3, "1/100,2/100"), (4, "0.1,1/4,1/2"), (5, "1/6,1/3,1/2,2/3")]:
+        name = f"funnel{n}"
+        ops.append(("generators", f"{name}/gen", ["gen", "funnel", "--n", str(n), "--e", leaks]))
+        spec = FunnelSpec(n, tuple(parse_prob(e) for e in leaks.split(",")))
+        channels[name] = gen_funnel(spec)
+    graphs = dict(named_cubic_graphs())
+    for i in range(10):
+        graphs[f"cubic{8 + 2 * i}"] = gen_random_cubic(8 + 2 * i, SEED + i)
+    for name, g in graphs.items():
+        path = gens / f"{name}.graph"
+        path.write_text(serialize_cubic_graph(g), encoding="utf-8")
+        ops.append(("generators", f"{name}/reduce", ["reduce", str(path)]))
+        channels[f"{name}-channel"] = gen_from_cubic_graph(g)
+    for name, c in channels.items():
+        path = gens / f"{name}.txt"
+        path.write_text(serialize_channel(c), encoding="utf-8")
+        ops.append(("generators", f"{name}/validate", ["validate", str(path)]))
+        if c.num_inputs * c.num_outputs > 64:
+            continue
+        for metric, solve in (("max", max_capacity), ("avg", avg_capacity)):
+            scheme = gens / f"{name}-{metric}.json"
+            scheme.write_text(json.dumps(solve(c, "1/4").witness.to_json_dict()),
+                              encoding="utf-8")
+            ops.append(("generators", f"{name}/simulate-{metric}", [
+                "simulate", str(path), "--scheme", str(scheme),
+                "--trials", "200", "--seed", str(SEED)]))
+    return ops
+
+
 def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """(group, key, argv) of every op, with the input files written; the
     ``errors`` group comes first."""
@@ -68,7 +120,7 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     from corpus import WORKLOADS, build_corpus
     from oneshotcap.channel import gen_random, serialize_channel
 
-    ops = _error_ops(directory)
+    ops = _error_ops(directory) + _generator_ops(directory)
     for workload in WORKLOADS:
         corpus = build_corpus(workload, SEED)
         paths = corpus.write(directory / workload)
