@@ -260,8 +260,8 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
         thresholds = [1 - Fraction(m, c.scale) for m in sorted(masses, reverse=True)]
 
         def solve(i: int, floor: int, ceiling: int) -> int:
-            adj = build_max_graph(c, thresholds[i]).adj
-            return _bounded_independent_set(adj, floor, ceiling)[0]
+            g = build_max_graph(c, thresholds[i])
+            return _bounded_independent_set(g.adj, floor, ceiling, g)[0]
 
         last = len(thresholds) - 1
         known = {0: solve(0, 1, c.num_inputs), last: c.num_inputs}  # index -> size

@@ -63,8 +63,24 @@ class Scheme:
         return {"codebook": list(self.codebook), "decoder": list(self.decoder)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Scheme":
-        return cls(tuple(data["codebook"]), tuple(data["decoder"]))
+    def from_json_dict(cls, data) -> "Scheme":
+        """The scheme of a parsed JSON object with ``codebook`` and
+        ``decoder`` lists of ints; any other value raises ValueError
+        naming the fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"scheme must be a JSON object, got {type(data).__name__}")
+        fields = []
+        for key in ("codebook", "decoder"):
+            if key not in data:
+                raise ValueError(f"scheme has no {key!r} field")
+            value = data[key]
+            if not isinstance(value, list):
+                raise ValueError(f"scheme {key!r} must be a list, got {type(value).__name__}")
+            for i, entry in enumerate(value):
+                if type(entry) is not int:  # JSON true/false load as bools
+                    raise ValueError(f"scheme {key}[{i}] = {entry!r} is not an int")
+            fields.append(tuple(value))
+        return cls(*fields)
 
 
 def _check_dims(c: Channel, s: Scheme) -> None:
@@ -76,18 +92,23 @@ def _check_dims(c: Channel, s: Scheme) -> None:
         )
 
 
-def per_codeword_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
-    """Exact decoding error 1 - P(Y in preimage(x) | X=x) for each codeword."""
+def _captured_masses(c: Channel, s: Scheme) -> dict[int, int]:
+    """Codeword x -> the integer mass of row x that its pre-image captures."""
     _check_dims(c, s)
     captured = dict.fromkeys(s.codebook, 0)
     for y, x in enumerate(s.decoder):
         captured[x] += c.weights[x][y]
-    return {x: Fraction(c.scale - m, c.scale) for x, m in captured.items()}
+    return captured
+
+
+def per_codeword_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
+    """Exact decoding error 1 - P(Y in preimage(x) | X=x) for each codeword."""
+    return {x: Fraction(c.scale - m, c.scale) for x, m in _captured_masses(c, s).items()}
 
 
 def max_error(c: Channel, s: Scheme) -> Fraction:
-    """Worst per-codeword decoding error, exactly."""
-    return max(per_codeword_errors(c, s).values())
+    """Worst per-codeword decoding error, exactly, from the least captured mass."""
+    return Fraction(c.scale - min(_captured_masses(c, s).values()), c.scale)
 
 
 def avg_error(c: Channel, s: Scheme) -> Fraction:

@@ -29,11 +29,23 @@ max-metric engine behind ``capacity.max_capacity``.  The same search, given
 a floor and a ceiling known to bracket the answer, starts its incumbent at
 the floor and stops at the ceiling; ``capacity.capacity_curve`` uses it
 with the sizes at neighbouring thresholds.
+
+Both searches also prune with packing bounds, since every member of a set
+takes its own input and outputs that no other member holds.  On the
+conflict graph, the members still to come fit in the outputs that some
+candidate covers, so their number is at most how many of the live inputs'
+smallest candidate sizes, taken in increasing order, sum to at most the
+count of those outputs.  In the sparse search each further member needs an
+unused output, and the members still needed can capture at most the
+column maxima of the remaining inputs over the unused outputs, which caps
+what their escapes can save.  The bounds prune only branches that cannot
+succeed, so sizes and witnesses are those of the searches without them.
+A plain graph (``max_independent_set``) has no inputs or outputs and is
+searched with the colouring bound alone.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -78,11 +90,18 @@ class NodeSetWitness:
 
 @dataclass(frozen=True)
 class MaxOneShotGraph:
-    """Unweighted conflict graph; adj[i] is the neighbour bitmask of node i."""
+    """Unweighted conflict graph; adj[i] is the neighbour bitmask of node i.
+
+    input_nodes[x] is the bitmask of the nodes of input x, and
+    output_nodes[y] that of the nodes whose set holds output y; the search
+    reads them for its packing bound.
+    """
 
     epsilon: Fraction
     nodes: tuple[OneShotNode, ...]
     adj: tuple[int, ...]
+    input_nodes: tuple[int, ...]
+    output_nodes: tuple[int, ...]
 
     @property
     def num_nodes(self) -> int:
@@ -132,33 +151,37 @@ def build_max_graph(
                 f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
         nodes.extend(OneShotNode(x, m) for m in masks)
-    adj = _conflict_adjacency(nodes)
-    return MaxOneShotGraph(eps, tuple(nodes), adj)
+    return MaxOneShotGraph(eps, tuple(nodes), *_conflict_adjacency(nodes, c))
 
 
-def _conflict_adjacency(nodes: Sequence[OneShotNode]) -> tuple[int, ...]:
-    """Node i's neighbours: the nodes sharing its input or one of its outputs."""
-    by_input: dict[int, int] = defaultdict(int)
-    by_output: dict[int, int] = defaultdict(int)  # keyed by the output's bit
-    output_bits = []
+def _conflict_adjacency(
+    nodes: Sequence[OneShotNode], c: Channel
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Node i's neighbours, the nodes sharing its input or one of its
+    outputs; built from, and returned with, the node bitmask of each input
+    and of each output."""
+    by_input = [0] * c.num_inputs
+    by_output = [0] * c.num_outputs
+    outputs = []
     for i, node in enumerate(nodes):
         bit = 1 << i
         by_input[node.input] |= bit
-        lows = []
+        ys = []
         rest = node.mask
         while rest:
             low = rest & -rest
-            lows.append(low)
-            by_output[low] |= bit
+            y = low.bit_length() - 1
+            ys.append(y)
+            by_output[y] |= bit
             rest ^= low
-        output_bits.append(lows)
+        outputs.append(ys)
     adj = []
     for i, node in enumerate(nodes):
         mask = by_input[node.input]
-        for low in output_bits[i]:
-            mask |= by_output[low]
+        for y in outputs[i]:
+            mask |= by_output[y]
         adj.append(mask & ~(1 << i))
-    return tuple(adj)
+    return tuple(adj), tuple(by_input), tuple(by_output)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +202,34 @@ class _CeilingReached(Exception):
     pass
 
 
-def _bounded_independent_set(adj: Sequence[int], floor: int, ceiling: int) -> tuple[int, int]:
+def _bounded_independent_set(
+    adj: Sequence[int], floor: int, ceiling: int, graph: MaxOneShotGraph | None = None
+) -> tuple[int, int]:
     """The search of ``max_independent_set`` for a caller that knows
     floor <= alpha <= ceiling: the incumbent starts at ``floor`` (mask 0,
     no witness), so only larger sets are sought, and the search stops at
     the first set of ``ceiling`` members.  Returns alpha and a witness
-    mask, which is 0 when alpha == floor."""
+    mask, which is 0 when alpha == floor.
+
+    Given the conflict ``graph`` that ``adj`` belongs to, the search also
+    prunes with a packing bound: the members still to come take distinct
+    inputs and pairwise-disjoint, non-empty output sets among the L outputs
+    that some candidate still covers, so no more of them fit than the
+    smallest candidate sizes of the live inputs, taken in increasing order
+    while their sum stays at most L.  Nodes sort by input, then by size, so
+    an input's smallest candidate is its lowest candidate bit.  Both bounds
+    prune only branches that cannot beat the incumbent, and the incumbent
+    changes only on a strict improvement, so the size and the mask are
+    those of the colouring bound alone.
+    """
     best_size = floor
     best_mask = 0
+    if graph is None:
+        inputs = outputs = sizes = ()
+    else:
+        inputs = [m for m in graph.input_nodes if m]
+        outputs = [m for m in graph.output_nodes if m]
+        sizes = [node.mask.bit_count() for node in graph.nodes]
 
     def expand(r_size: int, r_mask: int, cand: int) -> None:
         nonlocal best_size, best_mask
@@ -196,6 +239,25 @@ def _bounded_independent_set(adj: Sequence[int], floor: int, ceiling: int) -> tu
                 if best_size >= ceiling:
                     raise _CeilingReached
             return
+        if inputs:
+            smallest = []
+            for m in inputs:
+                m &= cand
+                if m:
+                    smallest.append(sizes[(m & -m).bit_length() - 1])
+            room = 0
+            for m in outputs:
+                if m & cand:
+                    room += 1
+            smallest.sort()
+            fit = 0
+            for size in smallest:
+                room -= size
+                if room < 0:
+                    break
+                fit += 1
+            if r_size + fit <= best_size:
+                return
         # Greedy colouring: vertices in colour class c cannot extend an
         # independent set by more than c, so colour numbers bound the branches.
         order: list[int] = []
@@ -235,7 +297,7 @@ def _witness_from_mask(nodes: tuple[OneShotNode, ...], mask: int) -> NodeSetWitn
 
 def independence_number(g: MaxOneShotGraph) -> tuple[int, NodeSetWitness]:
     """Exact independence number of the conflict graph, with a witness."""
-    size, mask = max_independent_set(g.adj)
+    size, mask = _bounded_independent_set(g.adj, 0, g.num_nodes, g)
     return size, _witness_from_mask(g.nodes, mask)
 
 
@@ -338,9 +400,15 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     The branch and bound walks inputs in order, assigning each at most one
     node with dset disjoint from the claimed outputs; for target size k >= 2
     the sparse condition reduces to sum(escapes) <= eps*k, which prunes by
-    escape budget, in integers over the channel's scale.  Nodes padded with
-    zero-probability outputs are skipped: their in-support core has the same
-    escape and blocks fewer outputs.
+    escape budget, in integers over the channel's scale.  Two packing
+    bounds prune too: the members still needed must each take an unclaimed
+    output, and together capture no more than the unclaimed outputs' largest
+    weights over the inputs not yet walked, so a branch stops when there are
+    too few such outputs or when even that mass leaves their escapes over
+    the budget.  Both cut only branches without a solution, so the first
+    solution found, and so the witness, is the one the walk finds without
+    them.  Nodes padded with zero-probability outputs are skipped: their
+    in-support core has the same escape and blocks fewer outputs.
     """
     eps = Fraction(eps)
     if not (0 <= eps <= 1):
@@ -358,16 +426,28 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     for entries in groups:
         entries.sort(key=lambda e: (e[0], e[1]))
 
-    nx = c.num_inputs
+    nx, scale = c.num_inputs, c.scale
+    all_outputs = (1 << c.num_outputs) - 1
+    # ceilings[x][free]: the most mass that members from inputs x.. can
+    # capture within the outputs in free, each output's largest weight
+    # over those inputs
+    ceilings: list[list[int]] = [[]] * nx
+    column_max = [0] * c.num_outputs
+    for x in range(nx - 1, -1, -1):
+        column_max = [max(a, b) for a, b in zip(column_max, c.weights[x])]
+        ceilings[x] = bitsets.subset_masses(column_max)
     for k in range(nx, 1, -1):
-        budget = eps.numerator * k * c.scale // eps.denominator
+        budget = eps.numerator * k * scale // eps.denominator
         chosen: list[int] = []
 
         def dfs(x: int, count: int, esc_sum: int, used: int) -> bool:
             if count == k:
                 return True
-            if count + (nx - x) < k:
-                return False
+            free = all_outputs & ~used
+            if count + min(nx - x, free.bit_count()) < k:
+                return False  # each member takes its own input and an output of free
+            if (k - count) * scale - ceilings[x][free] > budget - esc_sum:
+                return False  # the members still needed escape more than the budget left
             for esc, mask, idx in groups[x]:
                 if esc_sum + esc > budget:
                     break  # entries are escape-sorted

@@ -256,6 +256,26 @@ def test_simulate_command(funnel3_file, tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "scheme must be a JSON object, got list"),
+    ('{"codebook": ["a"], "decoder": [0, 0, 0]}', "scheme codebook[0] = 'a' is not an int"),
+    ('{"codebook": 0, "decoder": [0, 0, 0]}', "scheme 'codebook' must be a list, got int"),
+    ('{"codebook": [0], "decoder": [0.0, 0, 0]}', "scheme decoder[0] = 0.0 is not an int"),
+    ('{"codebook": [0], "decoder": [0, true, 0]}', "scheme decoder[1] = True is not an int"),
+    ('{"codebook": [0]}', "scheme has no 'decoder' field"),
+    ('{"codebook": [0], "decoder": [0, 0]}', "decoder covers 2 outputs, channel has 3"),
+], ids=["list", "string-codeword", "int-codebook", "float-decoder", "bool-decoder",
+        "no-decoder", "short-decoder"])
+def test_simulate_rejects_malformed_scheme(funnel3_file, tmp_path, capsys, text, message):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(text)
+    assert main(["simulate", funnel3_file, "--scheme", str(scheme_path),
+                 "--trials", "5", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gen_funnel(tmp_path, capsys):
     assert main(["gen", "funnel", "--n", "3", "--e", "1/100,1/50"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -163,6 +164,52 @@ def test_bounded_search_finds_alpha_between_floor_and_ceiling():
                 # a witness whenever the search had to beat the floor
                 assert mask.bit_count() == (alpha if alpha > floor else 0)
                 assert all(not adj[v] & mask for v in range(n) if mask >> v & 1)
+
+
+# Mostly more inputs than outputs, at budgets up to 3/4: the regime where
+# the packing bounds (each member needs outputs no other member holds)
+# prune most.
+PACKING_SHAPES = [(8, 6), (10, 6), (6, 4), (5, 3), (8, 2), (4, 4), (3, 5)]
+PACKING_EPS = [F(1, 10), F(1, 4), F(1, 2), F(3, 4)]
+
+
+def packing_channels():
+    return [gen_random(nx, ny, seed=2100 + i, denominator_bound=12)
+            for i, (nx, ny) in enumerate(PACKING_SHAPES * 2)]
+
+
+def test_packing_bound_keeps_size_and_mask():
+    # the conflict graph's search prunes with the packing bound, the plain
+    # adjacency's search without it; both must return the same set
+    for c in packing_channels():
+        for eps in PACKING_EPS:
+            g = build_max_graph(c, eps)
+            size, witness = independence_number(g)
+            mask = sum(1 << i for i in witness.indices)
+            assert (size, mask) == max_independent_set(g.adj)
+            for floor in range(size + 1):
+                for ceiling in (size, c.num_inputs):
+                    assert (_bounded_independent_set(g.adj, floor, ceiling, g)
+                            == _bounded_independent_set(g.adj, floor, ceiling))
+
+
+def test_sparse_output_bound_matches_oracle():
+    # the first copy of each shape whose node sets the oracle can loop over
+    # quickly (at most 2^16 of them)
+    checked = 0
+    for c in packing_channels()[:len(PACKING_SHAPES)]:
+        g = build_avg_graph(c)
+        per_input = [1] * c.num_inputs  # the choice of no node
+        for node in g.nodes:
+            per_input[node.input] += 1
+        if prod(per_input) > 1 << 16:
+            continue
+        for eps in PACKING_EPS[1:]:
+            size, witness = sparse_number(g, eps)
+            assert size == oracle_sparse_number(g, eps)
+            assert is_sparse_set(g, witness.indices, eps)
+        checked += 1
+    assert checked == 4
 
 
 def test_witnesses_always_decode_within_budget():

@@ -10,8 +10,13 @@ budget), on 10 seeded random channels; and a ``generators`` group: ``gen
 random`` from 1x1 up over denominators whose counts share factors, ``gen
 funnel``, ``reduce`` on the 5 named and 10 random cubic graphs,
 ``validate`` on each of those channels written to a file, and
-``simulate`` on the max and avg witness schemes of a few of them.  An
-``errors`` group runs first:
+``simulate`` on the max and avg witness schemes of a few of them; and a
+``wide`` group, where the searches' packing bounds prune most: ``curve
+--metric max`` on two 8x6, 10x6 and 12x8 channels each, ``capacity
+--metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels, and
+``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
+those bounds takes minutes over this group).  An ``errors`` group runs
+first:
 usage errors (a bad epsilon, an unknown ``--metric`` choice, an unknown
 command) and failing ops (a missing file, a row that does not sum to 1,
 ``verify-reduction`` at eps 1/3, ``--engine brute`` past its size limit,
@@ -113,6 +118,31 @@ def _generator_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     return ops
 
 
+def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+    """Ops on channels with many inputs per output, or budgets of 1/2 and
+    more, where the searches' packing bounds prune most."""
+    from oneshotcap.channel import gen_random, serialize_channel
+
+    wide = directory / "wide"
+    wide.mkdir()
+    max_curve = [("curve-max", "curve", ["--metric", "max"])]
+    runs = {
+        (8, 6): max_curve, (10, 6): max_curve, (12, 8): max_curve,
+        (10, 10): [(f"max@{eps}", "capacity", ["--metric", "max", "--epsilon", eps, "--json"])
+                   for eps in ("1/2", "3/4")],
+        (8, 8): [(f"sparse@{eps}", "sparse", ["--epsilon", eps]) for eps in ("1/4", "1/2")],
+    }
+    ops = []
+    for (nx, ny), shape_runs in runs.items():
+        for i in range(2):
+            path = wide / f"random{nx}x{ny}-{i}.txt"
+            path.write_text(serialize_channel(gen_random(nx, ny, SEED + i, 24)),
+                            encoding="utf-8")
+            ops += [("wide", f"{path.stem}/{name}", [command, str(path), *args])
+                    for name, command, args in shape_runs]
+    return ops
+
+
 def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """(group, key, argv) of every op, with the input files written; the
     ``errors`` group comes first."""
@@ -141,7 +171,7 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         for eps in ("0", "1/3", "1/2", "1"):
             ops.append(("graph-dump", f"{path.stem}/sparse@{eps}",
                         ["sparse", str(path), "--epsilon", eps]))
-    return ops
+    return ops + _wide_ops(directory)
 
 
 def _worker(src: str, manifest: str, out: str) -> int:
