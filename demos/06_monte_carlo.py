@@ -1,7 +1,8 @@
 """Monte-Carlo validation of a capacity witness.
 
-Sampling is exact (integer thresholds over the row lcm) and seeded, so a
-report is reproducible bit for bit.  Empirical error rates concentrate
+Sampling is exact (each trial draws u from range(q) and errs when u < p,
+for the codeword's exact error p/q) and seeded, so a report is
+reproducible bit for bit.  Empirical error rates concentrate
 around the exact per-codeword errors at the usual 1/sqrt(trials) scale.
 """
 

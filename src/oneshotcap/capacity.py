@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import bitsets
-from .channel import Channel, FunnelSpec, format_prob
+from .channel import Channel, FunnelSpec, as_prob, format_prob
 from .decoding import (
     Scheme,
     avg_error,
@@ -117,7 +117,7 @@ class CapacityCurve:
                 raise ValueError("breakpoints must increase strictly in both fields")
 
     def value_at(self, eps: Fraction) -> int:
-        eps = _check_eps(eps)
+        eps = as_prob(eps, "eps")
         thresholds = [t for t, _ in self.breakpoints]
         return self.breakpoints[bisect_right(thresholds, eps) - 1][1]
 
@@ -126,13 +126,6 @@ class CapacityCurve:
         for threshold, k in self.breakpoints:
             lines.append(f"{format_prob(threshold)},{k},{render_bits(k)}")
         return "\n".join(lines) + "\n"
-
-
-def _check_eps(eps) -> Fraction:
-    eps = Fraction(eps)
-    if not (0 <= eps <= 1):
-        raise ValueError("eps must be in [0, 1]")
-    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     first codeword.  eps = 1 short-circuits to the full input alphabet (no
     error can exceed 1), where the graph is not defined.
     """
-    eps = _check_eps(eps)
+    eps = as_prob(eps, "eps")
     if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return CapacityResult(METRIC_MAX, eps, c.num_inputs, scheme)
@@ -174,7 +167,7 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
     codebooks in lexicographic order; the first admissible codebook wins,
     which makes witnesses deterministic.
     """
-    eps = _check_eps(eps)
+    eps = as_prob(eps, "eps")
     nx = c.num_inputs
     global_captured = _captured(c, range(nx))
     for k in range(nx, 0, -1):
@@ -199,7 +192,7 @@ def funnel_closed_form(spec: FunnelSpec, eps) -> int:
     i+1 through everything that leaks, and no larger codebook survives
     because all other symbols leak into output 0 with mass > eps.
     """
-    eps = _check_eps(eps)
+    eps = as_prob(eps, "eps")
     return bisect_right(spec.e, eps) + 1
 
 
@@ -214,7 +207,7 @@ def brute_force_capacity(c: Channel, metric: str, eps) -> CapacityResult:
     packing, graph, or codebook-search paths beyond the error metrics
     themselves.  Limited to 5x5 channels (decoder count is |codebook|^|Y|).
     """
-    eps = _check_eps(eps)
+    eps = as_prob(eps, "eps")
     metric = normalize_metric(metric)
     nx, ny = c.num_inputs, c.num_outputs
     if nx > _BRUTE_FORCE_LIMIT or ny > _BRUTE_FORCE_LIMIT:

@@ -79,6 +79,29 @@ def parse_prob(token: str, where: str = "probability") -> Fraction:
     return Fraction(*_prob_ratio(token, where))
 
 
+def _as_ratio(value, where: str) -> tuple[int, int]:
+    """The (numerator, denominator) that ``as_prob`` reduces, checked."""
+    if isinstance(value, str):
+        return _prob_ratio(value, where)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(
+            f"{where}: {value!r} is a {type(value).__name__}, "
+            f"not an int, a Fraction or a str"
+        )
+    n, d = value.as_integer_ratio()
+    if not (0 <= n <= d):
+        raise ValueError(f"{where}: {value!r} is outside [0, 1]")
+    return n, d
+
+
+def as_prob(value, where: str = "probability") -> Fraction:
+    """An int, a Fraction or a ``parse_prob`` string as an exact Fraction
+    in [0, 1].  Floats and bools raise ValueError naming their type: a
+    binary float cannot say which side of a rational threshold it means.
+    """
+    return Fraction(*_as_ratio(value, where))
+
+
 def _format_ratio(n: int, d: int) -> str:
     """Render n/d in lowest terms as "p/q", or "p" when the denominator is 1."""
     g = math.gcd(n, d)
@@ -88,16 +111,6 @@ def _format_ratio(n: int, d: int) -> str:
 def format_prob(value: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     return _format_ratio(value.numerator, value.denominator)
-
-
-def _as_ratio(entry, where: str) -> tuple[int, int]:
-    if isinstance(entry, str):
-        return _prob_ratio(entry, where)
-    if not isinstance(entry, (int, Fraction)):
-        raise ValueError(f"{where}: {entry!r} is not an int, a Fraction or a str")
-    if not (0 <= entry <= 1):
-        raise ValueError(f"{where}: {entry!r} is outside [0, 1]")
-    return entry.as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -176,9 +189,9 @@ class Channel:
     def min_mass(self, eps, k: int) -> int:
         """Least integer mass m with m / scale >= k * (1 - eps): k codewords
         keeping mass M have mean error <= eps exactly when M >= m."""
-        eps = Fraction(eps)
-        need = k * self.scale * (eps.denominator - eps.numerator)
-        return -(-need // eps.denominator)
+        n, d = _as_ratio(eps, "eps")
+        need = k * self.scale * (d - n)
+        return -(-need // d)
 
 
 def identity_channel(n: int) -> Channel:

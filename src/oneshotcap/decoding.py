@@ -7,30 +7,24 @@ partition the output alphabet, so the per-codeword decoding error is
 metrics (worst codeword and mean over codewords) are computed as exact
 Fractions.
 
-``enumerate_min_decoding_sets`` is the workhorse behind the capacity
-engines: for an error budget eps, it lists the inclusion-minimal output
-sets that capture at least 1-eps of an input's row mass (integer weights
-against ``Channel.min_mass``).  Only minimal sets matter when packing
-pre-images, since shrinking a pre-image to a minimal subset preserves
-disjointness.
+``minimal_decoding_masks`` is the workhorse behind the capacity engines:
+for an error budget eps, it lists the inclusion-minimal output sets, as
+bitmasks, that capture at least 1-eps of an input's row mass (integer
+weights against ``Channel.min_mass``); ``enumerate_min_decoding_sets`` is
+its sorted tuple form.  Only minimal sets matter when packing pre-images,
+since shrinking a pre-image to a minimal subset preserves disjointness.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import bitsets
-from .channel import Channel, format_prob
+from .channel import Channel, as_prob, format_prob
 
-# Row lcm above which Monte-Carlo sampling falls back from numpy int64
-# arithmetic to Python integers.
-_NUMPY_LCM_LIMIT = 1 << 62
 # Most nodes of a maximum-one-shot graph, and so most minimal decoding sets
 # of one row: the graph holds N ints of N bits once, so N = 2^15 is about
 # 128 MB.
@@ -142,7 +136,8 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
     for every member.  A row with more than ``_MAX_GRAPH_NODE_LIMIT``
     minimal sets raises ValueError.
     """
-    if not (0 <= eps < 1):
+    eps = as_prob(eps, "eps")
+    if eps == 1:
         raise ValueError("eps must be in [0, 1) for minimal decoding sets")
     threshold = c.min_mass(eps, 1)
     row = c.weights[x]
@@ -296,41 +291,22 @@ class SimulationReport:
 def simulate(c: Channel, s: Scheme, trials: int, seed: int) -> SimulationReport:
     """Transmit each codeword `trials` times and report empirical error rates.
 
-    Sampling is exact (integer thresholds over the row lcm, which is
-    ``scale`` over the gcd of the row's weights) and deterministic in the
-    seed.  Rows with small lcm are sampled in bulk via numpy (imported here,
-    on first use); astronomically fine-grained rows fall back to Python ints.
+    A trial only decides whether the codeword is decoded wrongly, which it
+    is with its exact error p/q: the trial draws u from range(q) and counts
+    an error when u < p.  A codeword with error 0 cannot err and takes no
+    draws.  One ``random.Random(seed)`` draws for the codewords in codebook
+    order, so sampling is exact, deterministic in the seed and takes
+    constant memory.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_dims(c, s)
     exact = per_codeword_errors(c, s)
-    thresholds = {}
-    for x in s.codebook:
-        g = math.gcd(c.scale, *c.weights[x])
-        thresholds[x] = list(accumulate(w // g for w in c.weights[x])), c.scale // g
-    use_numpy = all(lcm < _NUMPY_LCM_LIMIT for _, lcm in thresholds.values())
-    rng = np.random.default_rng(seed) if use_numpy else None
-    py_rng = None if use_numpy else random.Random(seed)
-
+    rng = random.Random(seed)
     stats = []
-    for x in s.codebook:
-        cumulative, lcm = thresholds[x]
-        if use_numpy:
-            draws = rng.integers(0, lcm, size=trials, dtype=np.int64)
-            bins = np.searchsorted(np.array(cumulative, dtype=np.int64), draws, side="right")
-            decoded = np.array(s.decoder, dtype=np.int64)[bins]
-            errors = int(np.count_nonzero(decoded != x))
-        else:
-            errors = 0
-            for _ in range(trials):
-                u = py_rng.randrange(lcm)
-                y = bisect_right(cumulative, u)
-                if s.decoder[y] != x:
-                    errors += 1
-        stats.append(CodewordStats(x, trials, errors, exact[x]))
+    for x, error in exact.items():
+        p, q = error.numerator, error.denominator
+        errors = sum(rng.randrange(q) < p for _ in range(trials)) if p else 0
+        stats.append(CodewordStats(x, trials, errors, error))
 
     return SimulationReport(
         trials=trials,

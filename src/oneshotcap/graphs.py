@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bitsets
-from .channel import Channel, format_prob
+from .channel import Channel, as_prob, format_prob
 from .decoding import _MAX_GRAPH_NODE_LIMIT, minimal_decoding_masks
 
 # Node enumeration over every output subset is exponential in |Y|.
@@ -97,7 +97,6 @@ class MaxOneShotGraph:
     reads them for its packing bound.
     """
 
-    epsilon: Fraction
     nodes: tuple[OneShotNode, ...]
     adj: tuple[int, ...]
     input_nodes: tuple[int, ...]
@@ -130,8 +129,8 @@ def build_max_graph(
     limited to channels with at most 12 outputs.  Either way a graph of
     more than ``_MAX_GRAPH_NODE_LIMIT`` nodes is refused with ValueError.
     """
-    eps = Fraction(eps)
-    if not (0 <= eps < 1):
+    eps = as_prob(eps, "eps")
+    if eps == 1:
         raise ValueError("eps must be in [0, 1) for the maximum-one-shot graph")
     if not minimal_only and c.num_outputs > _MAX_GRAPH_OUTPUT_LIMIT:
         raise ValueError(
@@ -151,7 +150,7 @@ def build_max_graph(
                 f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
         nodes.extend(OneShotNode(x, m) for m in masks)
-    return MaxOneShotGraph(eps, tuple(nodes), *_conflict_adjacency(nodes, c))
+    return MaxOneShotGraph(tuple(nodes), *_conflict_adjacency(nodes, c))
 
 
 def _conflict_adjacency(
@@ -384,6 +383,7 @@ def induced_weight_sum(g: AvgOneShotGraph, indices: Sequence[int]) -> Fraction |
 
 def is_sparse_set(g: AvgOneShotGraph, indices: Sequence[int], eps: Fraction) -> bool:
     """Direct definition check: induced weight <= eps * k * (k-1)."""
+    eps = as_prob(eps, "eps")
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise ValueError("witness indices must be distinct")
@@ -391,7 +391,7 @@ def is_sparse_set(g: AvgOneShotGraph, indices: Sequence[int], eps: Fraction) -> 
     if k <= 1:
         return True
     total = induced_weight_sum(g, indices)
-    return total is not None and total <= Fraction(eps) * k * (k - 1)
+    return total is not None and total <= eps * k * (k - 1)
 
 
 def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitness]:
@@ -410,9 +410,7 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     them.  Nodes padded with zero-probability outputs are skipped: their
     in-support core has the same escape and blocks fewer outputs.
     """
-    eps = Fraction(eps)
-    if not (0 <= eps <= 1):
-        raise ValueError("eps must be in [0, 1]")
+    eps = as_prob(eps, "eps")
     if not g.nodes:
         raise ValueError("graph has no nodes")
 

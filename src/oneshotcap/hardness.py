@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import CubicGraph, format_prob, gen_from_cubic_graph
+from .channel import CubicGraph, as_prob, format_prob, gen_from_cubic_graph
 from .decoding import Scheme, max_error, minimal_decoding_masks, scheme_from_disjoint_sets
 from .graphs import max_independent_set
 
@@ -80,11 +80,9 @@ def verify_reduction(g: CubicGraph, eps) -> ReductionReport:
     scheme of size alpha with worst error <= eps.  Either check failing
     raises RuntimeError.  Budgets eps >= 1/3 are rejected.
     """
-    eps = Fraction(eps)
+    eps = as_prob(eps, "eps")
     if eps >= EPS_LIMIT:
         raise ValueError(f"reduction requires eps < 1/3, got {format_prob(eps)}")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
 
     channel = gen_from_cubic_graph(g)
     alpha, graph_witness = graph_independence_number(g)

@@ -7,16 +7,26 @@ from oneshotcap import (
     ChannelFormatError,
     CubicGraph,
     FunnelSpec,
+    avg_capacity,
+    build_avg_graph,
+    build_max_graph,
+    capacity_curve,
     gen_from_cubic_graph,
     gen_funnel,
     gen_random,
+    is_sparse_set,
+    max_capacity,
     parse_channel,
     parse_cubic_graph,
     parse_prob,
     serialize_channel,
     serialize_cubic_graph,
+    sparse_number,
+    verify_reduction,
 )
 from corpus import random_channels
+from oneshotcap.channel import as_prob
+from oneshotcap.decoding import minimal_decoding_masks
 from oneshotcap.hardness import cubic_k4, cubic_prism
 
 F = Fraction
@@ -107,7 +117,7 @@ def test_parse_error_messages(text, message):
 @pytest.mark.parametrize("build, message", [
     (lambda: Channel.make([[F(1, 2), F(1, 4)]]), "row 0: probabilities sum to 3/4, not 1"),
     (lambda: Channel.make([[F(3, 2), F(-1, 2)]]), "entry (0,0): Fraction(3, 2) is outside [0, 1]"),
-    (lambda: Channel.make([[0.5, 0.5]]), "entry (0,0): 0.5 is not an int, a Fraction or a str"),
+    (lambda: Channel.make([[0.5, 0.5]]), "entry (0,0): 0.5 is a float, not an int, a Fraction or a str"),
     (lambda: Channel.make(((F(1, 2), F(1, 4)),)), "row 0: probabilities sum to 3/4, not 1"),
     (lambda: Channel.make(((F(1), F(0)), (F(1, 3), F(1, 3)))),
      "row 1: probabilities sum to 2/3, not 1"),
@@ -117,12 +127,12 @@ def test_parse_error_messages(text, message):
     (lambda: Channel.make(((F(1), F(0)), (F(1, 2), F(-1, 2)))),
      "entry (1,1): Fraction(-1, 2) is outside [0, 1]"),
     (lambda: Channel.make(((0.5, 0.5), (0.1, 0.9))),
-     "entry (0,0): 0.5 is not an int, a Fraction or a str"),
+     "entry (0,0): 0.5 is a float, not an int, a Fraction or a str"),
     # the first fault in row-major order is named, whatever its kind
     (lambda: Channel.make(((F(3, 2), F(-1, 2)), (0.5, 0.5))),
      "entry (0,0): Fraction(3, 2) is outside [0, 1]"),
     (lambda: Channel.make(((F(1), 0.0), (F(1),))),
-     "entry (0,1): 0.0 is not an int, a Fraction or a str"),
+     "entry (0,1): 0.0 is a float, not an int, a Fraction or a str"),
     (lambda: Channel.make(((F(1), F(0)), (F(1),), (F(2), F(-1)))),
      "row 1: expected 2 entries, got 1"),
     (lambda: Channel.make(((F(1, 2), F(1, 2)), (F(2), F(-1)))),
@@ -172,15 +182,51 @@ def test_channel_validation():
 
 def test_channel_rejects_float_entries():
     # 0.1 + 0.9 == Fraction(1), so only the type check keeps binary floats out
-    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int, a Fraction or a str"):
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is a float, not an int, a Fraction or a str"):
         Channel.make(((0.5, 0.5), (0.1, 0.9)))
     with pytest.raises(ValueError, match=r"entry \(1,1\): 0\.9"):
         Channel.make(((F(1, 2), F(1, 2)), (F(1, 10), 0.9)))
     # the float is named whether it is a binary fraction or not
-    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is not an int, a Fraction or a str"):
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.5 is a float, not an int, a Fraction or a str"):
         Channel.make([[0.5, 0.5]])
-    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.1 is not an int, a Fraction or a str"):
+    with pytest.raises(ValueError, match=r"entry \(0,0\): 0\.1 is a float, not an int, a Fraction or a str"):
         Channel.make([[0.1, 0.9]])
+
+
+_EPS_C = gen_random(4, 4, 1, 24)
+_EPS_ENTRIES = {
+    "max_capacity": lambda eps: max_capacity(_EPS_C, eps),
+    "avg_capacity": lambda eps: avg_capacity(_EPS_C, eps),
+    "curve_value_at": lambda eps: capacity_curve(_EPS_C, "max").value_at(eps),
+    "build_max_graph": lambda eps: build_max_graph(_EPS_C, eps),
+    "minimal_decoding_masks": lambda eps: minimal_decoding_masks(_EPS_C, 0, eps),
+    "sparse_number": lambda eps: sparse_number(build_avg_graph(_EPS_C), eps),
+    "is_sparse_set": lambda eps: is_sparse_set(build_avg_graph(_EPS_C), [0, 1], eps),
+    "verify_reduction": lambda eps: verify_reduction(cubic_k4(), eps),
+    "min_mass": lambda eps: _EPS_C.min_mass(eps, 1),
+}
+
+
+@pytest.mark.parametrize("eps, kind", [(0.1, "float"), (True, "bool")], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(_EPS_ENTRIES))
+def test_eps_rejects_floats_and_bools(entry, eps, kind):
+    # Fraction(0.1) and Fraction(True) would solve at 3602879701896397/2^55 and at 1
+    with pytest.raises(ValueError, match=f"^eps: {eps!r} is a {kind}, not an int"):
+        _EPS_ENTRIES[entry](eps)
+
+
+def test_as_prob():
+    assert as_prob(0) == 0 and as_prob(1) == 1
+    assert as_prob(F(1, 3)) == as_prob("1/3") == as_prob(" 2/6 ") == F(1, 3)
+    assert as_prob("0.25") == F(1, 4)
+    with pytest.raises(ValueError, match=r"^eps: Fraction\(4, 3\) is outside \[0, 1\]$"):
+        as_prob(F(4, 3), "eps")
+    with pytest.raises(ValueError, match=r"^probability: -1 is outside \[0, 1\]$"):
+        as_prob(-1)
+    with pytest.raises(ChannelFormatError, match="is not a p/q fraction"):
+        as_prob("1e-1")
+    with pytest.raises(ValueError, match="^probability: None is a NoneType, not"):
+        as_prob(None)
 
 
 def test_integer_weights_over_one_denominator():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from oneshotcap import (
+    Channel,
     Scheme,
     avg_error,
     enumerate_min_decoding_sets,
@@ -237,10 +239,8 @@ def test_simulate_validates_inputs(funnel3):
         simulate(funnel3, FUNNEL3_SCHEME, trials=0, seed=1)
 
 
-def test_simulate_huge_lcm_uses_exact_fallback():
-    # row lcm beyond int64 forces the Python-integer sampling path
-    from oneshotcap import Channel
-
+def test_simulate_huge_denominator_is_exact():
+    # exact errors with denominators beyond 2^64 are drawn as Python ints
     p = F(1, 2**70)
     c = Channel.make([[1 - p, p], [F(0), F(1)]])
     s = Scheme((0, 1), (0, 1))
@@ -251,13 +251,41 @@ def test_simulate_huge_lcm_uses_exact_fallback():
     assert a.per_codeword[1].errors == 0
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy is only needed by simulate, which imports it on first use
+def test_simulate_rate_at_a_denominator_beyond_64_bits():
+    error = F(1, 2) - F(1, 2**70)
+    c = Channel.make([[1 - error, error], [F(0), F(1)]])
+    trials = 20_000
+    stats = simulate(c, Scheme((0, 1), (0, 1)), trials=trials, seed=11).per_codeword[0]
+    assert stats.exact_error == error and error.denominator > 2**64
+    p = float(error)
+    assert abs(stats.error_rate - p) <= 4 * (p * (1 - p) / trials) ** 0.5
+
+
+def test_simulate_runs_with_numpy_blocked():
+    # the package and its CLI import and sample with the standard library only
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, oneshotcap, oneshotcap.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import oneshotcap, oneshotcap.cli\n"
+        "c = oneshotcap.Channel.make([['1/2', '1/2'], [0, 1]])\n"
+        "s = oneshotcap.Scheme((0, 1), (0, 1))\n"
+        "r = oneshotcap.simulate(c, s, trials=100, seed=1)\n"
+        "print(r.exact_max, 0 < r.per_codeword[0].errors < 100)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "1/2 True"
+
+
+def test_simulate_memory_does_not_grow_with_trials(funnel3):
+    simulate(funnel3, FUNNEL3_SCHEME, trials=10, seed=1)  # warm caches
+    tracemalloc.start()
+    try:
+        simulate(funnel3, FUNNEL3_SCHEME, trials=200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
