@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 # Byte b -> 255 - (b with its 8 bits in reverse order); see canonical_order.
@@ -22,13 +23,11 @@ def outputs_of(mask: int) -> tuple[int, ...]:
 
 
 def subset_masses(row: Sequence[int]) -> list[int]:
-    """mass[mask] for every output subset of an integer weight row, via the
-    lowest-set-bit recursion."""
-    n = len(row)
-    masses = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        masses[mask] = masses[mask ^ low] + row[low.bit_length() - 1]
+    """mass[mask] for every output subset of an integer weight row, by
+    doubling: the subsets holding output y are those without it, plus y."""
+    masses = [0]
+    for w in row:
+        masses += [m + w for m in masses]
     return masses
 
 
@@ -55,3 +54,30 @@ def canonical_order(masks: Sequence[int], width: int) -> list[int]:
 def all_masks(width: int) -> tuple[int, ...]:
     """Every nonempty mask of ``width`` bits, in ``canonical_order``."""
     return tuple(canonical_order(range(1, 1 << width), width))
+
+
+def count_preceding(mask: int, within: int) -> int:
+    """How many nonempty subsets of ``within`` precede ``mask`` in
+    ``canonical_order``, counted without listing them.
+
+    The smaller sizes count whole.  A subset T of mask's size precedes it
+    when the lowest output y where they differ is in T: T agrees with mask
+    below y, holds y, and takes its other members from ``within`` above y.
+    """
+    size = mask.bit_count()
+    left = within.bit_count()  # outputs of within at y or above
+    count = sum(math.comb(left, j) for j in range(1, size))
+    taken = 0  # members of mask below y
+    y = 0
+    while taken < size:
+        bit = 1 << y
+        if within & bit:
+            left -= 1
+            if mask & bit:
+                taken += 1
+            else:
+                count += math.comb(left, size - taken - 1)
+        elif mask & bit:
+            break  # no subset of within agrees with mask past y
+        y += 1
+    return count

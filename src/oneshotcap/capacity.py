@@ -268,6 +268,7 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             settle(mid, hi)
 
         settle(0, last)
+        del settle  # it holds itself through its closure; free its work by refcount
         sizes = {thresholds[i]: k for i, k in known.items()}
     else:
         if c.num_inputs > _CURVE_SWEEP_LIMIT:

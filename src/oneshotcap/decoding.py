@@ -166,6 +166,7 @@ def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
         dfs(i + 1, mass, mask, lightest)
 
     dfs(0, 0, 0, c.scale)
+    del dfs  # it holds itself through its closure; free its work by refcount
     return found
 
 

@@ -15,13 +15,17 @@ Two graphs drive the two capacity metrics:
   pair counted once) corresponds to a scheme with average error <= eps.
 
 A node holds its input and its output set D as a bitmask; the output tuple
-is derived from the mask on demand (witnesses, dumps), never stored.
+is derived from the mask on demand (witnesses, dumps), never stored.  The
+average graph holds only its channel and builds its node list when read.
 
 For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
 member escapes; the sparse condition is then equivalent to
 sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
-form, with the escapes as integers over the channel's scale.
+form, with the escapes as integers over the channel's scale, over each
+input's subsets of its support: a node padded with zero-probability
+outputs has its in-support core's escape and blocks more outputs, so it is
+never needed.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
@@ -47,6 +51,7 @@ searched with the colouring bound alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -285,6 +290,7 @@ def _bounded_independent_set(
         expand(0, 0, (1 << len(adj)) - 1)
     except _CeilingReached:
         pass
+    del expand  # it holds itself through its closure; free its work by refcount
     return best_size, best_mask
 
 
@@ -308,6 +314,12 @@ def independence_number(g: MaxOneShotGraph) -> tuple[int, NodeSetWitness]:
 class AvgOneShotGraph:
     """Complete weighted graph over positive-mass decoding sets.
 
+    The nodes are each input's output sets that meet its support, inputs
+    in order and each input's sets in ``bitsets.canonical_order``.  The
+    graph holds only its channel: ``nodes`` and ``masses`` are views built
+    on first read, and ``node_index`` and ``num_nodes`` are counted without
+    them, so ``sparse_number`` never builds a node.
+
     Edge weights are implicit: conflicting nodes (shared input or
     intersecting dsets) are joined with infinite weight, every other pair
     weighs the sum of the two escape masses.  ``edge_weight`` returns None
@@ -315,12 +327,34 @@ class AvgOneShotGraph:
     """
 
     channel: Channel
-    nodes: tuple[OneShotNode, ...]
-    masses: tuple[int, ...]  # node i captures masses[i] / channel.scale of its row
+
+    @cached_property
+    def nodes(self) -> tuple[OneShotNode, ...]:
+        masks = bitsets.all_masks(self.channel.num_outputs)
+        nodes: list[OneShotNode] = []
+        for x in range(self.channel.num_inputs):
+            support = self.channel.support_mask(x)
+            nodes.extend(OneShotNode(x, m) for m in masks if m & support)
+        return tuple(nodes)
+
+    @cached_property
+    def masses(self) -> tuple[int, ...]:
+        """Node i captures masses[i] / channel.scale of its row."""
+        masks = bitsets.all_masks(self.channel.num_outputs)
+        out: list[int] = []
+        for row in self.channel.weights:
+            row_masses = bitsets.subset_masses(row)
+            out.extend(row_masses[m] for m in masks if row_masses[m])
+        return tuple(out)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return sum(map(self._row_size, range(self.channel.num_inputs)))
+
+    def _row_size(self, x: int) -> int:
+        """How many nodes input x has: the masks that meet its support."""
+        ny = self.channel.num_outputs
+        return (1 << ny) - (1 << ny - self.channel.support_mask(x).bit_count())
 
     @property
     def escapes(self) -> tuple[Fraction, ...]:
@@ -341,11 +375,20 @@ class AvgOneShotGraph:
         return Fraction(2 * scale - self.masses[i] - self.masses[j], scale)
 
     def node_index(self, x: int, outputs: Sequence[int]) -> int:
-        target = sum(1 << y for y in set(outputs))
-        for i, node in enumerate(self.nodes):
-            if node.input == x and node.mask == target:
-                return i
-        raise KeyError(f"no node ({x}, {tuple(sorted(outputs))})")
+        """Index of node (x, outputs): the nodes of the inputs before x,
+        then the masks before this one in ``canonical_order`` that meet x's
+        support.  KeyError when (x, outputs) is not a node."""
+        c = self.channel
+        ny = c.num_outputs
+        if not 0 <= x < c.num_inputs or not all(0 <= y < ny for y in outputs):
+            raise KeyError(f"no node ({x}, {tuple(sorted(outputs))})")
+        mask = sum(1 << y for y in set(outputs))
+        support = c.support_mask(x)
+        if not mask & support:
+            raise KeyError(f"no node ({x}, {tuple(sorted(outputs))})")
+        full = (1 << ny) - 1
+        rank = bitsets.count_preceding(mask, full) - bitsets.count_preceding(mask, full & ~support)
+        return sum(self._row_size(u) for u in range(x)) + rank
 
 
 def build_avg_graph(c: Channel) -> AvgOneShotGraph:
@@ -356,15 +399,7 @@ def build_avg_graph(c: Channel) -> AvgOneShotGraph:
             f"average-one-shot graph needs <= {_AVG_GRAPH_OUTPUT_LIMIT} outputs, "
             f"channel has {c.num_outputs}"
         )
-    nodes = []
-    masses = []
-    for x in range(c.num_inputs):
-        row_masses = bitsets.subset_masses(c.weights[x])
-        for mask in bitsets.all_masks(c.num_outputs):
-            if row_masses[mask]:
-                nodes.append(OneShotNode(x, mask))
-                masses.append(row_masses[mask])
-    return AvgOneShotGraph(c, tuple(nodes), tuple(masses))
+    return AvgOneShotGraph(c)
 
 
 def induced_weight_sum(g: AvgOneShotGraph, indices: Sequence[int]) -> Fraction | None:
@@ -407,24 +442,26 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     too few such outputs or when even that mass leaves their escapes over
     the budget.  Both cut only branches without a solution, so the first
     solution found, and so the witness, is the one the walk finds without
-    them.  Nodes padded with zero-probability outputs are skipped: their
-    in-support core has the same escape and blocks fewer outputs.
+    them.
+
+    The search reads per-input tables, not ``g.nodes``: each input's
+    nonempty subsets of its support, as (escape, mask) sorted by escape,
+    then mask.  A node padded with zero-probability outputs is left out: its
+    in-support core has the same escape and blocks fewer outputs.  Sets
+    escaping more than the largest budget are left out too, since no branch
+    can take them.  The witness names its nodes by ``g.node_index``.
     """
     eps = as_prob(eps, "eps")
-    if not g.nodes:
-        raise ValueError("graph has no nodes")
-
     c = g.channel
-    supports = [c.support_mask(x) for x in range(c.num_inputs)]
-    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(c.num_inputs)]
-    for i, node in enumerate(g.nodes):
-        if node.mask & ~supports[node.input]:
-            continue
-        groups[node.input].append((c.scale - g.masses[i], node.mask, i))
-    for entries in groups:
-        entries.sort(key=lambda e: (e[0], e[1]))
-
     nx, scale = c.num_inputs, c.scale
+    least_mass = scale - eps.numerator * nx * scale // eps.denominator
+    groups: list[list[tuple[int, int]]] = []
+    for x, row in enumerate(c.weights):
+        support = c.support_mask(x)
+        masses = bitsets.subset_masses(row)
+        groups.append(sorted((scale - m, mask) for mask, m in enumerate(masses)
+                             if m >= least_mass and mask and not mask & ~support))
+
     all_outputs = (1 << c.num_outputs) - 1
     # ceilings[x][free]: the most mass that members from inputs x.. can
     # capture within the outputs in free, each output's largest weight
@@ -434,36 +471,42 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     for x in range(nx - 1, -1, -1):
         column_max = [max(a, b) for a, b in zip(column_max, c.weights[x])]
         ceilings[x] = bitsets.subset_masses(column_max)
+    chosen: list[tuple[int, int]] = []  # (input, mask) of the members so far
+    k = budget = 0
+
+    def dfs(x: int, count: int, esc_sum: int, used: int) -> bool:
+        if count == k:
+            return True
+        free = all_outputs & ~used
+        if count + min(nx - x, free.bit_count()) < k:
+            return False  # each member takes its own input and an output of free
+        if (k - count) * scale - ceilings[x][free] > budget - esc_sum:
+            return False  # the members still needed escape more than the budget left
+        for esc, mask in groups[x]:
+            if esc_sum + esc > budget:
+                break  # entries are escape-sorted
+            if mask & used:
+                continue
+            chosen.append((x, mask))
+            if dfs(x + 1, count + 1, esc_sum + esc, used | mask):
+                return True
+            chosen.pop()
+        return dfs(x + 1, count, esc_sum, used)
+
     for k in range(nx, 1, -1):
         budget = eps.numerator * k * scale // eps.denominator
-        chosen: list[int] = []
-
-        def dfs(x: int, count: int, esc_sum: int, used: int) -> bool:
-            if count == k:
-                return True
-            free = all_outputs & ~used
-            if count + min(nx - x, free.bit_count()) < k:
-                return False  # each member takes its own input and an output of free
-            if (k - count) * scale - ceilings[x][free] > budget - esc_sum:
-                return False  # the members still needed escape more than the budget left
-            for esc, mask, idx in groups[x]:
-                if esc_sum + esc > budget:
-                    break  # entries are escape-sorted
-                if mask & used:
-                    continue
-                chosen.append(idx)
-                if dfs(x + 1, count + 1, esc_sum + esc, used | mask):
-                    return True
-                chosen.pop()
-            return dfs(x + 1, count, esc_sum, used)
-
         if dfs(0, 0, 0, 0):
-            mask = 0
-            for i in chosen:
-                mask |= 1 << i
-            return k, _witness_from_mask(g.nodes, mask)
-    # Singletons are always sparse: k*(k-1) = 0 bounds an empty edge set.
-    return 1, _witness_from_mask(g.nodes, 1)
+            break
+    del dfs  # it holds itself through its closure; free the tables by refcount
+    if not chosen:
+        # Singletons are always sparse: k*(k-1) = 0 bounds an empty edge
+        # set.  The witness is node 0: input 0's first mask that meets its
+        # support, its lowest output of positive probability.
+        support = c.support_mask(0)
+        chosen = [(0, support & -support)]
+    pairs = tuple((x, bitsets.outputs_of(mask)) for x, mask in chosen)
+    indices = tuple(g.node_index(x, outputs) for x, outputs in pairs)
+    return len(chosen), NodeSetWitness(indices, pairs)
 
 
 # ---------------------------------------------------------------------------

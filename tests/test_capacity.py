@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -12,14 +13,18 @@ from oneshotcap import (
     build_avg_graph,
     build_max_graph,
     capacity_curve,
+    enumerate_min_decoding_sets,
     funnel_closed_form,
     gen_funnel,
     gen_random,
+    gen_random_cubic,
     identity_channel,
+    independence_number,
     max_capacity,
     max_error,
     scheme_from_disjoint_sets,
     sparse_number,
+    verify_reduction,
 )
 from corpus import random_channels
 from oracles import oracle_capacity, oracle_curve_max, oracle_packing
@@ -273,3 +278,34 @@ def test_curve_csv_format(funnel3):
     assert lines[1] == "0,1,0.000000000000"
     assert lines[2] == "1/100,2,1.000000000000"
     assert lines[3].startswith("1/50,3,1.584962500721")
+
+
+# ---------------------------------------------------------------------------
+# Memory: every search frees its work by refcount
+# ---------------------------------------------------------------------------
+
+_GC_CHANNEL = gen_random(6, 8, 3, 24)
+_GC_SEARCHES = {
+    "sparse_number": lambda: sparse_number(build_avg_graph(_GC_CHANNEL), F(1, 3)),
+    "max_capacity": lambda: max_capacity(_GC_CHANNEL, F(1, 3)),
+    "avg_capacity": lambda: avg_capacity(_GC_CHANNEL, F(1, 3)),
+    "curve-max": lambda: capacity_curve(_GC_CHANNEL, "max"),
+    "curve-avg": lambda: capacity_curve(_GC_CHANNEL, "avg"),
+    "independence_number": lambda: independence_number(build_max_graph(_GC_CHANNEL, F(1, 2))),
+    "enumerate_min_decoding_sets": lambda: enumerate_min_decoding_sets(_GC_CHANNEL, 0, F(1, 3)),
+    "verify_reduction": lambda: verify_reduction(gen_random_cubic(20, 1), F(1, 4)),
+}
+
+
+@pytest.mark.parametrize("search", _GC_SEARCHES.values(), ids=_GC_SEARCHES.keys())
+def test_search_leaves_no_cyclic_garbage(search):
+    """A search's tables go when it returns, not at the next cyclic
+    collection: a self-referencing closure would keep them alive."""
+    search()  # fill the module-level caches first
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -280,6 +280,25 @@ def test_canonical_order_is_size_then_lexicographic():
         assert bitsets.canonical_order(masks, width) == expected
 
 
+def test_count_preceding_counts_earlier_subsets_in_canonical_order():
+    for width in range(7):
+        order = bitsets.all_masks(width)
+        for within in range(1 << width):
+            earlier = 0
+            for mask in order:
+                assert bitsets.count_preceding(mask, within) == earlier
+                earlier += mask & within == mask
+
+
+def test_subset_masses_sum_each_mask():
+    rng = random.Random(17)
+    for width in range(11):
+        row = [rng.choice([0, 0, 1, 3, 10**20]) for _ in range(width)]
+        expected = [sum(w for y, w in enumerate(row) if mask >> y & 1)
+                    for mask in range(1 << width)]
+        assert bitsets.subset_masses(row) == expected
+
+
 def test_avg_graph_fields_match_oracle():
     # escapes of 1/2 over a scale of 4, and a zero entry
     halves = Channel.make([["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"]])

@@ -96,6 +96,36 @@ def test_engines_match_brute_force(c, data):
     check_engines(c, data.draw(st.sampled_from(eps_candidates(c)), label="eps"))
 
 
+def has_zero(c: Channel) -> bool:
+    return any(0 in row for row in c.weights)
+
+
+@SETTINGS
+@given(channels().filter(has_zero))
+def test_node_index_inverts_the_node_list(c):
+    g = build_avg_graph(c)
+    assert g.num_nodes == len(g.nodes)
+    for i, node in enumerate(g.nodes):
+        assert g.node_index(node.input, node.outputs) == i
+    nx, ny = c.num_inputs, c.num_outputs
+    missing = [(x, (y,)) for x in range(nx) for y in range(ny) if not c.weights[x][y]]
+    missing += [(0, ()), (0, (ny,)), (0, (0, ny)), (0, (-1,)), (nx, (0,)), (-1, (0,))]
+    for x, outputs in missing:
+        with pytest.raises(KeyError):
+            g.node_index(x, outputs)
+
+
+@SETTINGS
+@given(channels().filter(has_zero), st.data())
+def test_sparse_witness_indices_name_its_pairs(c, data):
+    g = build_avg_graph(c)
+    eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
+    size, witness = sparse_number(g, eps)
+    assert len(witness.indices) == size
+    assert [(g.nodes[i].input, g.nodes[i].outputs) for i in witness.indices] == \
+        list(witness.pairs)
+
+
 @SETTINGS
 @given(channels())
 def test_max_curve_matches_oracle(c):

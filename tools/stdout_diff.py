@@ -15,7 +15,10 @@ funnel``, ``reduce`` on the 5 named and 10 random cubic graphs,
 --metric max`` on two 8x6, 10x6 and 12x8 channels each, ``capacity
 --metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels, and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
-those bounds takes minutes over this group).  An ``errors`` group runs
+those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
+and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
+denominator 4, two channels with zero entries whose sparse numbers run from
+2 to 6, so their witnesses name nodes past the first.  An ``errors`` group runs
 first:
 usage errors (a bad epsilon, an unknown ``--metric`` choice, an unknown
 command) and failing ops (a missing file, a row that does not sum to 1,
@@ -121,7 +124,7 @@ def _generator_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """Ops on channels with many inputs per output, or budgets of 1/2 and
     more, where the searches' packing bounds prune most."""
-    from oneshotcap.channel import gen_random, serialize_channel
+    from oneshotcap.channel import gen_random, identity_channel, serialize_channel
 
     wide = directory / "wide"
     wide.mkdir()
@@ -140,6 +143,12 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
                             encoding="utf-8")
             ops += [("wide", f"{path.stem}/{name}", [command, str(path), *args])
                     for name, command, args in shape_runs]
+    for name, c in (("identity6", identity_channel(6)),
+                    ("random6x6d4", gen_random(6, 6, SEED, 4))):
+        path = wide / f"{name}.txt"
+        path.write_text(serialize_channel(c), encoding="utf-8")
+        ops += [("wide", f"{name}/sparse@{eps}", ["sparse", str(path), "--epsilon", eps])
+                for eps in ("0", "1/4", "1/2")]
     return ops
 
 
