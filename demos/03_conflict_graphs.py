@@ -26,8 +26,9 @@ print(f"exhaustive graph at eps = {eps}: {g.num_nodes} nodes")
 print(dump_graph(g), end="")
 
 size, witness = independence_number(g)
+pairs = [(node.input, node.outputs) for node in witness]
 print("\nindependence number:", size)
-print("witness nodes:", witness.to_json_list())
+print("witness nodes:", [[x, list(outputs)] for x, outputs in pairs])
 
 # Restricting nodes to inclusion-minimal decoding sets shrinks the graph
 # without changing the answer: a set can always be shrunk in place.
@@ -35,8 +36,9 @@ g_min = build_max_graph(c, eps, minimal_only=True)
 size_min, _ = independence_number(g_min)
 print(f"\nminimal-set graph: {g_min.num_nodes} nodes, same alpha = {size_min}")
 
-# The witness converts into a working scheme: claimed outputs decode to
-# their input, leftovers to the first codeword.
-scheme = scheme_from_disjoint_sets(c, witness.pairs)
+# The witness, a tuple of (input, decoding set) nodes, converts into a
+# working scheme: claimed outputs decode to their input, leftovers to the
+# first codeword.
+scheme = scheme_from_disjoint_sets(c, pairs)
 print("\nscheme from witness:", scheme)
 print("worst error:", max_error(c, scheme), "<=", eps)

@@ -5,13 +5,15 @@ worst-case metric, but two under the mean metric: one codeword runs
 error-free and subsidizes the other.  The weighted conflict graph tells
 the same story through eps-sparse sets: finite edge weights add the two
 escape masses, and a set is eps-sparse when its induced weight stays
-within eps * k * (k-1).
+within eps * k * (k-1).  A node is an (input, decoding set) pair, with
+the set held as a bitmask of outputs.
 """
 
 from fractions import Fraction
 
 from oneshotcap import (
     FunnelSpec,
+    OneShotNode,
     avg_capacity,
     avg_error,
     build_avg_graph,
@@ -33,18 +35,19 @@ print("avg witness:", result.witness, "mean error:", avg_error(c, result.witness
 g = build_avg_graph(c)
 print(f"\nweighted graph: {g.num_nodes} nodes (positive-mass decoding sets)")
 
-i = g.node_index(1, (1,))
-j = g.node_index(2, (0, 2))
+a = OneShotNode(1, 0b010)  # input 1 decoded from output 1
+b = OneShotNode(2, 0b101)  # input 2 decoded from outputs 0 and 2
 print("pair (1,{1}) + (2,{0,2}):",
-      "weight", induced_weight_sum(g, [i, j]),
+      "weight", induced_weight_sum(g, [a, b]),
       "budget", eps * 2 * 1,
-      "sparse:", is_sparse_set(g, [i, j], eps))
+      "sparse:", is_sparse_set(g, [a, b], eps))
 
-k = g.node_index(2, (2,))
+b = OneShotNode(2, 0b100)  # input 2 decoded from output 2
 print("pair (1,{1}) + (2,{2}):  ",
-      "weight", induced_weight_sum(g, [i, k]),
+      "weight", induced_weight_sum(g, [a, b]),
       "budget", eps * 2 * 1,
-      "sparse:", is_sparse_set(g, [i, k], eps))
+      "sparse:", is_sparse_set(g, [a, b], eps))
 
 size, witness = sparse_number(g, eps)
-print("\nsparse number:", size, "witness:", witness.to_json_list())
+print("\nsparse number:", size,
+      "witness:", [[node.input, list(node.outputs)] for node in witness])

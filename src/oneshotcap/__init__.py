@@ -41,7 +41,6 @@ from .decoding import (
 from .graphs import (
     AvgOneShotGraph,
     MaxOneShotGraph,
-    NodeSetWitness,
     OneShotNode,
     build_avg_graph,
     build_max_graph,

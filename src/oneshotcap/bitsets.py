@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence
 
 # Byte b -> 255 - (b with its 8 bits in reverse order); see canonical_order.
@@ -11,14 +10,13 @@ _REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def outputs_of(mask: int) -> tuple[int, ...]:
-    """The outputs in a mask, in increasing order."""
+    """The set bits of a non-negative mask (a set's outputs, or a node
+    set's members), in increasing order."""
     out = []
-    y = 0
     while mask:
-        if mask & 1:
-            out.append(y)
-        mask >>= 1
-        y += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -54,30 +52,3 @@ def canonical_order(masks: Sequence[int], width: int) -> list[int]:
 def all_masks(width: int) -> tuple[int, ...]:
     """Every nonempty mask of ``width`` bits, in ``canonical_order``."""
     return tuple(canonical_order(range(1, 1 << width), width))
-
-
-def count_preceding(mask: int, within: int) -> int:
-    """How many nonempty subsets of ``within`` precede ``mask`` in
-    ``canonical_order``, counted without listing them.
-
-    The smaller sizes count whole.  A subset T of mask's size precedes it
-    when the lowest output y where they differ is in T: T agrees with mask
-    below y, holds y, and takes its other members from ``within`` above y.
-    """
-    size = mask.bit_count()
-    left = within.bit_count()  # outputs of within at y or above
-    count = sum(math.comb(left, j) for j in range(1, size))
-    taken = 0  # members of mask below y
-    y = 0
-    while taken < size:
-        bit = 1 << y
-        if within & bit:
-            left -= 1
-            if mask & bit:
-                taken += 1
-            else:
-                count += math.comb(left, size - taken - 1)
-        elif mask & bit:
-            break  # no subset of within agrees with mask past y
-        y += 1
-    return count

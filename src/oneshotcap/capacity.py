@@ -146,7 +146,7 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return CapacityResult(METRIC_MAX, eps, c.num_inputs, scheme)
     size, witness = independence_number(build_max_graph(c, eps))
-    scheme = scheme_from_disjoint_sets(c, witness.pairs)
+    scheme = scheme_from_disjoint_sets(c, [(n.input, n.outputs) for n in witness])
     return CapacityResult(METRIC_MAX, eps, size, scheme)
 
 

@@ -132,7 +132,7 @@ def _cmd_sparse(args) -> int:
     g = build_avg_graph(c)
     size, witness = sparse_number(g, args.epsilon)
     print(f"sparse_number={size}")
-    print(json.dumps(witness.to_json_list()))
+    print(json.dumps([[n.input, list(n.outputs)] for n in witness]))
     return 0
 
 
@@ -142,6 +142,8 @@ def _cmd_graph_dump(args) -> int:
         if args.epsilon is None:
             raise ValueError("--epsilon is required for the max variant")
         g = build_max_graph(c, args.epsilon, minimal_only=args.minimal_only)
+    elif args.epsilon is not None or args.minimal_only:
+        raise ValueError("--epsilon and --minimal-only are for the max variant only")
     else:
         g = build_avg_graph(c)
     _emit(dump_graph(g), args.out)

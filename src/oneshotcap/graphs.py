@@ -14,8 +14,10 @@ Two graphs drive the two capacity metrics:
   An eps-sparse set (induced weight at most eps*k*(k-1), each unordered
   pair counted once) corresponds to a scheme with average error <= eps.
 
-A node holds its input and its output set D as a bitmask; the output tuple
-is derived from the mask on demand (witnesses, dumps), never stored.  The
+A node is the pair itself, ``OneShotNode(input, mask)``: its input x and
+its output set D as a bitmask, the output tuple derived on demand.
+Witnesses are tuples of nodes, and the average graph's methods take nodes;
+only the max graph's adjacency bitmasks name nodes by position.  The
 average graph holds only its channel and builds its node list when read.
 
 For a set with no infinite edges the dsets are pairwise disjoint and the
@@ -53,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import bitsets
@@ -62,6 +65,8 @@ from .decoding import _MAX_GRAPH_NODE_LIMIT, minimal_decoding_masks
 # Node enumeration over every output subset is exponential in |Y|.
 _MAX_GRAPH_OUTPUT_LIMIT = 12
 _AVG_GRAPH_OUTPUT_LIMIT = 10
+# A dump has a line per node and per edge, and the text is built whole.
+_DUMP_LINE_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -76,17 +81,6 @@ class OneShotNode:
     def outputs(self) -> tuple[int, ...]:
         """The outputs in D, in increasing order."""
         return bitsets.outputs_of(self.mask)
-
-
-@dataclass(frozen=True)
-class NodeSetWitness:
-    """Node indices backing a claimed independence / sparsity value."""
-
-    indices: tuple[int, ...]
-    pairs: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def to_json_list(self) -> list:
-        return [[x, list(outputs)] for x, outputs in self.pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +107,6 @@ class MaxOneShotGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)
-
-    def is_independent_set(self, indices: Sequence[int]) -> bool:
-        indices = list(indices)
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                if self.has_edge(indices[a], indices[b]):
-                    return False
-        return True
 
 
 def build_max_graph(
@@ -170,6 +156,8 @@ def _conflict_adjacency(
     for i, node in enumerate(nodes):
         bit = 1 << i
         by_input[node.input] |= bit
+        # bitsets.outputs_of's walk, inlined: this loop runs once per node
+        # of every graph build, and it fills by_output as it goes
         ys = []
         rest = node.mask
         while rest:
@@ -294,16 +282,11 @@ def _bounded_independent_set(
     return best_size, best_mask
 
 
-def _witness_from_mask(nodes: tuple[OneShotNode, ...], mask: int) -> NodeSetWitness:
-    indices = tuple(i for i in range(len(nodes)) if mask >> i & 1)
-    pairs = tuple((nodes[i].input, nodes[i].outputs) for i in indices)
-    return NodeSetWitness(indices, pairs)
-
-
-def independence_number(g: MaxOneShotGraph) -> tuple[int, NodeSetWitness]:
-    """Exact independence number of the conflict graph, with a witness."""
+def independence_number(g: MaxOneShotGraph) -> tuple[int, tuple[OneShotNode, ...]]:
+    """Exact independence number of the conflict graph, with a witness:
+    its members, in node order."""
     size, mask = _bounded_independent_set(g.adj, 0, g.num_nodes, g)
-    return size, _witness_from_mask(g.nodes, mask)
+    return size, tuple(g.nodes[i] for i in bitsets.outputs_of(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +299,9 @@ class AvgOneShotGraph:
 
     The nodes are each input's output sets that meet its support, inputs
     in order and each input's sets in ``bitsets.canonical_order``.  The
-    graph holds only its channel: ``nodes`` and ``masses`` are views built
-    on first read, and ``node_index`` and ``num_nodes`` are counted without
-    them, so ``sparse_number`` never builds a node.
+    graph holds only its channel: ``nodes`` is a view built on first read,
+    ``num_nodes`` is counted without it, and ``mass`` reads each row's
+    table of subset masses, so ``sparse_number`` never builds a node list.
 
     Edge weights are implicit: conflicting nodes (shared input or
     intersecting dsets) are joined with infinite weight, every other pair
@@ -337,58 +320,42 @@ class AvgOneShotGraph:
             nodes.extend(OneShotNode(x, m) for m in masks if m & support)
         return tuple(nodes)
 
-    @cached_property
-    def masses(self) -> tuple[int, ...]:
-        """Node i captures masses[i] / channel.scale of its row."""
-        masks = bitsets.all_masks(self.channel.num_outputs)
-        out: list[int] = []
-        for row in self.channel.weights:
-            row_masses = bitsets.subset_masses(row)
-            out.extend(row_masses[m] for m in masks if row_masses[m])
-        return tuple(out)
-
     @property
     def num_nodes(self) -> int:
-        return sum(map(self._row_size, range(self.channel.num_inputs)))
-
-    def _row_size(self, x: int) -> int:
-        """How many nodes input x has: the masks that meet its support."""
-        ny = self.channel.num_outputs
-        return (1 << ny) - (1 << ny - self.channel.support_mask(x).bit_count())
-
-    @property
-    def escapes(self) -> tuple[Fraction, ...]:
-        """P(Y not in D | X=x) for each node, exactly."""
-        scale = self.channel.scale
-        return tuple(Fraction(scale - m, scale) for m in self.masses)
-
-    def is_conflict(self, i: int, j: int) -> bool:
-        a, b = self.nodes[i], self.nodes[j]
-        return a.input == b.input or bool(a.mask & b.mask)
-
-    def edge_weight(self, i: int, j: int) -> Fraction | None:
-        if i == j:
-            raise ValueError("no self edges")
-        if self.is_conflict(i, j):
-            return None
-        scale = self.channel.scale
-        return Fraction(2 * scale - self.masses[i] - self.masses[j], scale)
-
-    def node_index(self, x: int, outputs: Sequence[int]) -> int:
-        """Index of node (x, outputs): the nodes of the inputs before x,
-        then the masks before this one in ``canonical_order`` that meet x's
-        support.  KeyError when (x, outputs) is not a node."""
+        """Input x has the masks that meet its support: all but the
+        2^(|Y| - |support|) subsets of the other outputs."""
         c = self.channel
         ny = c.num_outputs
-        if not 0 <= x < c.num_inputs or not all(0 <= y < ny for y in outputs):
-            raise KeyError(f"no node ({x}, {tuple(sorted(outputs))})")
-        mask = sum(1 << y for y in set(outputs))
-        support = c.support_mask(x)
-        if not mask & support:
-            raise KeyError(f"no node ({x}, {tuple(sorted(outputs))})")
-        full = (1 << ny) - 1
-        rank = bitsets.count_preceding(mask, full) - bitsets.count_preceding(mask, full & ~support)
-        return sum(self._row_size(u) for u in range(x)) + rank
+        return sum((1 << ny) - (1 << ny - c.support_mask(x).bit_count())
+                   for x in range(c.num_inputs))
+
+    @cached_property
+    def _subset_masses(self) -> tuple[list[int], ...]:
+        return tuple(map(bitsets.subset_masses, self.channel.weights))
+
+    def mass(self, node: OneShotNode) -> int:
+        """The mass the node captures of its row, over ``channel.scale``.
+        ValueError when the pair is not a node: an input or an output out
+        of range, or zero mass."""
+        c = self.channel
+        x, mask = node.input, node.mask
+        m = 0
+        if 0 <= x < c.num_inputs and 0 <= mask < 1 << c.num_outputs:
+            m = self._subset_masses[x][mask]
+        if not m:
+            raise ValueError(f"({x}, mask {mask:#b}) is not a node of the average graph")
+        return m
+
+    def edge_weight(self, a: OneShotNode, b: OneShotNode) -> Fraction | None:
+        """P(Y not in D_a | X=x_a) + P(Y not in D_b | X=x_b), exactly; None
+        when a and b share their input or an output."""
+        mass_a, mass_b = self.mass(a), self.mass(b)
+        if a.input == b.input or a.mask & b.mask:
+            if a == b:
+                raise ValueError("no self edges")
+            return None
+        scale = self.channel.scale
+        return Fraction(2 * scale - mass_a - mass_b, scale)
 
 
 def build_avg_graph(c: Channel) -> AvgOneShotGraph:
@@ -402,34 +369,34 @@ def build_avg_graph(c: Channel) -> AvgOneShotGraph:
     return AvgOneShotGraph(c)
 
 
-def induced_weight_sum(g: AvgOneShotGraph, indices: Sequence[int]) -> Fraction | None:
+def induced_weight_sum(g: AvgOneShotGraph, nodes: Sequence[OneShotNode]) -> Fraction | None:
     """Total induced edge weight, each unordered pair counted once; None if
-    the set contains an infinite edge."""
-    indices = list(indices)
+    the set contains an infinite edge.  ValueError when a node repeats or
+    is not a node of g."""
+    for node in nodes:
+        g.mass(node)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("the nodes must be distinct")
     total = Fraction(0)
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            w = g.edge_weight(indices[a], indices[b])
-            if w is None:
-                return None
-            total += w
+    for a, b in combinations(nodes, 2):
+        w = g.edge_weight(a, b)
+        if w is None:
+            return None
+        total += w
     return total
 
 
-def is_sparse_set(g: AvgOneShotGraph, indices: Sequence[int], eps: Fraction) -> bool:
-    """Direct definition check: induced weight <= eps * k * (k-1)."""
+def is_sparse_set(g: AvgOneShotGraph, nodes: Sequence[OneShotNode], eps: Fraction) -> bool:
+    """Direct definition check: induced weight <= eps * k * (k-1).
+    ValueError, as in ``induced_weight_sum``, when a node repeats or is
+    not a node of g."""
     eps = as_prob(eps, "eps")
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        raise ValueError("witness indices must be distinct")
-    k = len(indices)
-    if k <= 1:
-        return True
-    total = induced_weight_sum(g, indices)
+    total = induced_weight_sum(g, nodes)
+    k = len(nodes)
     return total is not None and total <= eps * k * (k - 1)
 
 
-def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitness]:
+def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShotNode, ...]]:
     """Largest eps-sparse node set, exactly, with a witness.
 
     The branch and bound walks inputs in order, assigning each at most one
@@ -449,16 +416,16 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     then mask.  A node padded with zero-probability outputs is left out: its
     in-support core has the same escape and blocks fewer outputs.  Sets
     escaping more than the largest budget are left out too, since no branch
-    can take them.  The witness names its nodes by ``g.node_index``.
+    can take them.  The witness is the tuple of its nodes in input order;
+    a size-k answer builds only those k nodes.
     """
     eps = as_prob(eps, "eps")
     c = g.channel
     nx, scale = c.num_inputs, c.scale
     least_mass = scale - eps.numerator * nx * scale // eps.denominator
     groups: list[list[tuple[int, int]]] = []
-    for x, row in enumerate(c.weights):
+    for x, masses in enumerate(g._subset_masses):
         support = c.support_mask(x)
-        masses = bitsets.subset_masses(row)
         groups.append(sorted((scale - m, mask) for mask, m in enumerate(masses)
                              if m >= least_mass and mask and not mask & ~support))
 
@@ -500,13 +467,11 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
     del dfs  # it holds itself through its closure; free the tables by refcount
     if not chosen:
         # Singletons are always sparse: k*(k-1) = 0 bounds an empty edge
-        # set.  The witness is node 0: input 0's first mask that meets its
-        # support, its lowest output of positive probability.
+        # set.  The witness is input 0's first node: the mask of its
+        # lowest output of positive probability.
         support = c.support_mask(0)
         chosen = [(0, support & -support)]
-    pairs = tuple((x, bitsets.outputs_of(mask)) for x, mask in chosen)
-    indices = tuple(g.node_index(x, outputs) for x, outputs in pairs)
-    return len(chosen), NodeSetWitness(indices, pairs)
+    return len(chosen), tuple(OneShotNode(x, mask) for x, mask in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +479,28 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, NodeSetWitnes
 # ---------------------------------------------------------------------------
 
 def dump_graph(g: MaxOneShotGraph | AvgOneShotGraph) -> str:
-    """`node <id> <x> {y,...}` lines, then `edge <i> <j> [weight|inf]` lines."""
-    lines = []
-    for i, node in enumerate(g.nodes):
-        dset = ",".join(str(y) for y in node.outputs)
-        lines.append(f"node {i} {node.input} {{{dset}}}")
-    n = len(g.nodes)
+    """`node <id> <x> {y,...}` lines, then `edge <i> <j> [weight|inf]` lines
+    in order of i, then j.  The lines are counted first, and a dump of
+    more than ``_DUMP_LINE_LIMIT`` is refused with ValueError."""
+    n = g.num_nodes
     if isinstance(g, MaxOneShotGraph):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g.has_edge(i, j):
-                    lines.append(f"edge {i} {j}")
+        count = n + sum(a.bit_count() for a in g.adj) // 2
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = g.edge_weight(i, j)
-                lines.append(f"edge {i} {j} {'inf' if w is None else format_prob(w)}")
+        count = n + n * (n - 1) // 2  # the average graph is complete
+    if count > _DUMP_LINE_LIMIT:
+        raise ValueError(f"graph dump has {count} lines, more than the limit of {_DUMP_LINE_LIMIT}")
+    nodes = g.nodes
+    lines = [f"node {i} {node.input} {{{','.join(map(str, node.outputs))}}}"
+             for i, node in enumerate(nodes)]
+    if isinstance(g, MaxOneShotGraph):
+        for i, a in enumerate(g.adj):
+            lines.extend(f"edge {i} {j}" for j in bitsets.outputs_of(a >> i + 1 << i + 1))
+    else:
+        # a conflict is tested here, so that edge_weight, which checks
+        # that both are nodes, runs only for the finite edges
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes[i + 1:], i + 1):
+                conflict = a.input == b.input or a.mask & b.mask
+                w = "inf" if conflict else format_prob(g.edge_weight(a, b))
+                lines.append(f"edge {i} {j} {w}")
     return "\n".join(lines) + "\n"

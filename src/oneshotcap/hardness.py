@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import bitsets
 from .channel import CubicGraph, as_prob, format_prob, gen_from_cubic_graph
 from .decoding import Scheme, max_error, minimal_decoding_masks, scheme_from_disjoint_sets
 from .graphs import max_independent_set
@@ -63,7 +64,7 @@ def _vertex_adjacency(g: CubicGraph) -> list[int]:
 def graph_independence_number(g: CubicGraph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set of the plain graph."""
     size, mask = max_independent_set(_vertex_adjacency(g))
-    return size, tuple(v for v in range(g.num_vertices) if mask >> v & 1)
+    return size, bitsets.outputs_of(mask)
 
 
 def is_independent_in(g: CubicGraph, vertices: tuple[int, ...]) -> bool:

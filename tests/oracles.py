@@ -148,21 +148,21 @@ def oracle_sparse_number(graph, eps: Fraction) -> int:
     sums.  Two nodes of one input are joined by an infinite edge, so the loop
     takes at most one node per input; every set it skips holds such an edge."""
     choices: dict[int, list] = {}
-    for i, node in enumerate(graph.nodes):
-        choices.setdefault(node.input, [None]).append(i)
+    for node in graph.nodes:
+        choices.setdefault(node.input, [None]).append(node)
     assert prod(len(c) for c in choices.values()) <= 1 << 20, \
         "set-loop oracle limited to 2^20 node sets"
     best = 0
     for pick in product(*choices.values()):
-        indices = [i for i in pick if i is not None]
-        k = len(indices)
+        nodes = [n for n in pick if n is not None]
+        k = len(nodes)
         if k <= best:
             continue
         total = ZERO
         infinite = False
         for a in range(k):
             for b in range(a + 1, k):
-                w = graph.edge_weight(indices[a], indices[b])
+                w = graph.edge_weight(nodes[a], nodes[b])
                 if w is None:
                     infinite = True
                     break

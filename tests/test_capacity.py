@@ -159,7 +159,8 @@ def test_sparse_path_sacrifice_gap():
     size, witness = sparse_number(g, F(1, 2))
     assert size == 1
     # the sparse witness is still a sound scheme: its mean error fits eps
-    assert avg_error(c, scheme_from_disjoint_sets(c, witness.pairs)) <= F(1, 2)
+    assert avg_error(c, scheme_from_disjoint_sets(c, [(n.input, n.outputs) for n in witness])) \
+        <= F(1, 2)
     # below eps = 1/2 no sacrifice fits the budget and the two agree
     assert avg_capacity(c, F(49, 100)).codebook_size == 1
     assert sparse_number(g, F(49, 100))[0] == 1

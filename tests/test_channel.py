@@ -201,7 +201,8 @@ _EPS_ENTRIES = {
     "build_max_graph": lambda eps: build_max_graph(_EPS_C, eps),
     "minimal_decoding_masks": lambda eps: minimal_decoding_masks(_EPS_C, 0, eps),
     "sparse_number": lambda eps: sparse_number(build_avg_graph(_EPS_C), eps),
-    "is_sparse_set": lambda eps: is_sparse_set(build_avg_graph(_EPS_C), [0, 1], eps),
+    "is_sparse_set": lambda eps: is_sparse_set(build_avg_graph(_EPS_C),
+                                               build_avg_graph(_EPS_C).nodes[:2], eps),
     "verify_reduction": lambda eps: verify_reduction(cubic_k4(), eps),
     "min_mass": lambda eps: _EPS_C.min_mass(eps, 1),
 }

@@ -225,6 +225,24 @@ def test_graph_dump_variants(funnel3_file, capsys):
     assert main(["graph-dump", funnel3_file, "--variant", "max"]) == 1
 
 
+def test_graph_dump_avg_rejects_the_max_flags(funnel3_file, capsys):
+    for flags in (["--epsilon", "1/10"], ["--minimal-only"]):
+        assert main(["graph-dump", funnel3_file, "--variant", "avg", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --epsilon and --minimal-only are for the max variant only\n"
+
+
+def test_graph_dump_refuses_an_oversized_dump(tmp_path, capsys):
+    path = tmp_path / "random9x9.txt"
+    path.write_text(serialize_channel(gen_random(9, 9, 1, 24)))
+    assert main(["graph-dump", str(path), "--variant", "avg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: graph dump has 10550121 lines, more than the limit of 4194304\n"
+
+
 def test_reduce_roundtrip(k4_file, tmp_path, capsys):
     out = tmp_path / "k4_channel.txt"
     assert main(["reduce", k4_file, "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -6,6 +7,7 @@ from math import prod
 import pytest
 
 from oneshotcap import (
+    OneShotNode,
     build_avg_graph,
     build_max_graph,
     dump_graph,
@@ -17,7 +19,7 @@ from oneshotcap import (
     scheme_from_disjoint_sets,
     sparse_number,
 )
-from oneshotcap import bitsets
+from oneshotcap import bitsets, graphs
 from oneshotcap.channel import Channel, gen_random, identity_channel
 from oneshotcap.graphs import _bounded_independent_set
 from corpus import COPRIME, random_channels
@@ -26,6 +28,19 @@ from oracles import oracle_avg_graph, oracle_mis, oracle_sparse_number
 F = Fraction
 
 EPS_GRID = [F(0), F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(9, 10)]
+
+
+def node(x, outputs):
+    return OneShotNode(x, sum(1 << y for y in outputs))
+
+
+def pairs(witness):
+    """The (input, outputs) pairs that ``scheme_from_disjoint_sets`` takes."""
+    return [(n.input, n.outputs) for n in witness]
+
+
+def non_conflicting(nodes):
+    return all(a.input != b.input and not a.mask & b.mask for a, b in combinations(nodes, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +114,9 @@ def test_independence_funnel3_graph(funnel3):
     g = build_max_graph(funnel3, F(1, 100), minimal_only=False)
     size, witness = independence_number(g)
     assert size == 2
-    assert g.is_independent_set(witness.indices)
+    assert non_conflicting(witness)
     # the witness maps to a scheme with worst error within budget
-    scheme = scheme_from_disjoint_sets(funnel3, witness.pairs)
+    scheme = scheme_from_disjoint_sets(funnel3, pairs(witness))
     assert max_error(funnel3, scheme) <= F(1, 100)
 
 
@@ -185,7 +200,7 @@ def test_packing_bound_keeps_size_and_mask():
         for eps in PACKING_EPS:
             g = build_max_graph(c, eps)
             size, witness = independence_number(g)
-            mask = sum(1 << i for i in witness.indices)
+            mask = sum(1 << g.nodes.index(n) for n in witness)
             assert (size, mask) == max_independent_set(g.adj)
             for floor in range(size + 1):
                 for ceiling in (size, c.num_inputs):
@@ -207,7 +222,7 @@ def test_sparse_output_bound_matches_oracle():
         for eps in PACKING_EPS[1:]:
             size, witness = sparse_number(g, eps)
             assert size == oracle_sparse_number(g, eps)
-            assert is_sparse_set(g, witness.indices, eps)
+            assert is_sparse_set(g, witness, eps)
         checked += 1
     assert checked == 4
 
@@ -217,7 +232,7 @@ def test_witnesses_always_decode_within_budget():
         for eps in EPS_GRID:
             g = build_max_graph(c, eps, minimal_only=True)
             size, witness = independence_number(g)
-            scheme = scheme_from_disjoint_sets(c, witness.pairs)
+            scheme = scheme_from_disjoint_sets(c, pairs(witness))
             assert len(scheme.codebook) == size
             assert max_error(c, scheme) <= eps
 
@@ -229,18 +244,17 @@ def test_witnesses_always_decode_within_budget():
 def test_avg_graph_1x1():
     g = build_avg_graph(identity_channel(1))
     assert [(n.input, n.outputs) for n in g.nodes] == [(0, (0,))]
-    assert g.escapes == (F(0),)
+    assert g.mass(g.nodes[0]) == g.channel.scale  # escape 0
 
 
 def test_avg_graph_funnel3_weights(funnel3):
     g = build_avg_graph(funnel3)
-    i = g.node_index(1, (1,))
-    j = g.node_index(2, (2,))
-    assert g.edge_weight(i, j) == F(1, 100) + F(1, 50)
+    a, b = node(1, (1,)), node(2, (2,))
+    assert g.edge_weight(a, b) == F(1, 100) + F(1, 50)
     # same input -> infinite
-    assert g.edge_weight(i, g.node_index(1, (0, 1))) is None
+    assert g.edge_weight(a, node(1, (0, 1))) is None
     # intersecting dsets -> infinite
-    assert g.edge_weight(g.node_index(0, (0,)), g.node_index(2, (0, 2))) is None
+    assert g.edge_weight(node(0, (0,)), node(2, (0, 2))) is None
 
 
 def test_avg_graph_counts_positive_mass_nodes(funnel3):
@@ -280,16 +294,6 @@ def test_canonical_order_is_size_then_lexicographic():
         assert bitsets.canonical_order(masks, width) == expected
 
 
-def test_count_preceding_counts_earlier_subsets_in_canonical_order():
-    for width in range(7):
-        order = bitsets.all_masks(width)
-        for within in range(1 << width):
-            earlier = 0
-            for mask in order:
-                assert bitsets.count_preceding(mask, within) == earlier
-                earlier += mask & within == mask
-
-
 def test_subset_masses_sum_each_mask():
     rng = random.Random(17)
     for width in range(11):
@@ -302,24 +306,24 @@ def test_subset_masses_sum_each_mask():
 def test_avg_graph_fields_match_oracle():
     # escapes of 1/2 over a scale of 4, and a zero entry
     halves = Channel.make([["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"]])
-    assert any(e.denominator < halves.scale for e in build_avg_graph(halves).escapes)
+    g = build_avg_graph(halves)
+    assert any(F(halves.scale - g.mass(n), halves.scale).denominator < halves.scale
+               for n in g.nodes)
     channels = [halves, COPRIME, *random_channels(8, seed0=1900, max_inputs=3, max_outputs=4)]
     for c in channels:
         g = build_avg_graph(c)
         expected = oracle_avg_graph(c)
         assert [(n.input, n.outputs) for n in g.nodes] == [(x, d) for x, d, _ in expected]
-        escapes = tuple(e for _, _, e in expected)
-        assert g.escapes == escapes
-        assert all(type(m) is int for m in g.masses)
-        assert g.masses == tuple((1 - e) * c.scale for e in escapes)
-        for i, j in combinations(range(g.num_nodes), 2):
-            (x, d, e), (x2, d2, e2) = expected[i], expected[j]
+        masses = [g.mass(n) for n in g.nodes]
+        assert all(type(m) is int for m in masses)
+        assert masses == [(1 - e) * c.scale for _, _, e in expected]
+        for (a, (x, d, e)), (b, (x2, d2, e2)) in combinations(zip(g.nodes, expected), 2):
             weight = None if x == x2 or set(d) & set(d2) else e + e2
-            assert g.edge_weight(i, j) == weight
+            assert g.edge_weight(a, b) == weight
         for eps in EPS_GRID + [F(1)]:
             size, witness = sparse_number(g, eps)
             assert size == oracle_sparse_number(g, eps)
-            assert is_sparse_set(g, witness.indices, eps)
+            assert is_sparse_set(g, witness, eps)
 
 
 def test_avg_graph_output_bound():
@@ -339,7 +343,7 @@ def test_sparse_zero_budget_is_independence():
             continue  # subset-loop oracle limit
         size, witness = sparse_number(g, F(0))
         assert size == oracle_sparse_number(g, F(0))
-        total = induced_weight_sum(g, witness.indices)
+        total = induced_weight_sum(g, witness)
         assert total == 0  # a 0-sparse set carries no weight at all
         checked += 1
     assert checked >= 6
@@ -347,7 +351,7 @@ def test_sparse_zero_budget_is_independence():
 
 def test_two_node_threshold(funnel3):
     g = build_avg_graph(funnel3)
-    pair = [g.node_index(1, (1,)), g.node_index(2, (2,))]
+    pair = [node(1, (1,)), node(2, (2,))]
     w = induced_weight_sum(g, pair)
     assert w == F(3, 100)
     # selectable together iff w <= 2 * eps
@@ -359,7 +363,7 @@ def test_sparse_funnel3_at_1_200(funnel3):
     g = build_avg_graph(funnel3)
     size, witness = sparse_number(g, F(1, 200))
     assert size == 2 == oracle_sparse_number(g, F(1, 200))
-    assert is_sparse_set(g, witness.indices, F(1, 200))
+    assert is_sparse_set(g, witness, F(1, 200))
 
 
 def test_sparse_solver_matches_oracle():
@@ -370,7 +374,7 @@ def test_sparse_solver_matches_oracle():
         for eps in EPS_GRID + [F(1)]:
             size, witness = sparse_number(g, eps)
             assert size == oracle_sparse_number(g, eps)
-            assert is_sparse_set(g, witness.indices, eps)
+            assert is_sparse_set(g, witness, eps)
 
 
 def test_sparse_sum_equivalence():
@@ -381,18 +385,18 @@ def test_sparse_sum_equivalence():
         g = build_avg_graph(c)
         for _ in range(20):
             size = rng.randrange(1, c.num_inputs + 1)
-            indices = rng.sample(range(g.num_nodes), min(size, g.num_nodes))
-            total = induced_weight_sum(g, indices)
+            nodes = [g.nodes[i] for i in rng.sample(range(g.num_nodes), min(size, g.num_nodes))]
+            total = induced_weight_sum(g, nodes)
             if total is None:
                 continue
-            escapes = sum((g.escapes[i] for i in indices), F(0))
-            assert total == (len(indices) - 1) * escapes
+            escapes = sum((F(c.scale - g.mass(n), c.scale) for n in nodes), F(0))
+            assert total == (len(nodes) - 1) * escapes
 
 
 def test_sparse_singletons_always_qualify(funnel3):
     g = build_avg_graph(funnel3)
-    for i in range(g.num_nodes):
-        assert is_sparse_set(g, [i], F(0))
+    for n in g.nodes:
+        assert is_sparse_set(g, [n], F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +421,42 @@ def test_dump_formats(funnel3):
     assert any(l.endswith(" inf") for l in edge_lines)
     weights = [l.split()[3] for l in edge_lines]
     assert all(w == "inf" or "/" in w or w.isdigit() for w in weights)
+
+
+def test_dump_max_edges_are_the_adjacency_pairs(funnel3):
+    # the dump walks each adjacency mask's bits above i; the order is that
+    # of the has_edge loop over i < j
+    for minimal_only in (True, False):
+        g = build_max_graph(funnel3, F(1, 50), minimal_only=minimal_only)
+        edges = [l for l in dump_graph(g).splitlines() if l.startswith("edge ")]
+        n = g.num_nodes
+        assert edges == [f"edge {i} {j}" for i in range(n) for j in range(i + 1, n)
+                         if g.has_edge(i, j)]
+
+
+def test_dump_line_limit_counts_before_building(funnel3, monkeypatch):
+    for g in (build_max_graph(funnel3, F(1, 50), minimal_only=False), build_avg_graph(funnel3)):
+        lines = len(dump_graph(g).splitlines())
+        monkeypatch.setattr(graphs, "_DUMP_LINE_LIMIT", lines)
+        assert len(dump_graph(g).splitlines()) == lines
+        monkeypatch.setattr(graphs, "_DUMP_LINE_LIMIT", lines - 1)
+        with pytest.raises(ValueError, match=f"graph dump has {lines} lines"):
+            dump_graph(g)
+        monkeypatch.undo()
+
+
+def test_dump_refuses_large_graphs_quickly():
+    # 4,593 avg nodes with 10,545,528 edges, and 22,366 max nodes with
+    # 249,810,966 edges: both are refused before any text is built
+    for g, lines in ((build_avg_graph(gen_random(9, 9, 1, 24)), 4_593 + 10_545_528),
+                     (build_max_graph(gen_random(10, 12, 1, 24), F(1, 2), minimal_only=False),
+                      22_366 + 249_810_966)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"graph dump has {lines} lines, more than "):
+            dump_graph(g)
+        assert time.perf_counter() - start < 2
+
+
+def test_dump_of_an_8x8_avg_graph_is_under_the_limit():
+    text = dump_graph(build_avg_graph(gen_random(8, 8, 1, 24)))
+    assert text.count("\n") == 2038 + 2038 * 2037 // 2

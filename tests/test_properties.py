@@ -23,11 +23,15 @@ from hypothesis import strategies as st
 from oneshotcap import (
     Channel,
     ChannelFormatError,
+    OneShotNode,
     Scheme,
     avg_capacity,
     brute_force_capacity,
     build_avg_graph,
+    build_max_graph,
     capacity_curve,
+    independence_number,
+    is_sparse_set,
     max_capacity,
     parse_channel,
     parse_prob,
@@ -101,29 +105,32 @@ def has_zero(c: Channel) -> bool:
 
 
 @SETTINGS
-@given(channels().filter(has_zero))
-def test_node_index_inverts_the_node_list(c):
-    g = build_avg_graph(c)
-    assert g.num_nodes == len(g.nodes)
-    for i, node in enumerate(g.nodes):
-        assert g.node_index(node.input, node.outputs) == i
-    nx, ny = c.num_inputs, c.num_outputs
-    missing = [(x, (y,)) for x in range(nx) for y in range(ny) if not c.weights[x][y]]
-    missing += [(0, ()), (0, (ny,)), (0, (0, ny)), (0, (-1,)), (nx, (0,)), (-1, (0,))]
-    for x, outputs in missing:
-        with pytest.raises(KeyError):
-            g.node_index(x, outputs)
-
-
-@SETTINGS
 @given(channels().filter(has_zero), st.data())
-def test_sparse_witness_indices_name_its_pairs(c, data):
+def test_witnesses_are_graph_nodes_and_non_nodes_raise(c, data):
+    eps = data.draw(st.sampled_from([e for e in eps_candidates(c) if e < 1]), label="eps")
     g = build_avg_graph(c)
-    eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
     size, witness = sparse_number(g, eps)
-    assert len(witness.indices) == size
-    assert [(g.nodes[i].input, g.nodes[i].outputs) for i in witness.indices] == \
-        list(witness.pairs)
+    assert type(witness) is tuple and len(set(witness)) == len(witness) == size
+    assert set(witness) <= set(g.nodes)
+    assert [n.input for n in witness] == sorted(n.input for n in witness)  # the search's order
+    assert is_sparse_set(g, witness, eps)
+    g_max = build_max_graph(c, eps)
+    size, witness = independence_number(g_max)
+    assert type(witness) is tuple and len(set(witness)) == len(witness) == size
+    assert set(witness) <= set(g_max.nodes)
+    assert all(a.input != b.input and not a.mask & b.mask
+               for a, b in combinations(witness, 2))
+    nx, ny = c.num_inputs, c.num_outputs
+    x, y = next((x, y) for x in range(nx) for y in range(ny) if not c.weights[x][y])
+    node = g.nodes[0]
+    for stranger in (OneShotNode(x, 1 << y), OneShotNode(nx, 1), OneShotNode(0, 1 << ny)):
+        assert stranger not in g.nodes
+        with pytest.raises(ValueError, match="is not a node"):
+            g.mass(stranger)
+        with pytest.raises(ValueError, match="is not a node"):
+            g.edge_weight(node, stranger)
+        with pytest.raises(ValueError, match="is not a node"):
+            is_sparse_set(g, [stranger], eps)
 
 
 @SETTINGS

@@ -27,14 +27,18 @@ command) and failing ops (a missing file, a row that does not sum to 1,
 runs after the parser has raised ``SystemExit``.  The files are written
 once and both checkouts read the same files.  One worker process per
 checkout imports that checkout's ``src`` and runs every op in-process
-through ``oneshotcap.cli.main``.  Stdout, stderr and the exit code are
-compared op by op; the first differences are printed.  Exits 1 on any
-difference, 0 when every op matches.
+through ``oneshotcap.cli.main``.  A last ``demos`` group runs each
+``demos/*.py`` script of this checkout by name, each worker from its own
+checkout's ``demos`` directory, in-process as ``__main__``; a demo's
+stderr is not compared.  Stdout, stderr and the exit code are compared op
+by op; the first differences are printed.  Exits 1 on any difference, 0
+when every op matches.
 """
 
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -180,7 +184,9 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         for eps in ("0", "1/3", "1/2", "1"):
             ops.append(("graph-dump", f"{path.stem}/sparse@{eps}",
                         ["sparse", str(path), "--epsilon", eps]))
-    return ops + _wide_ops(directory)
+    demos = [("demos", path.name, ["demo", path.name])
+             for path in sorted((ROOT / "demos").glob("*.py"))]
+    return ops + _wide_ops(directory) + demos
 
 
 def _worker(src: str, manifest: str, out: str) -> int:
@@ -190,17 +196,23 @@ def _worker(src: str, manifest: str, out: str) -> int:
 
     if Path(oneshotcap.cli.__file__).resolve().parent != (Path(src) / "oneshotcap").resolve():
         raise SystemExit(f"error: imported oneshotcap from {oneshotcap.cli.__file__}")
+    demos = Path(src).parent / "demos"
     results = []
     for argv in json.loads(Path(manifest).read_text(encoding="utf-8")):
         stdout, stderr = StringIO(), StringIO()
+        demo = argv[0] == "demo"  # not a command of the tool
         try:
             with redirect_stdout(stdout), redirect_stderr(stderr):
-                code = oneshotcap.cli.main(argv)
+                if demo:
+                    runpy.run_path(str(demos / argv[1]), run_name="__main__")
+                    code = 0
+                else:
+                    code = oneshotcap.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # recorded and compared like any other outcome
             code = f"exception {type(exc).__name__}: {exc}"
-        results.append([stdout.getvalue(), stderr.getvalue(), code])
+        results.append([stdout.getvalue(), "" if demo else stderr.getvalue(), code])
     Path(out).write_text(json.dumps(results), encoding="utf-8")
     return 0
 
@@ -250,7 +262,9 @@ def main(argv: list[str]) -> int:
         tally[1] += 1
         if shown < SHOWN:
             shown += 1
-            print(f"DIFF {group} {key}: oneshotcap {' '.join(op_argv[:1] + op_argv[2:])}")
+            shown_argv = ["python3", f"demos/{key}"] if group == "demos" else \
+                ["oneshotcap", *op_argv[:1], *op_argv[2:]]
+            print(f"DIFF {group} {key}: {' '.join(shown_argv)}")
             for field, a, b in zip(("stdout", "stderr"), mine, theirs):
                 if a != b:
                     print(f"  {field}: {_first_line_diff(a, b)}")
