@@ -28,7 +28,7 @@ channel 3 3
 c = parse_channel(text)
 print("parsed channel:")
 print(serialize_channel(c), end="")
-print("decimals became exact fractions: P(0|1) =", c.prob(1, 0))
+print("decimals became exact fractions: P(0|1) =", c.rows[1][0])
 
 # Keep symbols 1 and 2; decode output 1 to symbol 1, everything else to 2.
 scheme = Scheme(codebook=(1, 2), decoder=(2, 1, 2))

@@ -14,6 +14,7 @@ from .channel import (
     ChannelFormatError,
     CubicGraph,
     FunnelSpec,
+    as_prob,
     format_prob,
     gen_from_cubic_graph,
     gen_funnel,
@@ -21,7 +22,6 @@ from .channel import (
     identity_channel,
     parse_channel,
     parse_cubic_graph,
-    parse_prob,
     serialize_channel,
     serialize_cubic_graph,
 )
@@ -30,8 +30,6 @@ from .decoding import (
     SimulationReport,
     avg_error,
     enumerate_min_decoding_sets,
-    is_avg_admissible,
-    is_max_admissible,
     max_error,
     optimal_avg_decoder,
     per_codeword_errors,

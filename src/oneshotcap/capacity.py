@@ -21,10 +21,10 @@ against and is deliberately kept literal.
 Capacity values are reported as the exact codebook size k; log2(k) is only
 ever rendered for display, never compared.
 
-Every search compares integer masses (``Channel.weights``) against
-``Channel.min_mass(eps, k)``, so epsilon comparisons are exact; the step
-function jumps at rational breakpoints and ``capacity_curve`` recovers
-them exactly.
+Each engine checks eps once, and its search compares integer masses
+(``Channel.weights``) against thresholds from ``Channel.min_mass(eps,
+k)``, so epsilon comparisons are exact; the step function jumps at
+rational breakpoints and ``capacity_curve`` recovers them exactly.
 """
 
 from __future__ import annotations
@@ -231,9 +231,10 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
 
     Maximum metric: the admissible-set families change only at values
     1 - mass(D) over output subsets D, so those are the only candidate
-    thresholds.  The size never falls as eps grows, so the sorted
-    candidates are split in halves and an interval whose two ends have
-    equal sizes is settled without solving inside it; each midpoint is
+    thresholds; they are kept as integer masses, and only those solved or
+    reported become Fractions.  The size never falls as eps grows, so the
+    sorted candidates are split in halves and an interval whose two ends
+    have equal sizes is settled without solving inside it; each midpoint is
     solved with its ends' sizes as floor and ceiling of the search.  Only
     sizes are computed, no witness.  Average metric: size k first becomes
     admissible at the least optimal-decoder mean error over codebooks of
@@ -249,14 +250,18 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
         masses = set()
         for row in c.weights:
             masses.update(bitsets.subset_masses(row))
-        # from eps = 0 (the full output set) to eps = 1 (the empty set)
-        thresholds = [1 - Fraction(m, c.scale) for m in sorted(masses, reverse=True)]
+        # candidate i is eps = 1 - masses[i] / scale, from eps = 0 (the full
+        # output set) to eps = 1 (the empty set)
+        masses = sorted(masses, reverse=True)
+
+        def threshold(i: int) -> Fraction:
+            return Fraction(c.scale - masses[i], c.scale)
 
         def solve(i: int, floor: int, ceiling: int) -> int:
-            g = build_max_graph(c, thresholds[i])
+            g = build_max_graph(c, threshold(i))
             return _bounded_independent_set(g.adj, floor, ceiling, g)[0]
 
-        last = len(thresholds) - 1
+        last = len(masses) - 1
         known = {0: solve(0, 1, c.num_inputs), last: c.num_inputs}  # index -> size
 
         def settle(lo: int, hi: int) -> None:
@@ -269,7 +274,7 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
 
         settle(0, last)
         del settle  # it holds itself through its closure; free its work by refcount
-        sizes = {thresholds[i]: k for i, k in known.items()}
+        sizes = {threshold(i): k for i, k in known.items()}
     else:
         if c.num_inputs > _CURVE_SWEEP_LIMIT:
             raise ValueError(

@@ -2,9 +2,10 @@
 
 A channel is an |X| x |Y| matrix of transition probabilities P(Y=y|X=x),
 held as integer ``weights`` over one common ``scale`` in lowest terms:
-P(y|x) = weights[x][y] / scale.  The searches compare those integer masses
-with ``min_mass(eps, k)``, so every admissibility test is exact; ``rows`` is
-a `fractions.Fraction` view built when first read.  Binary floating point
+P(y|x) = weights[x][y] / scale.  Each public entry checks eps once with
+``as_prob`` and turns it into integer mass thresholds with ``min_mass(eps,
+k)``, so every admissibility test in the searches is exact; ``rows`` is a
+`fractions.Fraction` view built when first read.  Binary floating point
 never enters any capacity-relevant decision: capacity is a step function of
 the error budget and jumps exactly at rational thresholds, so a float
 epsilon could land on the wrong side of a breakpoint.
@@ -50,7 +51,9 @@ class ChannelFormatError(ValueError):
 
 
 def _prob_ratio(token: str, where: str) -> tuple[int, int]:
-    """The (numerator, denominator) that ``parse_prob`` reduces, checked."""
+    """The (numerator, denominator) of a "p/q" or finite-decimal token in
+    [0, 1], checked.  Decimals are converted in base 10 (d digits after the
+    point become a numerator over 10^d), never through binary floats."""
     token = token.strip()
     match = _PROB_TOKEN.match(token)
     if match is None:
@@ -70,15 +73,6 @@ def _prob_ratio(token: str, where: str) -> tuple[int, int]:
     return n, d
 
 
-def parse_prob(token: str, where: str = "probability") -> Fraction:
-    """Parse "p/q" or a finite decimal into an exact Fraction in [0, 1].
-
-    Decimals are converted in base 10 (d digits after the point become a
-    numerator over 10^d); they are never routed through binary floats.
-    """
-    return Fraction(*_prob_ratio(token, where))
-
-
 def _as_ratio(value, where: str) -> tuple[int, int]:
     """The (numerator, denominator) that ``as_prob`` reduces, checked."""
     if isinstance(value, str):
@@ -95,9 +89,10 @@ def _as_ratio(value, where: str) -> tuple[int, int]:
 
 
 def as_prob(value, where: str = "probability") -> Fraction:
-    """An int, a Fraction or a ``parse_prob`` string as an exact Fraction
-    in [0, 1].  Floats and bools raise ValueError naming their type: a
-    binary float cannot say which side of a rational threshold it means.
+    """An int, a Fraction or a "p/q" or finite-decimal string as an exact
+    Fraction in [0, 1]; the one probability check.  Floats and bools raise
+    ValueError naming their type: a binary float cannot say which side of a
+    rational threshold it means.
     """
     return Fraction(*_as_ratio(value, where))
 
@@ -162,7 +157,8 @@ class Channel:
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The matrix as Fractions, built on first read."""
+        """The matrix as Fractions, built on first read: the one Fraction
+        view of the channel, which no search reads."""
         return tuple(tuple(Fraction(w, self.scale) for w in row) for row in self.weights)
 
     @property
@@ -173,12 +169,6 @@ class Channel:
     def num_outputs(self) -> int:
         return len(self.weights[0])
 
-    def prob(self, x: int, y: int) -> Fraction:
-        return self.rows[x][y]
-
-    def row(self, x: int) -> tuple[Fraction, ...]:
-        return self.rows[x]
-
     def support_mask(self, x: int) -> int:
         mask = 0
         for y, w in enumerate(self.weights[x]):
@@ -188,7 +178,8 @@ class Channel:
 
     def min_mass(self, eps, k: int) -> int:
         """Least integer mass m with m / scale >= k * (1 - eps): k codewords
-        keeping mass M have mean error <= eps exactly when M >= m."""
+        keeping mass M have mean error <= eps exactly when M >= m.  The one
+        place an error budget becomes an integer mass."""
         n, d = _as_ratio(eps, "eps")
         need = k * self.scale * (d - n)
         return -(-need // d)

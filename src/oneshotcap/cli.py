@@ -32,12 +32,12 @@ from .channel import (
     Channel,
     ChannelFormatError,
     FunnelSpec,
+    as_prob,
     gen_from_cubic_graph,
     gen_funnel,
     gen_random,
     parse_channel,
     parse_cubic_graph,
-    parse_prob,
     serialize_channel,
     serialize_cubic_graph,
 )
@@ -63,7 +63,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _eps_arg(text: str) -> Fraction:
     try:
-        return parse_prob(text, "epsilon")
+        return as_prob(text, "epsilon")
     except ChannelFormatError as exc:  # argparse would drop a ValueError's reason
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen_funnel(args) -> int:
-    e = [parse_prob(tok, "leak probability") for tok in args.e.split(",")]
+    e = [as_prob(tok, "leak probability") for tok in args.e.split(",")]
     spec = FunnelSpec(args.n, tuple(e))
     _emit(serialize_channel(gen_funnel(spec)), args.out)
     return 0
@@ -293,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ChannelFormatError, ValueError, RuntimeError, OSError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,11 +8,12 @@ metrics (worst codeword and mean over codewords) are computed as exact
 Fractions.
 
 ``minimal_decoding_masks`` is the workhorse behind the capacity engines:
-for an error budget eps, it lists the inclusion-minimal output sets, as
-bitmasks, that capture at least 1-eps of an input's row mass (integer
-weights against ``Channel.min_mass``); ``enumerate_min_decoding_sets`` is
-its sorted tuple form.  Only minimal sets matter when packing pre-images,
-since shrinking a pre-image to a minimal subset preserves disjointness.
+given the integer row mass a decoding set must capture (``Channel.min_mass``
+of an eps its caller checked), it lists the inclusion-minimal output sets
+that capture it, as bitmasks; ``enumerate_min_decoding_sets`` is the
+sorted tuple form that takes eps.  Only minimal sets matter when packing
+pre-images, since shrinking a pre-image to a minimal subset preserves
+disjointness.
 """
 
 from __future__ import annotations
@@ -112,34 +113,23 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
     return Fraction(total - sum(c.weights[x][y] for y, x in enumerate(s.decoder)), total)
 
 
-def is_max_admissible(c: Channel, s: Scheme, eps: Fraction) -> bool:
-    return max_error(c, s) <= eps
-
-
-def is_avg_admissible(c: Channel, s: Scheme, eps: Fraction) -> bool:
-    return avg_error(c, s) <= eps
-
-
 # ---------------------------------------------------------------------------
 # Minimal decoding sets
 # ---------------------------------------------------------------------------
 
-def minimal_decoding_masks(c: Channel, x: int, eps: Fraction) -> list[int]:
-    """Bitmask form of ``enumerate_min_decoding_sets`` (bit y = output y),
-    in search order; callers that need an order sort.
+def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
+    """The inclusion-minimal output sets of row x with integer mass at
+    least ``threshold`` (``c.min_mass(eps, 1)`` at budget eps), as bitmasks
+    (bit y = output y) in search order; callers that need an order sort.
 
     Depth-first over the outputs of non-zero probability (a minimal set
-    holds no other), sorted by descending probability.  A branch
-    stops as soon as its mass reaches 1-eps: supersets of a qualifying set
+    holds no other), sorted by descending probability.  A branch stops as
+    soon as its mass reaches the threshold: supersets of a qualifying set
     are never minimal.  A completed set is minimal iff dropping its
     lightest member would fall below the threshold, which subsumes the check
     for every member.  A row with more than ``_MAX_GRAPH_NODE_LIMIT``
     minimal sets raises ValueError.
     """
-    eps = as_prob(eps, "eps")
-    if eps == 1:
-        raise ValueError("eps must be in [0, 1) for minimal decoding sets")
-    threshold = c.min_mass(eps, 1)
     row = c.weights[x]
     order = sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y])
     weights = [row[y] for y in order]
@@ -178,8 +168,11 @@ def enumerate_min_decoding_sets(
     Sorted by size, then lexicographically, for reproducible downstream
     graphs and witnesses.
     """
-    masks = bitsets.canonical_order(minimal_decoding_masks(c, x, eps), c.num_outputs)
-    return [bitsets.outputs_of(m) for m in masks]
+    eps = as_prob(eps, "eps")
+    if eps == 1:
+        raise ValueError("eps must be in [0, 1) for minimal decoding sets")
+    masks = minimal_decoding_masks(c, x, c.min_mass(eps, 1))
+    return [bitsets.outputs_of(m) for m in bitsets.canonical_order(masks, c.num_outputs)]
 
 
 # ---------------------------------------------------------------------------

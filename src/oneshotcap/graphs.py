@@ -132,7 +132,7 @@ def build_max_graph(
     nodes: list[OneShotNode] = []
     for x in range(c.num_inputs):
         if minimal_only:
-            masks = bitsets.canonical_order(minimal_decoding_masks(c, x, eps), c.num_outputs)
+            masks = bitsets.canonical_order(minimal_decoding_masks(c, x, threshold), c.num_outputs)
         else:
             masses = bitsets.subset_masses(c.weights[x])
             masks = [m for m in bitsets.all_masks(c.num_outputs) if masses[m] >= threshold]
@@ -402,12 +402,12 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
     The branch and bound walks inputs in order, assigning each at most one
     node with dset disjoint from the claimed outputs; for target size k >= 2
     the sparse condition reduces to sum(escapes) <= eps*k, which prunes by
-    escape budget, in integers over the channel's scale.  Two packing
-    bounds prune too: the members still needed must each take an unclaimed
-    output, and together capture no more than the unclaimed outputs' largest
-    weights over the inputs not yet walked, so a branch stops when there are
-    too few such outputs or when even that mass leaves their escapes over
-    the budget.  Both cut only branches without a solution, so the first
+    escape budget, the integer k * scale - ``c.min_mass(eps, k)`` over the
+    channel's scale.  Two packing bounds prune too: the members still
+    needed must each take an unclaimed output, and together capture no more
+    than the unclaimed outputs' largest weights over the inputs not yet
+    walked, so a branch stops when there are too few such outputs or when
+    even that mass leaves their escapes over the budget.  Both cut only branches without a solution, so the first
     solution found, and so the witness, is the one the walk finds without
     them.
 
@@ -422,7 +422,7 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
     eps = as_prob(eps, "eps")
     c = g.channel
     nx, scale = c.num_inputs, c.scale
-    least_mass = scale - eps.numerator * nx * scale // eps.denominator
+    least_mass = scale - (nx * scale - c.min_mass(eps, nx))  # less the largest budget
     groups: list[list[tuple[int, int]]] = []
     for x, masses in enumerate(g._subset_masses):
         support = c.support_mask(x)
@@ -461,7 +461,7 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
         return dfs(x + 1, count, esc_sum, used)
 
     for k in range(nx, 1, -1):
-        budget = eps.numerator * k * scale // eps.denominator
+        budget = k * scale - c.min_mass(eps, k)
         if dfs(0, 0, 0, 0):
             break
     del dfs  # it holds itself through its closure; free the tables by refcount

@@ -9,9 +9,10 @@ a vertex must contain all three incident edges, so decoding sets are
 disjoint exactly when the vertices are pairwise non-adjacent.
 
 ``verify_reduction`` checks both directions on a concrete instance with
-one exact search on the graph side, the channel's minimal decoding sets,
-and the exact error of the mapped witness.  The fixed named graphs plus
-seeded random cubic graphs form a reproducible regression corpus.
+one exact search on the graph side, the channel's minimal decoding sets
+at eps's one integer mass threshold, and the exact error of the mapped
+witness.  The fixed named graphs plus seeded random cubic graphs form a
+reproducible regression corpus.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ def verify_reduction(g: CubicGraph, eps) -> ReductionReport:
         raise ValueError(f"reduction requires eps < 1/3, got {format_prob(eps)}")
 
     channel = gen_from_cubic_graph(g)
+    threshold = channel.min_mass(eps, 1)
     alpha, graph_witness = graph_independence_number(g)
     for v in range(g.num_vertices):
         edges = sum(1 << i for i in g.incident_edges(v))
-        if minimal_decoding_masks(channel, v, eps) != [edges]:
+        if minimal_decoding_masks(channel, v, threshold) != [edges]:
             raise RuntimeError(
                 f"vertex {v}: minimal decoding sets are not its incident edges"
             )

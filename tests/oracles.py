@@ -23,7 +23,7 @@ def subset_mass(row, outputs) -> Fraction:
 def oracle_minimal_sets(c: Channel, x: int, eps: Fraction) -> list[tuple[int, ...]]:
     """All inclusion-minimal output sets with mass >= 1-eps, by subset loop."""
     ny = c.num_outputs
-    row = c.row(x)
+    row = c.rows[x]
     threshold = ONE - eps
     qualifying = []
     for mask in range(1 << ny):
@@ -71,7 +71,7 @@ def oracle_curve_max(c: Channel) -> tuple[tuple[Fraction, int], ...]:
     no bisection."""
     ny = c.num_outputs
     thresholds = {
-        ONE - subset_mass(c.row(x), [y for y in range(ny) if mask >> y & 1])
+        ONE - subset_mass(c.rows[x], [y for y in range(ny) if mask >> y & 1])
         for x in range(c.num_inputs) for mask in range(1 << ny)
     }
     breakpoints = []
@@ -89,7 +89,7 @@ def oracle_scheme_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
         captured = ZERO
         for y in range(c.num_outputs):
             if s.decoder[y] == x:
-                captured += c.prob(x, y)
+                captured += c.rows[x][y]
         errors[x] = ONE - captured
     return errors
 
@@ -137,7 +137,7 @@ def oracle_avg_graph(c: Channel) -> list[tuple[int, tuple[int, ...], Fraction]]:
     for x in range(c.num_inputs):
         for mask in range(1, 1 << ny):
             outputs = tuple(y for y in range(ny) if mask >> y & 1)
-            mass = subset_mass(c.row(x), outputs)
+            mass = subset_mass(c.rows[x], outputs)
             if mass > 0:
                 nodes.append((x, outputs, ONE - mass))
     return sorted(nodes, key=lambda n: (n[0], len(n[1]), n[1]))

@@ -7,10 +7,12 @@ from oneshotcap import (
     ChannelFormatError,
     CubicGraph,
     FunnelSpec,
+    as_prob,
     avg_capacity,
     build_avg_graph,
     build_max_graph,
     capacity_curve,
+    enumerate_min_decoding_sets,
     gen_from_cubic_graph,
     gen_funnel,
     gen_random,
@@ -18,16 +20,13 @@ from oneshotcap import (
     max_capacity,
     parse_channel,
     parse_cubic_graph,
-    parse_prob,
     serialize_channel,
     serialize_cubic_graph,
     sparse_number,
     verify_reduction,
 )
 from corpus import random_channels
-from oneshotcap.channel import as_prob
-from oneshotcap.decoding import minimal_decoding_masks
-from oneshotcap.hardness import cubic_k4, cubic_prism
+from oneshotcap.hardness import cubic_k4, cubic_prism, gen_random_cubic
 
 F = Fraction
 
@@ -48,17 +47,17 @@ def test_parse_identity():
 def test_parse_funnel3_matrix(funnel3):
     c = parse_channel(FUNNEL3_TEXT)
     assert c == funnel3
-    assert c.prob(1, 0) == F(1, 100)
-    assert c.prob(2, 2) == F(98, 100)
+    assert c.rows[1][0] == F(1, 100)
+    assert c.rows[2][2] == F(98, 100)
 
 
 def test_parse_decimals_are_exact():
     c = parse_channel("channel 1 3\n0.01 0.02 0.97\n")
-    assert c.row(0) == (F(1, 100), F(1, 50), F(97, 100))
+    assert c.rows[0] == (F(1, 100), F(1, 50), F(97, 100))
     # 0.1 is not representable in binary floating point; the parse must not
     # go anywhere near it
-    assert parse_prob("0.1") == F(1, 10)
-    assert parse_prob("0.1") != Fraction(0.1)
+    assert as_prob("0.1") == F(1, 10)
+    assert as_prob("0.1") != Fraction(0.1)
 
 
 def test_parse_rejects_bad_row_sum():
@@ -81,18 +80,18 @@ def test_parse_rejects_bad_shapes():
     with pytest.raises(ChannelFormatError, match="has 3 entries, expected 2"):
         parse_channel("channel 2 2\n1 0 0\n0 1\n")
     with pytest.raises(ChannelFormatError):
-        parse_prob("1e-2")  # exponents are not finite-decimal syntax here
+        as_prob("1e-2")  # exponents are not finite-decimal syntax here
 
 
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ChannelFormatError) as exc:
-        parse_prob("1/0", "epsilon")
+        as_prob("1/0", "epsilon")
     assert str(exc.value) == "epsilon: '1/0' has a zero denominator"
     with pytest.raises(ChannelFormatError) as exc:
         parse_channel("channel 2 2\n1 0\n1/0 1\n")
     assert str(exc.value) == "line 3: row 1, column 0: '1/0' has a zero denominator"
     with pytest.raises(ChannelFormatError, match="'0/0' has a zero denominator"):
-        parse_prob("0/0")
+        as_prob("0/0")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -199,7 +198,7 @@ _EPS_ENTRIES = {
     "avg_capacity": lambda eps: avg_capacity(_EPS_C, eps),
     "curve_value_at": lambda eps: capacity_curve(_EPS_C, "max").value_at(eps),
     "build_max_graph": lambda eps: build_max_graph(_EPS_C, eps),
-    "minimal_decoding_masks": lambda eps: minimal_decoding_masks(_EPS_C, 0, eps),
+    "enumerate_min_decoding_sets": lambda eps: enumerate_min_decoding_sets(_EPS_C, 0, eps),
     "sparse_number": lambda eps: sparse_number(build_avg_graph(_EPS_C), eps),
     "is_sparse_set": lambda eps: is_sparse_set(build_avg_graph(_EPS_C),
                                                build_avg_graph(_EPS_C).nodes[:2], eps),
@@ -214,6 +213,31 @@ def test_eps_rejects_floats_and_bools(entry, eps, kind):
     # Fraction(0.1) and Fraction(True) would solve at 3602879701896397/2^55 and at 1
     with pytest.raises(ValueError, match=f"^eps: {eps!r} is a {kind}, not an int"):
         _EPS_ENTRIES[entry](eps)
+
+
+def test_eps_is_checked_once_per_entry(monkeypatch):
+    # each entry converts eps a fixed number of times, however many rows or
+    # vertices its search walks: the searches take integer mass thresholds
+    import oneshotcap.channel as channel
+
+    real = channel._as_ratio
+    calls = []
+
+    def counted(value, where):
+        calls.append(where)
+        return real(value, where)
+
+    def count(entry, instance):
+        calls.clear()
+        entry(instance, F(1, 10))
+        return len(calls)
+
+    channels = gen_random(4, 4, 1, 24), gen_random(12, 12, 1, 24)
+    graphs = gen_random_cubic(10, 1), gen_random_cubic(34, 1)
+    monkeypatch.setattr(channel, "_as_ratio", counted)
+    for entry, (small, large) in [(build_max_graph, channels), (max_capacity, channels),
+                                  (verify_reduction, graphs)]:
+        assert 0 < count(entry, small) == count(entry, large)
 
 
 def test_as_prob():
@@ -253,7 +277,7 @@ def test_gen_funnel_matches_fixture(funnel3, funnel3_spec):
 
 def test_gen_funnel_degenerate_full_leak():
     c = gen_funnel(FunnelSpec.make(2, [F(1)]))
-    assert c.row(0) == c.row(1) == (F(1), F(0))
+    assert c.rows[0] == c.rows[1] == (F(1), F(0))
 
 
 def test_gen_funnel_formula_entry_by_entry():
@@ -270,7 +294,7 @@ def test_gen_funnel_formula_entry_by_entry():
                 expected = e[i - 1]
             else:
                 expected = F(0)
-            assert c.prob(i, y) == expected
+            assert c.rows[i][y] == expected
 
 
 def test_funnel_spec_invariants():
@@ -290,7 +314,7 @@ def test_funnel_rows_sum_to_one():
     for n, e in [(2, [F(1, 7)]), (5, [F(1, 9), F(2, 9), F(1, 3), F(1)])]:
         c = gen_funnel(FunnelSpec.make(n, e))
         for x in range(n):
-            assert sum(c.row(x)) == 1
+            assert sum(c.rows[x]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +325,8 @@ def test_gen_from_cubic_k4():
     c = gen_from_cubic_graph(cubic_k4())
     assert (c.num_inputs, c.num_outputs) == (4, 6)
     for x in range(4):
-        assert sorted(c.row(x), reverse=True)[:3] == [F(1, 3)] * 3
-        assert sum(c.row(x)) == 1
+        assert sorted(c.rows[x], reverse=True)[:3] == [F(1, 3)] * 3
+        assert sum(c.rows[x]) == 1
 
 
 def test_gen_from_cubic_prism_output_order():
@@ -311,7 +335,7 @@ def test_gen_from_cubic_prism_output_order():
     assert (c.num_inputs, c.num_outputs) == (6, 9)
     for v in range(6):
         for i, (a, b) in enumerate(g.edges):
-            assert c.prob(v, i) == (F(1, 3) if v in (a, b) else F(0))
+            assert c.rows[v][i] == (F(1, 3) if v in (a, b) else F(0))
 
 
 def test_cubic_graph_rejects_wrong_degree():
@@ -346,6 +370,6 @@ def test_gen_random_deterministic():
 def test_gen_random_exact_rows_and_denominators():
     c = gen_random(3, 3, seed=7, denominator_bound=12)
     for x in range(3):
-        assert sum(c.row(x)) == 1
-        for p in c.row(x):
+        assert sum(c.rows[x]) == 1
+        for p in c.rows[x]:
             assert p.denominator <= 12

@@ -334,6 +334,22 @@ def test_missing_file_is_engine_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_handler_bug_is_not_reported_as_an_error(funnel3_file, monkeypatch):
+    # a KeyError is not an error the library raises for bad input
+    import oneshotcap.cli as cli
+
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    build_parser.cache_clear()  # the cached parser holds the handler it was built with
+    try:
+        with pytest.raises(KeyError):
+            main(["validate", funnel3_file])
+    finally:
+        build_parser.cache_clear()
+
+
 def test_zero_denominator_is_a_clean_error(tmp_path, funnel3_file, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("channel 1 2\n1/0 1\n")

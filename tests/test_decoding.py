@@ -16,8 +16,6 @@ from oneshotcap import (
     avg_error,
     enumerate_min_decoding_sets,
     gen_random,
-    is_avg_admissible,
-    is_max_admissible,
     max_error,
     optimal_avg_decoder,
     per_codeword_errors,
@@ -94,11 +92,11 @@ def test_scheme_validation(funnel3):
 
 
 def test_admissibility(funnel3):
-    assert is_max_admissible(funnel3, FUNNEL3_SCHEME, F(1, 100))
-    assert not is_max_admissible(funnel3, FUNNEL3_SCHEME, F(1, 200))
-    assert is_avg_admissible(funnel3, FUNNEL3_SCHEME, F(1, 200))
-    assert is_max_admissible(funnel3, FUNNEL3_SCHEME, F(1))
-    assert is_avg_admissible(funnel3, FUNNEL3_SCHEME, F(1))
+    assert max_error(funnel3, FUNNEL3_SCHEME) <= F(1, 100)
+    assert max_error(funnel3, FUNNEL3_SCHEME) > F(1, 200)
+    assert avg_error(funnel3, FUNNEL3_SCHEME) <= F(1, 200)
+    assert max_error(funnel3, FUNNEL3_SCHEME) <= F(1)
+    assert avg_error(funnel3, FUNNEL3_SCHEME) <= F(1)
 
 
 # ---------------------------------------------------------------------------

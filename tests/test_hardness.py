@@ -95,8 +95,8 @@ def test_reduction_checks_minimal_sets_of_every_vertex(monkeypatch):
     g = cubic_petersen()
     real = hardness.minimal_decoding_masks
 
-    def wrong(channel, x, eps):
-        masks = real(channel, x, eps)
+    def wrong(channel, x, threshold):
+        masks = real(channel, x, threshold)
         return [masks[0] & (masks[0] - 1)] if x == 7 else masks
 
     monkeypatch.setattr(hardness, "minimal_decoding_masks", wrong)

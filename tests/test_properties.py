@@ -25,6 +25,7 @@ from oneshotcap import (
     ChannelFormatError,
     OneShotNode,
     Scheme,
+    as_prob,
     avg_capacity,
     brute_force_capacity,
     build_avg_graph,
@@ -34,7 +35,6 @@ from oneshotcap import (
     is_sparse_set,
     max_capacity,
     parse_channel,
-    parse_prob,
     serialize_channel,
     simulate,
     sparse_number,
@@ -164,9 +164,9 @@ def test_parse_serialize_round_trip(c):
 
 @SETTINGS
 @given(st.text(alphabet="0123456789./ ", max_size=8))
-def test_parse_prob_matches_fraction_text(token):
-    """parse_prob accepts what the file format allows and agrees with
-    ``Fraction(text)``, which it no longer calls."""
+def test_as_prob_parses_text_like_fraction(token):
+    """as_prob accepts the strings the file format allows and agrees with
+    ``Fraction(text)``, which it does not call."""
     text = token.strip()
     if not re.fullmatch(r"\d+/\d+|\d+(?:\.\d*)?|\.\d+", text):
         fault = "is not a p/q fraction or finite decimal"
@@ -175,8 +175,8 @@ def test_parse_prob_matches_fraction_text(token):
     elif Fraction(text) > 1:
         fault = "is outside [0, 1]"
     else:
-        assert parse_prob(token) == Fraction(text)
+        assert as_prob(token) == Fraction(text)
         return
     with pytest.raises(ChannelFormatError) as exc:
-        parse_prob(token, "p")
+        as_prob(token, "p")
     assert str(exc.value) == f"p: {text!r} {fault}"

@@ -8,7 +8,8 @@ eps 1/10 and 1/3, with and without ``--minimal-only``, the avg
 variant, and ``sparse`` at eps 0, 1/3, 1/2 and 1 (edges of the escape
 budget), on 10 seeded random channels; and a ``generators`` group: ``gen
 random`` from 1x1 up over denominators whose counts share factors, ``gen
-funnel``, ``reduce`` on the 5 named and 10 random cubic graphs,
+funnel`` (leaks spelled as fractions, as decimals and as both),
+``reduce`` on the 5 named and 10 random cubic graphs,
 ``validate`` on each of those channels written to a file, and
 ``simulate`` on the max and avg witness schemes of a few of them; and a
 ``wide`` group, where the searches' packing bounds prune most: ``curve
@@ -20,11 +21,13 @@ and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
 denominator 4, two channels with zero entries whose sparse numbers run from
 2 to 6, so their witnesses name nodes past the first.  An ``errors`` group runs
 first:
-usage errors (a bad epsilon, an unknown ``--metric`` choice, an unknown
-command) and failing ops (a missing file, a row that does not sum to 1,
-``verify-reduction`` at eps 1/3, ``--engine brute`` past its size limit,
-``graph-dump --variant max`` without ``--epsilon``), so every later op
-runs after the parser has raised ``SystemExit``.  The files are written
+usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
+unknown ``--metric`` choice, an unknown command), failing ops (a missing
+file, a row that does not sum to 1, ``verify-reduction`` at eps 1/3,
+``--engine brute`` past its size limit, ``graph-dump --variant max``
+without ``--epsilon``, ``gen funnel --e 1/0``), and one ``capacity`` op
+with eps spelled 1/4 and 0.25, so every later op runs after the parser
+has raised ``SystemExit``.  The files are written
 once and both checkouts read the same files.  One worker process per
 checkout imports that checkout's ``src`` and runs every op in-process
 through ``oneshotcap.cli.main``.  A last ``demos`` group runs each
@@ -66,6 +69,10 @@ def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     graph.write_text(serialize_cubic_graph(cubic_k4()), encoding="utf-8")
     ops = {
         "bad-epsilon": ["capacity", str(channel), "--metric", "max", "--epsilon", "one tenth"],
+        "epsilon-3_2": ["capacity", str(channel), "--metric", "max", "--epsilon", "3/2"],
+        "epsilon-1_0": ["capacity", str(channel), "--metric", "max", "--epsilon", "1/0"],
+        "epsilon-1_4": ["capacity", str(channel), "--metric", "max", "--epsilon", "1/4"],
+        "epsilon-0.25": ["capacity", str(channel), "--metric", "max", "--epsilon", "0.25"],
         "unknown-metric": ["capacity", str(channel), "--metric", "mean", "--epsilon", "0"],
         "unknown-command": ["capacities", str(channel)],
         "missing-file": ["validate", str(errors / "missing.txt")],
@@ -74,6 +81,7 @@ def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         "brute-6x6": ["capacity", str(big), "--metric", "max", "--epsilon", "1/10",
                       "--engine", "brute"],
         "graph-dump-max-no-epsilon": ["graph-dump", str(channel), "--variant", "max"],
+        "gen-funnel-1_0": ["gen", "funnel", "--n", "2", "--e", "1/0"],
     }
     return [("errors", key, argv) for key, argv in ops.items()]
 
@@ -81,8 +89,8 @@ def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 def _generator_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """Ops that print generated channels, and ops on those channels."""
     from oneshotcap.capacity import avg_capacity, max_capacity
-    from oneshotcap.channel import (FunnelSpec, gen_from_cubic_graph, gen_funnel, gen_random,
-                                    parse_prob, serialize_channel, serialize_cubic_graph)
+    from oneshotcap.channel import (FunnelSpec, as_prob, gen_from_cubic_graph, gen_funnel,
+                                    gen_random, serialize_channel, serialize_cubic_graph)
     from oneshotcap.hardness import gen_random_cubic, named_cubic_graphs
 
     gens = directory / "generators"
@@ -99,8 +107,10 @@ def _generator_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     for n, leaks in [(2, "1"), (3, "1/100,2/100"), (4, "0.1,1/4,1/2"), (5, "1/6,1/3,1/2,2/3")]:
         name = f"funnel{n}"
         ops.append(("generators", f"{name}/gen", ["gen", "funnel", "--n", str(n), "--e", leaks]))
-        spec = FunnelSpec(n, tuple(parse_prob(e) for e in leaks.split(",")))
+        spec = FunnelSpec(n, tuple(as_prob(e) for e in leaks.split(",")))
         channels[name] = gen_funnel(spec)
+    ops.append(("generators", "funnel3-mixed/gen", ["gen", "funnel", "--n", "3",
+                                                    "--e", "0.01,1/50"]))
     graphs = dict(named_cubic_graphs())
     for i in range(10):
         graphs[f"cubic{8 + 2 * i}"] = gen_random_cubic(8 + 2 * i, SEED + i)
