@@ -7,6 +7,9 @@ from typing import Sequence
 
 # Byte b -> 255 - (b with its 8 bits in reverse order); see canonical_order.
 _REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _BIT_DIGITS[j]: byte b -> ASCII "1" where bit j of b is set, else "0";
+# see columns.
+_BIT_DIGITS = tuple(bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8))
 
 
 def outputs_of(mask: int) -> tuple[int, ...]:
@@ -18,6 +21,10 @@ def outputs_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+# BYTE_OUTPUTS[b]: the set bits of the one-byte mask b, in increasing order.
+BYTE_OUTPUTS = tuple(outputs_of(b) for b in range(256))
 
 
 def subset_masses(row: Sequence[int]) -> list[int]:
@@ -46,6 +53,22 @@ def canonical_order(masks: Sequence[int], width: int) -> list[int]:
         return mask.bit_count(), mask.to_bytes(nbytes, "little").translate(_REVERSED_COMPLEMENT)
 
     return sorted(masks, key=key)
+
+
+def columns(masks: Sequence[int], width: int) -> list[int]:
+    """The transpose of masks of at most ``width`` bits: column y has bit
+    i set where masks[i] has bit y.
+
+    One pass packs the masks little-endian, last mask first, into one
+    bytes object; bit y of every mask is then bit y % 8 of a stride slice
+    from byte y // 8, which ``_BIT_DIGITS`` turns into column y's binary
+    digits, most significant (the last mask) first, for ``int(..., 2)``.
+    """
+    if not masks:
+        return [0] * width
+    nbytes = (width + 7) // 8
+    packed = b"".join([m.to_bytes(nbytes, "little") for m in reversed(masks)])
+    return [int(packed[y >> 3::nbytes].translate(_BIT_DIGITS[y & 7]), 2) for y in range(width)]
 
 
 @functools.cache

@@ -119,44 +119,48 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
 
 def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     """The inclusion-minimal output sets of row x with integer mass at
-    least ``threshold`` (``c.min_mass(eps, 1)`` at budget eps), as bitmasks
-    (bit y = output y) in search order; callers that need an order sort.
+    least a positive ``threshold`` (``c.min_mass(eps, 1)`` at budget
+    eps < 1), as bitmasks (bit y = output y) in search order; callers that
+    need an order sort.
 
     Depth-first over the outputs of non-zero probability (a minimal set
-    holds no other), sorted by descending probability.  A branch stops as
-    soon as its mass reaches the threshold: supersets of a qualifying set
-    are never minimal.  A completed set is minimal iff dropping its
-    lightest member would fall below the threshold, which subsumes the check
-    for every member.  A row with more than ``_MAX_GRAPH_NODE_LIMIT``
-    minimal sets raises ValueError.
+    holds no other), sorted by descending probability: a set grows only
+    while its mass is below the threshold, by one output after its last,
+    and is complete as soon as its mass reaches it, since supersets of a
+    qualifying set are never minimal.  The output added last is the
+    lightest member, and without it the mass was below the threshold, so
+    every completed set is minimal.  A set stops growing once even all
+    the outputs after its last cannot lift it to the threshold.  A row
+    with more than ``_MAX_GRAPH_NODE_LIMIT`` minimal sets raises
+    ValueError.
     """
     row = c.weights[x]
     order = sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y])
     weights = [row[y] for y in order]
+    bits = [1 << y for y in order]
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
     found: list[int] = []
 
-    def dfs(i: int, mass: int, mask: int, lightest: int) -> None:
-        if mass >= threshold:
-            if mass - lightest < threshold:
-                if len(found) == _MAX_GRAPH_NODE_LIMIT:
-                    raise ValueError(
-                        f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
-                        f"minimal decoding sets"
-                    )
-                found.append(mask)
-            return
-        if i == len(order) or mass + suffix[i] < threshold:
-            return
-        w = weights[i]
-        dfs(i + 1, mass + w, mask | (1 << order[i]), min(lightest, w))
-        dfs(i + 1, mass, mask, lightest)
+    def grow(start: int, mass: int, mask: int) -> None:
+        for i in range(start, len(order)):
+            if mass + suffix[i] < threshold:
+                return  # suffix falls with i, so no later output helps either
+            grown = mass + weights[i]
+            if grown < threshold:
+                grow(i + 1, grown, mask | bits[i])
+                continue
+            if len(found) == _MAX_GRAPH_NODE_LIMIT:
+                raise ValueError(
+                    f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
+                    f"minimal decoding sets"
+                )
+            found.append(mask | bits[i])
 
-    dfs(0, 0, 0, c.scale)
-    del dfs  # it holds itself through its closure; free its work by refcount
+    grow(0, 0, 0)
+    del grow  # it holds itself through its closure; free its work by refcount
     return found
 
 

@@ -17,8 +17,13 @@ Two graphs drive the two capacity metrics:
 A node is the pair itself, ``OneShotNode(input, mask)``: its input x and
 its output set D as a bitmask, the output tuple derived on demand.
 Witnesses are tuples of nodes, and the average graph's methods take nodes;
-only the max graph's adjacency bitmasks name nodes by position.  The
-average graph holds only its channel and builds its node list when read.
+only the max graph's adjacency bitmasks name nodes by position.  Neither
+graph builds its node list unless it is read: the max graph keeps its
+nodes' inputs and masks as two tuples, and the average graph holds only
+its channel.  The max graph's node bitmask of each output is a column of
+the masks' transpose, taken in bulk with one byte transpose
+(``bitsets.columns``), and each adjacency row is the OR of its node's
+input range and output columns.
 
 For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
@@ -89,21 +94,30 @@ class OneShotNode:
 
 @dataclass(frozen=True)
 class MaxOneShotGraph:
-    """Unweighted conflict graph; adj[i] is the neighbour bitmask of node i.
+    """Unweighted conflict graph over nodes 0..N-1, inputs in order and each
+    input's sets in ``bitsets.canonical_order``.  Node i is the pair
+    (inputs[i], masks[i]), and adj[i] is its neighbour bitmask.
 
-    input_nodes[x] is the bitmask of the nodes of input x, and
-    output_nodes[y] that of the nodes whose set holds output y; the search
-    reads them for its packing bound.
+    input_nodes[x] is the bitmask of the nodes of input x, a contiguous
+    range, and output_nodes[y] that of the nodes whose set holds output y;
+    the search reads them for its packing bound.  ``nodes`` is a view built
+    on first read: the search and ``independence_number`` read ``inputs``
+    and ``masks``, and only a dump or a caller builds the node tuple.
     """
 
-    nodes: tuple[OneShotNode, ...]
+    inputs: tuple[int, ...]
+    masks: tuple[int, ...]
     adj: tuple[int, ...]
     input_nodes: tuple[int, ...]
     output_nodes: tuple[int, ...]
 
+    @cached_property
+    def nodes(self) -> tuple[OneShotNode, ...]:
+        return tuple(map(OneShotNode, self.inputs, self.masks))
+
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.masks)
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)
@@ -129,51 +143,37 @@ def build_max_graph(
             f"channel has {c.num_outputs}"
         )
     threshold = c.min_mass(eps, 1)
-    nodes: list[OneShotNode] = []
+    inputs: list[int] = []
+    masks: list[int] = []
+    input_nodes = []
     for x in range(c.num_inputs):
         if minimal_only:
-            masks = bitsets.canonical_order(minimal_decoding_masks(c, x, threshold), c.num_outputs)
+            row = bitsets.canonical_order(minimal_decoding_masks(c, x, threshold), c.num_outputs)
         else:
             masses = bitsets.subset_masses(c.weights[x])
-            masks = [m for m in bitsets.all_masks(c.num_outputs) if masses[m] >= threshold]
-        if len(nodes) + len(masks) > _MAX_GRAPH_NODE_LIMIT:
+            row = [m for m in bitsets.all_masks(c.num_outputs) if masses[m] >= threshold]
+        if len(masks) + len(row) > _MAX_GRAPH_NODE_LIMIT:
             raise ValueError(
                 f"maximum-one-shot graph has more than {_MAX_GRAPH_NODE_LIMIT} nodes"
             )
-        nodes.extend(OneShotNode(x, m) for m in masks)
-    return MaxOneShotGraph(tuple(nodes), *_conflict_adjacency(nodes, c))
-
-
-def _conflict_adjacency(
-    nodes: Sequence[OneShotNode], c: Channel
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Node i's neighbours, the nodes sharing its input or one of its
-    outputs; built from, and returned with, the node bitmask of each input
-    and of each output."""
-    by_input = [0] * c.num_inputs
-    by_output = [0] * c.num_outputs
-    outputs = []
-    for i, node in enumerate(nodes):
-        bit = 1 << i
-        by_input[node.input] |= bit
-        # bitsets.outputs_of's walk, inlined: this loop runs once per node
-        # of every graph build, and it fills by_output as it goes
-        ys = []
-        rest = node.mask
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            ys.append(y)
-            by_output[y] |= bit
-            rest ^= low
-        outputs.append(ys)
+        input_nodes.append(((1 << len(row)) - 1) << len(masks))
+        inputs += [x] * len(row)
+        masks += row
+    output_nodes = bitsets.columns(masks, c.num_outputs)
+    # node i's neighbours: its input's nodes and the columns of its outputs,
+    # read a byte of its mask at a time
+    byte_columns = [output_nodes[y:y + 8] for y in range(0, c.num_outputs, 8)]
+    byte_outputs = bitsets.BYTE_OUTPUTS
     adj = []
-    for i, node in enumerate(nodes):
-        mask = by_input[node.input]
-        for y in outputs[i]:
-            mask |= by_output[y]
-        adj.append(mask & ~(1 << i))
-    return tuple(adj), tuple(by_input), tuple(by_output)
+    for i, (x, mask) in enumerate(zip(inputs, masks)):
+        nbrs = input_nodes[x]
+        for columns in byte_columns:
+            for y in byte_outputs[mask & 255]:
+                nbrs |= columns[y]
+            mask >>= 8
+        adj.append(nbrs ^ 1 << i)  # nbrs holds i, one of input x's nodes
+    return MaxOneShotGraph(tuple(inputs), tuple(masks), tuple(adj), tuple(input_nodes),
+                           tuple(output_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def _bounded_independent_set(
     else:
         inputs = [m for m in graph.input_nodes if m]
         outputs = [m for m in graph.output_nodes if m]
-        sizes = [node.mask.bit_count() for node in graph.nodes]
+        sizes = [m.bit_count() for m in graph.masks]
 
     def expand(r_size: int, r_mask: int, cand: int) -> None:
         nonlocal best_size, best_mask
@@ -286,7 +286,7 @@ def independence_number(g: MaxOneShotGraph) -> tuple[int, tuple[OneShotNode, ...
     """Exact independence number of the conflict graph, with a witness:
     its members, in node order."""
     size, mask = _bounded_independent_set(g.adj, 0, g.num_nodes, g)
-    return size, tuple(g.nodes[i] for i in bitsets.outputs_of(mask))
+    return size, tuple(OneShotNode(g.inputs[i], g.masks[i]) for i in bitsets.outputs_of(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,20 @@ def test_min_sets_match_subset_oracle():
                     oracle_minimal_sets(c, x, eps)
 
 
+def test_min_sets_match_subset_oracle_on_wide_rows_with_zeros():
+    # 6 to 10 outputs over denominators 4 to 8: rows with zero entries, and
+    # rows where one weight repeats, so the walk's descending order has ties
+    eps_grid = [F(0), F(1, 8), F(1, 3), F(1, 2), F(3, 4)]
+    channels = [gen_random(2, ny, seed=820 + ny, denominator_bound=d)
+                for ny in range(6, 11) for d in (4, 8)]
+    assert sum(0 in row for c in channels for row in c.weights) >= 15
+    for c in channels:
+        for x in range(c.num_inputs):
+            for eps in eps_grid:
+                assert enumerate_min_decoding_sets(c, x, eps) == \
+                    oracle_minimal_sets(c, x, eps)
+
+
 def test_min_sets_order_on_a_two_byte_row():
     # 14 outputs: hundreds of sets of several sizes, most reaching past output 7
     c = gen_random(1, 14, seed=2, denominator_bound=24)

@@ -19,8 +19,9 @@ from oneshotcap import (
     scheme_from_disjoint_sets,
     sparse_number,
 )
-from oneshotcap import bitsets, graphs
-from oneshotcap.channel import Channel, gen_random, identity_channel
+from oneshotcap import bitsets, capacity, graphs
+from oneshotcap.channel import Channel, gen_from_cubic_graph, gen_random, identity_channel
+from oneshotcap.hardness import gen_random_cubic
 from oneshotcap.graphs import _bounded_independent_set
 from corpus import COPRIME, random_channels
 from oracles import oracle_avg_graph, oracle_mis, oracle_sparse_number
@@ -85,6 +86,60 @@ def test_max_graph_exhaustive_bound():
     with pytest.raises(ValueError, match="<= 12 outputs"):
         build_max_graph(c, F(0), minimal_only=False)
     build_max_graph(c, F(0), minimal_only=True)  # minimal mode is fine
+
+
+def test_max_graph_bitmasks_match_pairwise_definitions():
+    # masks that end inside a byte, fill one, and span two; the exhaustive
+    # graph at 12 outputs; and a 51-output reduction channel, seven bytes
+    # per mask: the byte boundaries of the columns' transpose
+    cases = [(gen_random(nx, ny, seed=2300 + ny, denominator_bound=24), eps, True)
+             for nx, ny in ((5, 6), (6, 8), (5, 9), (6, 12), (4, 14))
+             for eps in (F(1, 10), F(1, 4))]
+    cases.append((gen_random(3, 12, seed=2320, denominator_bound=24), F(1, 10), False))
+    cases.append((gen_from_cubic_graph(gen_random_cubic(34, 5)), F(1, 4), True))
+    for c, eps, minimal_only in cases:
+        g = build_max_graph(c, eps, minimal_only=minimal_only)
+        n = g.num_nodes
+        inputs, masks = g.inputs, g.masks
+        assert len(inputs) == len(g.adj) == n >= c.num_inputs
+        assert g.nodes == tuple(OneShotNode(x, m) for x, m in zip(inputs, masks))
+        assert g.input_nodes == tuple(sum(1 << i for i in range(n) if inputs[i] == x)
+                                      for x in range(c.num_inputs))
+        assert g.output_nodes == tuple(sum(1 << i for i in range(n) if masks[i] >> y & 1)
+                                       for y in range(c.num_outputs))
+        for i in range(n):
+            assert g.adj[i] == sum(1 << j for j in range(n) if j != i and (
+                inputs[j] == inputs[i] or masks[j] & masks[i]))
+
+
+def test_columns_transpose_masks():
+    rng = random.Random(29)
+    for width in (1, 8, 9, 16, 17):
+        full = (1 << width) - 1
+        for count in (1, 7, 8, 9, 100):
+            masks = [0, full] + [rng.randrange(full + 1) for _ in range(count)]
+            expected = [sum(1 << i for i, m in enumerate(masks) if m >> y & 1)
+                        for y in range(width)]
+            assert bitsets.columns(masks, width) == expected
+    assert bitsets.columns([], 5) == [0] * 5
+
+
+def test_max_capacity_never_builds_the_node_view(monkeypatch):
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_max_graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(capacity, "build_max_graph", build)
+    c = gen_random(8, 8, seed=2330, denominator_bound=24)
+    result = capacity.max_capacity(c, F(1, 3))
+    (g,) = built
+    assert "nodes" not in vars(g)
+    # the witness's nodes are graph nodes, built alone
+    size, witness = independence_number(g)
+    assert "nodes" not in vars(g)
+    assert size == result.codebook_size > 1 and set(witness) <= set(g.nodes)
 
 
 def test_minimal_nodes_preserve_alpha():

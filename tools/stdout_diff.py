@@ -6,7 +6,9 @@ Builds each benchmark workload's seed-1 corpus with ``bench/corpus.py``
 (imported as it is), plus a ``graph-dump`` group: the max variant at
 eps 1/10 and 1/3, with and without ``--minimal-only``, the avg
 variant, and ``sparse`` at eps 0, 1/3, 1/2 and 1 (edges of the escape
-budget), on 10 seeded random channels; and a ``generators`` group: ``gen
+budget), on 10 seeded random channels, and the max variant with
+``--minimal-only`` at eps 1/3 on a 5x9 and a 4x12 channel, whose masks
+span two bytes; and a ``generators`` group: ``gen
 random`` from 1x1 up over denominators whose counts share factors, ``gen
 funnel`` (leaks spelled as fractions, as decimals and as both),
 ``reduce`` on the 5 named and 10 random cubic graphs,
@@ -194,6 +196,12 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         for eps in ("0", "1/3", "1/2", "1"):
             ops.append(("graph-dump", f"{path.stem}/sparse@{eps}",
                         ["sparse", str(path), "--epsilon", eps]))
+    for i, (nx, ny, denom) in enumerate(((5, 9, 24), (4, 12, 12))):
+        path = dumps / f"random{nx}x{ny}.txt"
+        path.write_text(serialize_channel(gen_random(nx, ny, SEED + i, denom)), encoding="utf-8")
+        ops.append(("graph-dump", f"{path.stem}/max-minimal@1/3",
+                    ["graph-dump", str(path), "--variant", "max", "--epsilon", "1/3",
+                     "--minimal-only"]))
     demos = [("demos", path.name, ["demo", path.name])
              for path in sorted((ROOT / "demos").glob("*.py"))]
     return ops + _wide_ops(directory) + demos
