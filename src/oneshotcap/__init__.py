@@ -59,6 +59,7 @@ from .capacity import (
     capacity_curve,
     funnel_closed_form,
     max_capacity,
+    subset_packing_size,
 )
 from .hardness import (
     ReductionReport,

@@ -72,6 +72,19 @@ def columns(masks: Sequence[int], width: int) -> list[int]:
 
 
 @functools.cache
+def lacking(width: int) -> tuple[int, ...]:
+    """Bitsets over the 2^width subsets of ``width`` outputs: bit S of
+    lacking(width)[y] is set when the subset S lacks output y.
+
+    Subsets with bit y clear come in runs of 2^y, once every 2^(y+1), so
+    the pattern is a run of 2^y ones repeated; the all-ones bitset divided
+    by 2^(2^(y+1)) - 1 has a one at the start of each period.
+    """
+    full = (1 << (1 << width)) - 1
+    return tuple(full // ((1 << (2 << y)) - 1) * ((1 << (1 << y)) - 1) for y in range(width))
+
+
+@functools.cache
 def all_masks(width: int) -> tuple[int, ...]:
     """Every nonempty mask of ``width`` bits, in ``canonical_order``."""
     return tuple(canonical_order(range(1, 1 << width), width))

@@ -5,7 +5,10 @@ One exact engine per metric:
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
   decoding sets, one per chosen input, found as the independence number
   of the maximum-one-shot graph over those sets.  The test suite checks
-  it against a separate packing search (``tests/oracles.py``).
+  it against a separate packing search (``tests/oracles.py``).  Where
+  only the size is needed (the max curve, and ``subset_packing_size`` for
+  ``--cross-check``), a DP over the 2^|Y| output subsets finds it with no
+  conflict graph, on channels of at most 16 outputs.
 * ``avg_capacity``  -- searches codebooks largest-first; for a fixed
   codebook the pointwise-argmax decoder is average-optimal, so the mean
   error of a codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility
@@ -13,6 +16,9 @@ One exact engine per metric:
   eps-sparse number of the average-one-shot graph (``graphs.sparse_number``),
   is at most this capacity, and equal unless the best scheme sacrifices a
   codeword (decoding error exactly 1).
+
+Both engines re-check their witness against the exact error metric
+before they return, and raise RuntimeError if it exceeds eps.
 
 ``brute_force_capacity`` enumerates every codebook and every total decoder
 on tiny channels; it is the independent oracle the engines are validated
@@ -41,17 +47,21 @@ from .decoding import (
     Scheme,
     avg_error,
     max_error,
+    minimal_decoding_masks,
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
 )
-from .graphs import _bounded_independent_set, build_max_graph, independence_number
+from .graphs import build_max_graph, independence_number
 
 METRIC_MAX = "maximum"
 METRIC_AVG = "average"
 
 _BRUTE_FORCE_LIMIT = 5
-# Curve sweeps enumerate every output subset (max) or codebook (avg).
+# The avg curve enumerates every codebook.
 _CURVE_SWEEP_LIMIT = 12
+# The subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB each at 16
+# outputs, and the max curve enumerates every output subset's mass.
+_SUBSET_OUTPUT_LIMIT = 16
 
 
 def normalize_metric(metric: str) -> str:
@@ -128,6 +138,17 @@ class CapacityCurve:
         return "\n".join(lines) + "\n"
 
 
+def _checked(c: Channel, metric: str, eps: Fraction, size: int, scheme: Scheme) -> CapacityResult:
+    """The engine's result, once its witness meets eps under the exact
+    error metric; RuntimeError when it does not."""
+    error = (max_error if metric == METRIC_MAX else avg_error)(c, scheme)
+    if error > eps:
+        raise RuntimeError(
+            f"{metric} witness has error {format_prob(error)} > eps = {format_prob(eps)}"
+        )
+    return CapacityResult(metric, eps, size, scheme)
+
+
 # ---------------------------------------------------------------------------
 # Maximum-error metric
 # ---------------------------------------------------------------------------
@@ -144,10 +165,58 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     eps = as_prob(eps, "eps")
     if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
-        return CapacityResult(METRIC_MAX, eps, c.num_inputs, scheme)
+        return _checked(c, METRIC_MAX, eps, c.num_inputs, scheme)
     size, witness = independence_number(build_max_graph(c, eps))
     scheme = scheme_from_disjoint_sets(c, [(n.input, n.outputs) for n in witness])
-    return CapacityResult(METRIC_MAX, eps, size, scheme)
+    return _checked(c, METRIC_MAX, eps, size, scheme)
+
+
+def subset_packing_size(c: Channel, eps) -> int:
+    """The codebook size of ``max_capacity``, from the DP over output
+    subsets (``_packing_size``): no conflict graph and no witness.
+    Limited to channels of at most 16 outputs."""
+    eps = as_prob(eps, "eps")
+    if c.num_outputs > _SUBSET_OUTPUT_LIMIT:
+        raise ValueError(
+            f"subset DP needs <= {_SUBSET_OUTPUT_LIMIT} outputs, channel has {c.num_outputs}"
+        )
+    if eps == 1:
+        return c.num_inputs
+    return _packing_size(c, c.min_mass(eps, 1), c.num_inputs)
+
+
+def _packing_size(c: Channel, threshold: int, ceiling: int) -> int:
+    """The most pairwise-disjoint minimal decoding sets of integer mass
+    >= ``threshold`` (positive) that distinct inputs can take, or
+    ``ceiling`` as soon as that many fit.
+
+    unions[k] is a bitset over the 2^|Y| output subsets: bit S is set when
+    S is the union of k such sets from distinct inputs seen so far, and
+    unions[0] holds only the empty set.  Input x adds each of its minimal
+    masks D to every union S of a level that D is disjoint from: the
+    subsets disjoint from D are the AND of ``bitsets.lacking`` over D's
+    outputs, and for those S | D = S + D, so a shift left by D moves them
+    to level k + 1.  Every level is read before x, so no input is used
+    twice.  The size is the highest non-empty level.
+    """
+    ny = c.num_outputs
+    lacking = bitsets.lacking(ny)
+    everything = (1 << (1 << ny)) - 1
+    unions = [1]
+    for x in range(c.num_inputs):
+        grown = unions + [0]
+        for mask in minimal_decoding_masks(c, x, threshold):
+            disjoint = everything
+            for y in bitsets.outputs_of(mask):
+                disjoint &= lacking[y]
+            for k, sources in enumerate(unions):
+                grown[k + 1] |= (sources & disjoint) << mask
+        if not grown[-1]:
+            grown.pop()
+        unions = grown
+        if len(unions) > ceiling:
+            break
+    return len(unions) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +245,7 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
             continue  # even the best-case codebook of this size fails
         for cb in combinations(range(nx), k):
             if _captured(c, cb) >= need:
-                return CapacityResult(METRIC_AVG, eps, k, optimal_avg_decoder(c, cb))
+                return _checked(c, METRIC_AVG, eps, k, optimal_avg_decoder(c, cb))
     raise AssertionError("unreachable: a singleton codebook has error 0")
 
 
@@ -231,21 +300,23 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
 
     Maximum metric: the admissible-set families change only at values
     1 - mass(D) over output subsets D, so those are the only candidate
-    thresholds; they are kept as integer masses, and only those solved or
-    reported become Fractions.  The size never falls as eps grows, so the
-    sorted candidates are split in halves and an interval whose two ends
-    have equal sizes is settled without solving inside it; each midpoint is
-    solved with its ends' sizes as floor and ceiling of the search.  Only
-    sizes are computed, no witness.  Average metric: size k first becomes
+    thresholds; they are kept as integer masses, which are also the
+    searches' thresholds, and only the solved ones become Fractions.  The
+    size never falls as eps grows, so the sorted candidates are split in
+    halves and an interval whose two ends have equal sizes is settled
+    without solving inside it.  Each midpoint is solved by the DP over
+    output subsets (``_packing_size``, no conflict graph), which stops at
+    the upper end's size.  Only sizes are computed, no witness; channels of
+    more than 16 outputs are refused.  Average metric: size k first becomes
     admissible at the least optimal-decoder mean error over codebooks of
     size k.  Candidates come from distinct integer masses; equal
     consecutive sizes are merged.
     """
     metric = normalize_metric(metric)
     if metric == METRIC_MAX:
-        if c.num_outputs > _CURVE_SWEEP_LIMIT:
+        if c.num_outputs > _SUBSET_OUTPUT_LIMIT:
             raise ValueError(
-                f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} outputs, channel has {c.num_outputs}"
+                f"curve sweep needs <= {_SUBSET_OUTPUT_LIMIT} outputs, channel has {c.num_outputs}"
             )
         masses = set()
         for row in c.weights:
@@ -257,18 +328,15 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
         def threshold(i: int) -> Fraction:
             return Fraction(c.scale - masses[i], c.scale)
 
-        def solve(i: int, floor: int, ceiling: int) -> int:
-            g = build_max_graph(c, threshold(i))
-            return _bounded_independent_set(g.adj, floor, ceiling, g)[0]
-
+        # at candidate i a decoding set needs mass masses[i]: min_mass(threshold(i), 1)
         last = len(masses) - 1
-        known = {0: solve(0, 1, c.num_inputs), last: c.num_inputs}  # index -> size
+        known = {0: _packing_size(c, masses[0], c.num_inputs), last: c.num_inputs}  # index -> size
 
         def settle(lo: int, hi: int) -> None:
             if hi - lo < 2 or known[lo] == known[hi]:
                 return  # every threshold inside has the ends' size
             mid = (lo + hi) // 2
-            known[mid] = solve(mid, known[lo], known[hi])
+            known[mid] = _packing_size(c, masses[mid], known[hi])
             settle(lo, mid)
             settle(mid, hi)
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .capacity import (
     _BRUTE_FORCE_LIMIT,
+    _SUBSET_OUTPUT_LIMIT,
     METRIC_MAX,
     avg_capacity,
     brute_force_capacity,
@@ -27,6 +28,7 @@ from .capacity import (
     max_capacity,
     normalize_metric,
     render_bits,
+    subset_packing_size,
 )
 from .channel import (
     Channel,
@@ -97,6 +99,8 @@ def _cmd_capacity(args) -> int:
     if args.cross_check:
         results = {name: run() for name, run in engines.items()}
         sizes = {name: r.codebook_size for name, r in results.items()}
+        if metric == METRIC_MAX and c.num_outputs <= _SUBSET_OUTPUT_LIMIT:
+            sizes["subset"] = subset_packing_size(c, eps)  # a size, with no witness
         result = results[engine] if engine in results else next(iter(results.values()))
         if len(set(sizes.values())) != 1:
             detail = ", ".join(f"{n}={k}" for n, k in sizes.items())
@@ -219,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "search; brute: 5x5 channels at most")
     p.add_argument("--witness", help="write the witness scheme JSON here")
     p.add_argument("--cross-check", action="store_true",
-                   help="run each distinct engine once; fail on disagreement")
+                   help="run each distinct engine once, and for max on at most 16 "
+                        "outputs the subset DP's size too; fail on disagreement")
     p.add_argument("--json", action="store_true", help="also print the result as JSON")
     p.set_defaults(func=_cmd_capacity)
 

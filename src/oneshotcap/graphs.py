@@ -36,10 +36,9 @@ never needed.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
-max-metric engine behind ``capacity.max_capacity``.  The same search, given
-a floor and a ceiling known to bracket the answer, starts its incumbent at
-the floor and stops at the ceiling; ``capacity.capacity_curve`` uses it
-with the sizes at neighbouring thresholds.
+max-metric engine behind ``capacity.max_capacity``.  The max curve builds
+no conflict graph: ``capacity.capacity_curve`` finds its sizes with a DP
+over output subsets.
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the
@@ -187,21 +186,14 @@ def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
     bound: each colour class is a clique, so it holds at most one member
     of an independent set.
     """
-    return _bounded_independent_set(adj, 0, len(adj))
-
-
-class _CeilingReached(Exception):
-    pass
+    return _bounded_independent_set(adj)
 
 
 def _bounded_independent_set(
-    adj: Sequence[int], floor: int, ceiling: int, graph: MaxOneShotGraph | None = None
+    adj: Sequence[int], graph: MaxOneShotGraph | None = None
 ) -> tuple[int, int]:
-    """The search of ``max_independent_set`` for a caller that knows
-    floor <= alpha <= ceiling: the incumbent starts at ``floor`` (mask 0,
-    no witness), so only larger sets are sought, and the search stops at
-    the first set of ``ceiling`` members.  Returns alpha and a witness
-    mask, which is 0 when alpha == floor.
+    """The search of ``max_independent_set``: returns alpha and a witness
+    mask of alpha members.
 
     Given the conflict ``graph`` that ``adj`` belongs to, the search also
     prunes with a packing bound: the members still to come take distinct
@@ -214,7 +206,7 @@ def _bounded_independent_set(
     changes only on a strict improvement, so the size and the mask are
     those of the colouring bound alone.
     """
-    best_size = floor
+    best_size = 0
     best_mask = 0
     if graph is None:
         inputs = outputs = sizes = ()
@@ -228,8 +220,6 @@ def _bounded_independent_set(
         if cand == 0:
             if r_size > best_size:
                 best_size, best_mask = r_size, r_mask
-                if best_size >= ceiling:
-                    raise _CeilingReached
             return
         if inputs:
             smallest = []
@@ -274,10 +264,7 @@ def _bounded_independent_set(
             expand(r_size + 1, r_mask | bit, cand & ~(adj[v] | bit))
             cand &= ~bit
 
-    try:
-        expand(0, 0, (1 << len(adj)) - 1)
-    except _CeilingReached:
-        pass
+    expand(0, 0, (1 << len(adj)) - 1)
     del expand  # it holds itself through its closure; free its work by refcount
     return best_size, best_mask
 
@@ -285,7 +272,7 @@ def _bounded_independent_set(
 def independence_number(g: MaxOneShotGraph) -> tuple[int, tuple[OneShotNode, ...]]:
     """Exact independence number of the conflict graph, with a witness:
     its members, in node order."""
-    size, mask = _bounded_independent_set(g.adj, 0, g.num_nodes, g)
+    size, mask = _bounded_independent_set(g.adj, g)
     return size, tuple(OneShotNode(g.inputs[i], g.masks[i]) for i in bitsets.outputs_of(mask))
 
 

@@ -24,8 +24,10 @@ from oneshotcap import (
     max_error,
     scheme_from_disjoint_sets,
     sparse_number,
+    subset_packing_size,
     verify_reduction,
 )
+from oneshotcap.decoding import Scheme
 from corpus import random_channels
 from oracles import oracle_capacity, oracle_curve_max, oracle_packing
 
@@ -81,6 +83,18 @@ def test_witnesses_are_admissible(funnel3):
         assert avg_error(funnel3, a.witness) <= eps
 
 
+@pytest.mark.parametrize("engine, builder", [
+    (max_capacity, "scheme_from_disjoint_sets"),
+    (avg_capacity, "optimal_avg_decoder"),
+], ids=["max", "avg"])
+def test_inadmissible_witness_raises(funnel3, monkeypatch, engine, builder):
+    # every output decodes to codeword 0, so codewords 1 and 2 have error 1
+    monkeypatch.setattr(f"oneshotcap.capacity.{builder}",
+                        lambda c, _: Scheme((0, 1, 2), (0, 0, 0)))
+    with pytest.raises(RuntimeError, match="witness has error .* > eps = 1/50"):
+        engine(funnel3, F(1, 50))
+
+
 def test_result_validation(funnel3):
     r = max_capacity(funnel3, F(1, 100))
     data = r.to_json_dict()
@@ -113,6 +127,21 @@ def test_max_capacity_matches_packing_oracle_beyond_brute_force():
                 r = max_capacity(c, eps)
                 assert r.codebook_size == oracle_packing(c, eps)
                 assert max_error(c, r.witness) <= eps
+
+
+def test_subset_dp_matches_graph_engine():
+    for n in range(6, 11):
+        for i in range(2):
+            c = gen_random(n, n, seed=2700 + 10 * n + i, denominator_bound=24)
+            for eps in [F(0), F(1, 10), F(1, 3), F(1, 2), F(3, 4)]:
+                g = build_max_graph(c, eps)
+                assert subset_packing_size(c, eps) == independence_number(g)[0], (n, i, eps)
+
+
+def test_subset_dp_limits(funnel3):
+    assert subset_packing_size(funnel3, F(1)) == 3
+    with pytest.raises(ValueError, match="<= 16 outputs"):
+        subset_packing_size(identity_channel(17), F(0))
 
 
 def test_avg_engines_agree_with_oracle():
@@ -270,6 +299,20 @@ def test_max_curve_matches_oracle_beyond_brute_force():
         for i in range(4):
             c = gen_random(n, n, seed=2600 + 10 * n + i, denominator_bound=12)
             assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
+
+
+@pytest.mark.parametrize("shape", [(8, 14), (6, 16)])
+def test_wide_max_curve_matches_engine_at_and_below_breakpoints(shape):
+    # past the graph engine's old 12-output curve limit; candidate
+    # thresholds are multiples of 1/scale, so t - 1/(2 scale) lies between
+    # t and the candidate before it
+    c = gen_random(*shape, seed=2800, denominator_bound=24)
+    curve = capacity_curve(c, "max")
+    for t, k in curve.breakpoints:
+        assert curve.value_at(t) == max_capacity(c, t).codebook_size == k
+        if t:
+            below = t - F(1, 2 * c.scale)
+            assert curve.value_at(below) == max_capacity(c, below).codebook_size < k
 
 
 def test_curve_csv_format(funnel3):

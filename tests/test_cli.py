@@ -109,7 +109,7 @@ def test_capacity_cross_check(funnel3_file, capsys):
     assert main(["capacity", funnel3_file, "--metric", "max",
                  "--epsilon", "1/100", "--cross-check"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["cross-check ok: brute, packing",
+    assert out == ["cross-check ok: brute, packing, subset",
                    "codebook_size=2 capacity_bits=1.000000000000"]
 
 
@@ -155,13 +155,28 @@ def test_capacity_cross_check_planted_disagreement(
     assert "engine disagreement" in capsys.readouterr().err
 
 
+def test_capacity_cross_check_reaches_subset_dp_past_brute_force(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "random8x8.txt"
+    path.write_text(serialize_channel(gen_random(8, 8, seed=1, denominator_bound=24)))
+    argv = ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--cross-check"]
+    assert main(argv) == 0
+    ok, result = capsys.readouterr().out.splitlines()
+    assert ok == "cross-check ok: packing, subset"
+    size = int(result.split()[0].removeprefix("codebook_size="))
+    monkeypatch.setattr("oneshotcap.cli.subset_packing_size", lambda c, eps: size + 1)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"engine disagreement: packing={size}, subset={size + 1}\n"
+
+
 def _uniform(nx, ny):
     return Channel.make([[F(1, ny)] * ny] * nx)
 
 
 @pytest.mark.parametrize("shape, call, argv, message", [
-    ((1, 13), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
-     "<= 12 outputs"),
+    ((1, 17), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
+     "<= 16 outputs"),
     ((13, 1), lambda c: capacity_curve(c, "avg"), ["curve", "--metric", "avg"],
      "<= 12 inputs"),
     ((1, 11), build_avg_graph, ["sparse", "--epsilon", "1/10"], "<= 10 outputs"),

@@ -38,9 +38,10 @@ from oneshotcap import (
     serialize_channel,
     simulate,
     sparse_number,
+    subset_packing_size,
 )
 from corpus import COPRIME, P, Q
-from oracles import oracle_curve_max, oracle_sparse_number
+from oracles import oracle_curve_max, oracle_packing, oracle_sparse_number
 
 F = Fraction
 
@@ -137,6 +138,13 @@ def test_witnesses_are_graph_nodes_and_non_nodes_raise(c, data):
 @given(channels())
 def test_max_curve_matches_oracle(c):
     assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
+
+
+@SETTINGS
+@given(channels(), st.data())
+def test_subset_dp_matches_packing_oracle(c, data):
+    eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
+    assert subset_packing_size(c, eps) == oracle_packing(c, eps)
 
 
 def test_engines_match_brute_force_beyond_int64_scale():

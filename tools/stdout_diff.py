@@ -15,7 +15,9 @@ funnel`` (leaks spelled as fractions, as decimals and as both),
 ``validate`` on each of those channels written to a file, and
 ``simulate`` on the max and avg witness schemes of a few of them; and a
 ``wide`` group, where the searches' packing bounds prune most: ``curve
---metric max`` on two 8x6, 10x6 and 12x8 channels each, ``capacity
+--metric max`` on two 8x6, 10x6 and 12x8 channels each, and on three
+8x12, 10x12 and 12x12 channels each (seeds 1 to 3, the widest curves a
+checkout with a 12-output curve limit accepts), ``capacity
 --metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels, and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
@@ -145,15 +147,19 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     wide = directory / "wide"
     wide.mkdir()
     max_curve = [("curve-max", "curve", ["--metric", "max"])]
+    # (nx, ny) -> (channels of that shape, ops on each)
     runs = {
-        (8, 6): max_curve, (10, 6): max_curve, (12, 8): max_curve,
-        (10, 10): [(f"max@{eps}", "capacity", ["--metric", "max", "--epsilon", eps, "--json"])
-                   for eps in ("1/2", "3/4")],
-        (8, 8): [(f"sparse@{eps}", "sparse", ["--epsilon", eps]) for eps in ("1/4", "1/2")],
+        (8, 6): (2, max_curve), (10, 6): (2, max_curve), (12, 8): (2, max_curve),
+        (8, 12): (3, max_curve), (10, 12): (3, max_curve), (12, 12): (3, max_curve),
+        (10, 10): (2, [(f"max@{eps}", "capacity",
+                        ["--metric", "max", "--epsilon", eps, "--json"])
+                       for eps in ("1/2", "3/4")]),
+        (8, 8): (2, [(f"sparse@{eps}", "sparse", ["--epsilon", eps])
+                     for eps in ("1/4", "1/2")]),
     }
     ops = []
-    for (nx, ny), shape_runs in runs.items():
-        for i in range(2):
+    for (nx, ny), (copies, shape_runs) in runs.items():
+        for i in range(copies):
             path = wide / f"random{nx}x{ny}-{i}.txt"
             path.write_text(serialize_channel(gen_random(nx, ny, SEED + i, 24)),
                             encoding="utf-8")
