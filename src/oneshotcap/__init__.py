@@ -59,7 +59,6 @@ from .capacity import (
     capacity_curve,
     funnel_closed_form,
     max_capacity,
-    subset_packing_size,
 )
 from .hardness import (
     ReductionReport,

@@ -3,12 +3,14 @@
 One exact engine per metric:
 
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
-  decoding sets, one per chosen input, found as the independence number
-  of the maximum-one-shot graph over those sets.  The test suite checks
-  it against a separate packing search (``tests/oracles.py``).  Where
-  only the size is needed (the max curve, and ``subset_packing_size`` for
-  ``--cross-check``), a DP over the 2^|Y| output subsets finds it with no
-  conflict graph, on channels of at most 16 outputs.
+  decoding sets, one per chosen input.  On channels of at most 16 outputs
+  (``_subset_dp_fits``, which also holds the DP to a memory budget) a DP
+  over the 2^|Y| output subsets finds it with no conflict graph, and
+  recovers its witness by backtracking; on wider channels it is the
+  independence number of the maximum-one-shot graph over those sets.
+  Both stop at a packing bound.  The max curve runs the same DP
+  (``_packing``) for sizes alone.  The test suite checks the DP against
+  the graph engine and a separate packing search (``tests/oracles.py``).
 * ``avg_capacity``  -- searches codebooks largest-first; for a fixed
   codebook the pointwise-argmax decoder is average-optimal, so the mean
   error of a codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility
@@ -36,10 +38,10 @@ rational breakpoints and ``capacity_curve`` recovers them exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from . import bitsets
 from .channel import Channel, FunnelSpec, as_prob, format_prob
@@ -50,6 +52,7 @@ from .decoding import (
     minimal_decoding_masks,
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
+    visit_minimal_sets,
 )
 from .graphs import build_max_graph, independence_number
 
@@ -62,6 +65,9 @@ _CURVE_SWEEP_LIMIT = 12
 # The subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB each at 16
 # outputs, and the max curve enumerates every output subset's mass.
 _SUBSET_OUTPUT_LIMIT = 16
+# The subset DP's witness snapshots may take this many bytes, as the
+# conflict graph's N ints of N bits may at its 2^15-node cap.
+_SUBSET_DP_BYTES = 1 << 27
 
 
 def normalize_metric(metric: str) -> str:
@@ -156,67 +162,128 @@ def _checked(c: Channel, metric: str, eps: Fraction, size: int, scheme: Scheme) 
 def max_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook with worst-codeword error <= eps.
 
-    The independence number of the maximum-one-shot graph: one minimal
-    decoding set per chosen input, pairwise disjoint.  The witness decoder
-    sends each chosen set to its input and every leftover output to the
-    first codeword.  eps = 1 short-circuits to the full input alphabet (no
-    error can exceed 1), where the graph is not defined.
+    The largest packing of pairwise-disjoint minimal decoding sets, one per
+    chosen input.  ``_subset_dp_fits`` picks the engine: the DP over
+    output subsets (``_packing``) on channels of at most 16 outputs whose
+    level snapshots fit its memory budget, with a witness found by
+    backtracking through them; otherwise the independence number of the
+    maximum-one-shot graph.  The DP stops at the packing bound
+    (``_packing_bound``); the graph search prunes with its own.  The
+    witness decoder sends each chosen set to its input and every leftover
+    output to the first codeword.  eps = 1 short-circuits to the full
+    input alphabet (no error can exceed 1), where no decoding set is
+    needed.
     """
     eps = as_prob(eps, "eps")
     if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return _checked(c, METRIC_MAX, eps, c.num_inputs, scheme)
-    size, witness = independence_number(build_max_graph(c, eps))
-    scheme = scheme_from_disjoint_sets(c, [(n.input, n.outputs) for n in witness])
+    threshold = c.min_mass(eps, 1)
+    ceiling = _packing_bound(_top_masses(c), c.num_outputs, threshold)
+    if _subset_dp_fits(c, ceiling):
+        size, sets = _packing(c, threshold, ceiling, witness=True)
+    else:
+        size, nodes = independence_number(build_max_graph(c, eps))
+        sets = [(n.input, n.mask) for n in nodes]
+    scheme = scheme_from_disjoint_sets(c, [(x, bitsets.outputs_of(d)) for x, d in sets])
     return _checked(c, METRIC_MAX, eps, size, scheme)
 
 
-def subset_packing_size(c: Channel, eps) -> int:
-    """The codebook size of ``max_capacity``, from the DP over output
-    subsets (``_packing_size``): no conflict graph and no witness.
-    Limited to channels of at most 16 outputs."""
-    eps = as_prob(eps, "eps")
-    if c.num_outputs > _SUBSET_OUTPUT_LIMIT:
-        raise ValueError(
-            f"subset DP needs <= {_SUBSET_OUTPUT_LIMIT} outputs, channel has {c.num_outputs}"
-        )
-    if eps == 1:
-        return c.num_inputs
-    return _packing_size(c, c.min_mass(eps, 1), c.num_inputs)
+def _subset_dp_fits(c: Channel, ceiling: int) -> bool:
+    """The rule between the two max engines: the subset DP takes a channel
+    of at most ``_SUBSET_OUTPUT_LIMIT`` outputs whose witness snapshots,
+    at most nx * (ceiling + 1) bitsets of 2^|Y| bits, fit in
+    ``_SUBSET_DP_BYTES``; any other channel goes to the conflict graph."""
+    return (c.num_outputs <= _SUBSET_OUTPUT_LIMIT
+            and c.num_inputs * (ceiling + 1) << c.num_outputs <= 8 * _SUBSET_DP_BYTES)
 
 
-def _packing_size(c: Channel, threshold: int, ceiling: int) -> int:
+def _top_masses(c: Channel) -> list[list[int]]:
+    """Per row, the integer masses of its 1, 2, ... heaviest outputs."""
+    return [list(accumulate(sorted(row, reverse=True))) for row in c.weights]
+
+
+def _packing_bound(tops: list[list[int]], num_outputs: int, threshold: int) -> int:
+    """An upper bound on the codebook size at a positive ``threshold``,
+    from ``_top_masses``: a row's smallest decoding set has as many outputs as
+    its fewest heaviest outputs that reach the threshold, and the chosen
+    sets are pairwise disjoint, so no more fit than the smallest of those
+    sizes, taken in increasing order while their sum stays at most
+    ``num_outputs``."""
+    room = num_outputs
+    fit = 0
+    for size in sorted(bisect_left(top, threshold) + 1 for top in tops):
+        room -= size
+        if room < 0:
+            break
+        fit += 1
+    return fit
+
+
+def _packing(
+    c: Channel, threshold: int, ceiling: int, witness: bool = False
+) -> int | tuple[int, list[tuple[int, int]]]:
     """The most pairwise-disjoint minimal decoding sets of integer mass
     >= ``threshold`` (positive) that distinct inputs can take, or
-    ``ceiling`` as soon as that many fit.
+    ``ceiling`` as soon as that many fit.  With ``witness``, returns
+    (size, [(input, mask), ...]) with the sets that reach it.
 
     unions[k] is a bitset over the 2^|Y| output subsets: bit S is set when
     S is the union of k such sets from distinct inputs seen so far, and
     unions[0] holds only the empty set.  Input x adds each of its minimal
     masks D to every union S of a level that D is disjoint from: the
-    subsets disjoint from D are the AND of ``bitsets.lacking`` over D's
-    outputs, and for those S | D = S + D, so a shift left by D moves them
-    to level k + 1.  Every level is read before x, so no input is used
-    twice.  The size is the highest non-empty level.
+    minimal-set walk hands over the subsets disjoint from D, the AND of
+    ``bitsets.lacking`` over D's outputs, and for those S | D = S + D, so
+    a shift left by D moves them to level k + 1.  Every level is read
+    before x, so no input is used twice.  The size is the highest
+    non-empty level.
+
+    The witness starts from the lowest subset S of the top level and
+    walks the inputs from last to first through each input's snapshot of
+    the levels before it.  An input whose snapshot already holds S at the
+    current level k is skipped; otherwise it took a set, and its first
+    minimal mask D in ``bitsets.canonical_order`` with D inside S and
+    S ^ D in the snapshot's level k - 1 is one, so S becomes S ^ D.
+    Only the snapshots and masks are kept; the row is walked again.
     """
-    ny = c.num_outputs
-    lacking = bitsets.lacking(ny)
-    everything = (1 << (1 << ny)) - 1
+    history: list[list[int]] = []
     unions = [1]
+
+    def add(mask: int, disjoint: int) -> None:
+        for k, sources in enumerate(unions):
+            grown[k + 1] |= (sources & disjoint) << mask
+
+    lacking = bitsets.lacking(c.num_outputs)
     for x in range(c.num_inputs):
         grown = unions + [0]
-        for mask in minimal_decoding_masks(c, x, threshold):
-            disjoint = everything
-            for y in bitsets.outputs_of(mask):
-                disjoint &= lacking[y]
-            for k, sources in enumerate(unions):
-                grown[k + 1] |= (sources & disjoint) << mask
+        visit_minimal_sets(c, x, threshold, add, lacking)
         if not grown[-1]:
             grown.pop()
+        if witness:
+            history.append(unions)
         unions = grown
         if len(unions) > ceiling:
             break
-    return len(unions) - 1
+    size = len(unions) - 1
+    if not witness:
+        return size
+    top = unions[size]
+    union = (top & -top).bit_length() - 1
+    sets = []
+    for x in range(len(history) - 1, -1, -1):
+        k = size - len(sets)
+        if k == 0:
+            break
+        before = history[x]
+        if k < len(before) and before[k] >> union & 1:
+            continue
+        below = before[k - 1]
+        taken = [d for d in minimal_decoding_masks(c, x, threshold)
+                 if d & union == d and below >> (union ^ d) & 1]
+        d = bitsets.canonical_order(taken, c.num_outputs)[0]
+        sets.append((x, d))
+        union ^= d
+    return size, sets[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +372,10 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
     size never falls as eps grows, so the sorted candidates are split in
     halves and an interval whose two ends have equal sizes is settled
     without solving inside it.  Each midpoint is solved by the DP over
-    output subsets (``_packing_size``, no conflict graph), which stops at
-    the upper end's size.  Only sizes are computed, no witness; channels of
-    more than 16 outputs are refused.  Average metric: size k first becomes
+    output subsets (``_packing``, no conflict graph), which stops at the
+    upper end's size or the packing bound, whichever is less.  Only sizes
+    are computed, no witness; channels of more than 16 outputs are
+    refused.  Average metric: size k first becomes
     admissible at the least optimal-decoder mean error over codebooks of
     size k.  Candidates come from distinct integer masses; equal
     consecutive sizes are merged.
@@ -329,14 +397,20 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             return Fraction(c.scale - masses[i], c.scale)
 
         # at candidate i a decoding set needs mass masses[i]: min_mass(threshold(i), 1)
+        tops = _top_masses(c)
+
+        def solve(i: int, ceiling: int) -> int:
+            bound = _packing_bound(tops, c.num_outputs, masses[i])
+            return _packing(c, masses[i], min(ceiling, bound))
+
         last = len(masses) - 1
-        known = {0: _packing_size(c, masses[0], c.num_inputs), last: c.num_inputs}  # index -> size
+        known = {0: solve(0, c.num_inputs), last: c.num_inputs}  # index -> size
 
         def settle(lo: int, hi: int) -> None:
             if hi - lo < 2 or known[lo] == known[hi]:
                 return  # every threshold inside has the ends' size
             mid = (lo + hi) // 2
-            known[mid] = _packing_size(c, masses[mid], known[hi])
+            known[mid] = solve(mid, known[hi])
             settle(lo, mid)
             settle(mid, hi)
 

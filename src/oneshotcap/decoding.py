@@ -7,13 +7,15 @@ partition the output alphabet, so the per-codeword decoding error is
 metrics (worst codeword and mean over codewords) are computed as exact
 Fractions.
 
-``minimal_decoding_masks`` is the workhorse behind the capacity engines:
+``visit_minimal_sets`` is the workhorse behind the capacity engines:
 given the integer row mass a decoding set must capture (``Channel.min_mass``
-of an eps its caller checked), it lists the inclusion-minimal output sets
-that capture it, as bitmasks; ``enumerate_min_decoding_sets`` is the
-sorted tuple form that takes eps.  Only minimal sets matter when packing
-pre-images, since shrinking a pre-image to a minimal subset preserves
-disjointness.
+of an eps its caller checked), it walks the inclusion-minimal output sets
+that capture it, as bitmasks, each with the AND of a per-output pattern
+over its outputs (the subset DP's "disjoint from this set" bitset);
+``minimal_decoding_masks`` lists the masks, and
+``enumerate_min_decoding_sets`` is the sorted tuple form that takes eps.
+Only minimal sets matter when packing pre-images, since shrinking a
+pre-image to a minimal subset preserves disjointness.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import bitsets
 from .channel import Channel, as_prob, format_prob
@@ -120,8 +122,26 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
 def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     """The inclusion-minimal output sets of row x with integer mass at
     least a positive ``threshold`` (``c.min_mass(eps, 1)`` at budget
-    eps < 1), as bitmasks (bit y = output y) in search order; callers that
-    need an order sort.
+    eps < 1), as bitmasks (bit y = output y) in the search order of
+    ``visit_minimal_sets``; callers that need an order sort.  A row with
+    more than ``_MAX_GRAPH_NODE_LIMIT`` minimal sets raises ValueError.
+    """
+    found: list[int] = []
+    visit_minimal_sets(c, x, threshold, lambda mask, _: found.append(mask))
+    return found
+
+
+def visit_minimal_sets(
+    c: Channel, x: int, threshold: int, visit: Callable[[int, int], object],
+    lacking: Sequence[int] | None = None,
+) -> None:
+    """Call ``visit(mask, disjoint)`` on each inclusion-minimal output set
+    of row x with integer mass at least a positive ``threshold``.
+
+    ``disjoint`` is the AND of ``lacking[y]`` over the set's outputs: with
+    ``bitsets.lacking(c.num_outputs)``, the bitset of the output subsets
+    disjoint from the set.  The walk carries it down, one AND per output
+    it adds; without ``lacking`` it is 0.
 
     Depth-first over the outputs of non-zero probability (a minimal set
     holds no other), sorted by descending probability: a set grows only
@@ -136,32 +156,35 @@ def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     """
     row = c.weights[x]
     order = sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y])
+    n = len(order)
     weights = [row[y] for y in order]
     bits = [1 << y for y in order]
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
+    patterns = [lacking[y] for y in order] if lacking else [0] * n
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
+    found = 0
 
-    found: list[int] = []
-
-    def grow(start: int, mass: int, mask: int) -> None:
-        for i in range(start, len(order)):
-            if mass + suffix[i] < threshold:
+    def grow(start: int, need: int, mask: int, disjoint: int) -> None:
+        # need: the mass still missing, positive
+        nonlocal found
+        for i in range(start, n):
+            if suffix[i] < need:
                 return  # suffix falls with i, so no later output helps either
-            grown = mass + weights[i]
-            if grown < threshold:
-                grow(i + 1, grown, mask | bits[i])
+            left = need - weights[i]
+            if left > 0:
+                grow(i + 1, left, mask | bits[i], disjoint & patterns[i])
                 continue
-            if len(found) == _MAX_GRAPH_NODE_LIMIT:
+            if found == _MAX_GRAPH_NODE_LIMIT:
                 raise ValueError(
                     f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
                     f"minimal decoding sets"
                 )
-            found.append(mask | bits[i])
+            found += 1
+            visit(mask | bits[i], disjoint & patterns[i])
 
-    grow(0, 0, 0)
+    grow(0, threshold, 0, -1)
     del grow  # it holds itself through its closure; free its work by refcount
-    return found
 
 
 def enumerate_min_decoding_sets(

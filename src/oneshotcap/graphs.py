@@ -36,9 +36,9 @@ never needed.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
-max-metric engine behind ``capacity.max_capacity``.  The max curve builds
-no conflict graph: ``capacity.capacity_curve`` finds its sizes with a DP
-over output subsets.
+max-metric engine behind ``capacity.max_capacity`` on channels of more
+than 16 outputs.  Narrower channels, and the max curve, build no conflict
+graph: ``capacity`` solves them with a DP over output subsets.
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the

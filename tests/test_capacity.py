@@ -24,9 +24,9 @@ from oneshotcap import (
     max_error,
     scheme_from_disjoint_sets,
     sparse_number,
-    subset_packing_size,
     verify_reduction,
 )
+from oneshotcap import capacity
 from oneshotcap.decoding import Scheme
 from corpus import random_channels
 from oracles import oracle_capacity, oracle_curve_max, oracle_packing
@@ -130,18 +130,71 @@ def test_max_capacity_matches_packing_oracle_beyond_brute_force():
 
 
 def test_subset_dp_matches_graph_engine():
-    for n in range(6, 11):
+    # 6x6 to 12x16, all narrow enough for the subset DP
+    shapes = [(6, 6), (7, 8), (8, 10), (9, 12), (10, 14), (12, 16)]
+    for nx, ny in shapes:
         for i in range(2):
-            c = gen_random(n, n, seed=2700 + 10 * n + i, denominator_bound=24)
+            c = gen_random(nx, ny, seed=2700 + 10 * nx + i, denominator_bound=24)
             for eps in [F(0), F(1, 10), F(1, 3), F(1, 2), F(3, 4)]:
+                r = max_capacity(c, eps)
                 g = build_max_graph(c, eps)
-                assert subset_packing_size(c, eps) == independence_number(g)[0], (n, i, eps)
+                assert r.codebook_size == independence_number(g)[0], (nx, ny, i, eps)
+                assert max_error(c, r.witness) <= eps
 
 
 def test_subset_dp_limits(funnel3):
-    assert subset_packing_size(funnel3, F(1)) == 3
+    assert max_capacity(funnel3, F(1)).codebook_size == 3
+    narrow, wide = gen_random(8, 16, seed=1, denominator_bound=24), identity_channel(17)
+    assert capacity._subset_dp_fits(narrow, 16)
+    assert not capacity._subset_dp_fits(wide, 1)
+    # a tall channel: 1000 * 17 bitsets of 2^16 bits is 139 MB of snapshots,
+    # over the budget, so the rule sends it to the conflict graph; 400 rows
+    # take 56 MB and stay with the DP.  Only the rule runs, on point masses.
+    tall = Channel([[1 if y == x % 16 else 0 for y in range(16)] for x in range(1000)], 1)
+    ceiling = capacity._packing_bound(capacity._top_masses(tall), 16, 1)
+    assert ceiling == 16
+    assert not capacity._subset_dp_fits(tall, ceiling)
+    assert capacity._subset_dp_fits(Channel(tall.weights[:400], 1), ceiling)
     with pytest.raises(ValueError, match="<= 16 outputs"):
-        subset_packing_size(identity_channel(17), F(0))
+        capacity_curve(identity_channel(17), "max")
+
+
+def test_narrow_max_capacity_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_max_graph called on a narrow channel")
+
+    monkeypatch.setattr(capacity, "build_max_graph", refuse)
+    for ny in (2, 9, 16):
+        c = gen_random(10, ny, seed=2800 + ny, denominator_bound=24)
+        for eps in [F(0), F(1, 3), F(2, 3)]:
+            r = max_capacity(c, eps)
+            assert max_error(c, r.witness) <= eps
+
+
+def test_over_budget_max_capacity_uses_the_graph(monkeypatch):
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_max_graph(*args, **kwargs))
+        return built[-1]
+
+    c = gen_random(8, 8, seed=2830, denominator_bound=24)
+    expected = max_capacity(c, F(1, 3))
+    monkeypatch.setattr(capacity, "build_max_graph", build)
+    assert max_capacity(c, F(1, 3)) == expected and not built
+    # 8 rows * (ceiling + 1) * 256 bits are more than 64 bytes
+    monkeypatch.setattr(capacity, "_SUBSET_DP_BYTES", 64)
+    assert max_capacity(c, F(1, 3)).codebook_size == expected.codebook_size
+    assert len(built) == 1
+
+
+def test_dp_witness_backtracks_to_the_lowest_top_union():
+    # two inputs on outputs {0, 1, 2}: row 0 needs {0} or {1}, row 1 needs
+    # {1} or {2}; the top level holds {0, 1}, {0, 2} and {1, 2}, the lowest
+    # is {0, 1}, so row 1 takes {1} and row 0 takes {0}
+    c = Channel([[1, 1, 0], [0, 1, 1]], 2)
+    size, sets = capacity._packing(c, 1, 2, witness=True)
+    assert (size, sets) == (2, [(0, 0b001), (1, 0b010)])
 
 
 def test_avg_engines_agree_with_oracle():

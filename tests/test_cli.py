@@ -109,7 +109,7 @@ def test_capacity_cross_check(funnel3_file, capsys):
     assert main(["capacity", funnel3_file, "--metric", "max",
                  "--epsilon", "1/100", "--cross-check"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["cross-check ok: brute, packing, subset",
+    assert out == ["cross-check ok: brute, graph, packing",
                    "codebook_size=2 capacity_bits=1.000000000000"]
 
 
@@ -161,13 +161,13 @@ def test_capacity_cross_check_reaches_subset_dp_past_brute_force(tmp_path, capsy
     argv = ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--cross-check"]
     assert main(argv) == 0
     ok, result = capsys.readouterr().out.splitlines()
-    assert ok == "cross-check ok: packing, subset"
+    assert ok == "cross-check ok: graph, packing"
     size = int(result.split()[0].removeprefix("codebook_size="))
-    monkeypatch.setattr("oneshotcap.cli.subset_packing_size", lambda c, eps: size + 1)
+    monkeypatch.setattr("oneshotcap.cli.independence_number", lambda g: (size + 1, ()))
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"engine disagreement: packing={size}, subset={size + 1}\n"
+    assert captured.err == f"engine disagreement: packing={size}, graph={size + 1}\n"
 
 
 def _uniform(nx, ny):
@@ -184,8 +184,9 @@ def _uniform(nx, ny):
     ((1, 22), lambda c: max_capacity(c, F(1, 2)),
      ["capacity", "--metric", "max", "--epsilon", "1/2"],
      "more than 32768 minimal decoding sets"),
-    # 3 * C(16, 8) = 38610 nodes, each row under the cap
-    ((3, 16), lambda c: max_capacity(c, F(1, 2)),
+    # 2 * C(17, 9) = 48620 nodes, each row under the cap; at 16 outputs
+    # and fewer the subset DP answers without a graph
+    ((2, 17), lambda c: max_capacity(c, F(1, 2)),
      ["capacity", "--metric", "max", "--epsilon", "1/2"], "more than 32768 nodes"),
 ], ids=["curve-max", "curve-avg", "avg-graph", "max-row-sets", "max-graph-nodes"])
 def test_size_guards(tmp_path, capsys, shape, call, argv, message):

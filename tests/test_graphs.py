@@ -132,7 +132,8 @@ def test_max_capacity_never_builds_the_node_view(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(capacity, "build_max_graph", build)
-    c = gen_random(8, 8, seed=2330, denominator_bound=24)
+    # past 16 outputs, so the conflict graph is the engine
+    c = gen_random(8, 17, seed=2330, denominator_bound=24)
     result = capacity.max_capacity(c, F(1, 3))
     (g,) = built
     assert "nodes" not in vars(g)

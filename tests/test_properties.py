@@ -34,12 +34,13 @@ from oneshotcap import (
     independence_number,
     is_sparse_set,
     max_capacity,
+    max_error,
     parse_channel,
     serialize_channel,
     simulate,
     sparse_number,
-    subset_packing_size,
 )
+from oneshotcap import capacity
 from corpus import COPRIME, P, Q
 from oracles import oracle_curve_max, oracle_packing, oracle_sparse_number
 
@@ -143,8 +144,19 @@ def test_max_curve_matches_oracle(c):
 @SETTINGS
 @given(channels(), st.data())
 def test_subset_dp_matches_packing_oracle(c, data):
+    # max_capacity runs the subset DP on these channels, witness and all
     eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
-    assert subset_packing_size(c, eps) == oracle_packing(c, eps)
+    r = max_capacity(c, eps)
+    assert r.codebook_size == len(r.witness.codebook) == oracle_packing(c, eps)
+    assert max_error(c, r.witness) <= eps
+
+
+@SETTINGS
+@given(channels(), st.data())
+def test_packing_bound_is_at_least_the_packing(c, data):
+    eps = data.draw(st.sampled_from([e for e in eps_candidates(c) if e < 1]), label="eps")
+    bound = capacity._packing_bound(capacity._top_masses(c), c.num_outputs, c.min_mass(eps, 1))
+    assert bound >= oracle_packing(c, eps)
 
 
 def test_engines_match_brute_force_beyond_int64_scale():

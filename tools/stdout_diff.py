@@ -18,7 +18,8 @@ funnel`` (leaks spelled as fractions, as decimals and as both),
 --metric max`` on two 8x6, 10x6 and 12x8 channels each, and on three
 8x12, 10x12 and 12x12 channels each (seeds 1 to 3, the widest curves a
 checkout with a 12-output curve limit accepts), ``capacity
---metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels, and
+--metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels and at
+eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
@@ -147,6 +148,8 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     wide = directory / "wide"
     wide.mkdir()
     max_curve = [("curve-max", "curve", ["--metric", "max"])]
+    narrow_max = [(f"max@{eps}", "capacity", ["--metric", "max", "--epsilon", eps, "--json"])
+                  for eps in ("1/3", "2/3")]
     # (nx, ny) -> (channels of that shape, ops on each)
     runs = {
         (8, 6): (2, max_curve), (10, 6): (2, max_curve), (12, 8): (2, max_curve),
@@ -154,6 +157,7 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         (10, 10): (2, [(f"max@{eps}", "capacity",
                         ["--metric", "max", "--epsilon", eps, "--json"])
                        for eps in ("1/2", "3/4")]),
+        (8, 14): (1, narrow_max), (6, 16): (1, narrow_max), (16, 16): (1, narrow_max),
         (8, 8): (2, [(f"sparse@{eps}", "sparse", ["--epsilon", eps])
                      for eps in ("1/4", "1/2")]),
     }
