@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Byte b -> 255 - (b with its 8 bits in reverse order); see canonical_order.
 _REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -34,6 +34,18 @@ def subset_masses(row: Sequence[int]) -> list[int]:
     for w in row:
         masses += [m + w for m in masses]
     return masses
+
+
+def packing_count(sizes: Iterable[int], room: int) -> int:
+    """How many of these set sizes, smallest first, fit in ``room``
+    outputs: no more pairwise-disjoint sets of these sizes fit there."""
+    fit = 0
+    for size in sorted(sizes):
+        room -= size
+        if room < 0:
+            break
+        fit += 1
+    return fit
 
 
 def canonical_order(masks: Sequence[int], width: int) -> list[int]:

@@ -3,14 +3,14 @@
 One exact engine per metric:
 
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
-  decoding sets, one per chosen input.  On channels of at most 16 outputs
-  (``_subset_dp_fits``, which also holds the DP to a memory budget) a DP
-  over the 2^|Y| output subsets finds it with no conflict graph, and
-  recovers its witness by backtracking; on wider channels it is the
-  independence number of the maximum-one-shot graph over those sets.
-  Both stop at a packing bound.  The max curve runs the same DP
-  (``_packing``) for sizes alone.  The test suite checks the DP against
-  the graph engine and a separate packing search (``tests/oracles.py``).
+  decoding sets, one per chosen input.  Where ``_subset_dp_ceiling`` (the
+  rule the CLI's cross-check reads too) admits it, a DP over the 2^|Y|
+  output subsets finds it with no conflict graph, and recovers its witness
+  by backtracking; on any other channel it is the independence number of
+  the maximum-one-shot graph over those sets.  Both stop at a packing
+  bound.  The max curve runs the same DP (``_packing``) for sizes alone.
+  The test suite checks the DP against the graph engine and a separate
+  packing search (``tests/oracles.py``).
 * ``avg_capacity``  -- searches codebooks largest-first; for a fixed
   codebook the pointwise-argmax decoder is average-optimal, so the mean
   error of a codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility
@@ -163,39 +163,40 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook with worst-codeword error <= eps.
 
     The largest packing of pairwise-disjoint minimal decoding sets, one per
-    chosen input.  ``_subset_dp_fits`` picks the engine: the DP over
-    output subsets (``_packing``) on channels of at most 16 outputs whose
-    level snapshots fit its memory budget, with a witness found by
-    backtracking through them; otherwise the independence number of the
-    maximum-one-shot graph.  The DP stops at the packing bound
-    (``_packing_bound``); the graph search prunes with its own.  The
-    witness decoder sends each chosen set to its input and every leftover
-    output to the first codeword.  eps = 1 short-circuits to the full
-    input alphabet (no error can exceed 1), where no decoding set is
-    needed.
+    chosen input.  ``_subset_dp_ceiling`` picks the engine: the DP over
+    output subsets (``_packing``), stopped at the packing bound, with a
+    witness found by backtracking through its snapshots; otherwise the
+    independence number of the maximum-one-shot graph.  The witness
+    decoder sends each chosen set to its input and every leftover output
+    to the first codeword.  eps = 1 short-circuits to the full input
+    alphabet (no error can exceed 1), where no decoding set is needed.
     """
     eps = as_prob(eps, "eps")
     if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return _checked(c, METRIC_MAX, eps, c.num_inputs, scheme)
-    threshold = c.min_mass(eps, 1)
-    ceiling = _packing_bound(_top_masses(c), c.num_outputs, threshold)
-    if _subset_dp_fits(c, ceiling):
-        size, sets = _packing(c, threshold, ceiling, witness=True)
-    else:
+    ceiling = _subset_dp_ceiling(c, eps)
+    if ceiling is None:
         size, nodes = independence_number(build_max_graph(c, eps))
         sets = [(n.input, n.mask) for n in nodes]
+    else:
+        size, sets = _packing(c, c.min_mass(eps, 1), ceiling, witness=True)
     scheme = scheme_from_disjoint_sets(c, [(x, bitsets.outputs_of(d)) for x, d in sets])
     return _checked(c, METRIC_MAX, eps, size, scheme)
 
 
-def _subset_dp_fits(c: Channel, ceiling: int) -> bool:
-    """The rule between the two max engines: the subset DP takes a channel
-    of at most ``_SUBSET_OUTPUT_LIMIT`` outputs whose witness snapshots,
-    at most nx * (ceiling + 1) bitsets of 2^|Y| bits, fit in
-    ``_SUBSET_DP_BYTES``; any other channel goes to the conflict graph."""
-    return (c.num_outputs <= _SUBSET_OUTPUT_LIMIT
-            and c.num_inputs * (ceiling + 1) << c.num_outputs <= 8 * _SUBSET_DP_BYTES)
+def _subset_dp_ceiling(c: Channel, eps: Fraction) -> int | None:
+    """The rule between the two max engines, at a checked eps: the packing
+    bound the subset DP stops at when the DP takes the channel, or None
+    when the conflict graph answers.  The DP takes eps < 1 on at most
+    ``_SUBSET_OUTPUT_LIMIT`` outputs when its witness snapshots, at most
+    nx * (ceiling + 1) bitsets of 2^|Y| bits, fit in ``_SUBSET_DP_BYTES``."""
+    if eps == 1 or c.num_outputs > _SUBSET_OUTPUT_LIMIT:
+        return None
+    ceiling = _packing_bound(_top_masses(c), c.num_outputs, c.min_mass(eps, 1))
+    if c.num_inputs * (ceiling + 1) << c.num_outputs > 8 * _SUBSET_DP_BYTES:
+        return None
+    return ceiling
 
 
 def _top_masses(c: Channel) -> list[list[int]]:
@@ -207,17 +208,9 @@ def _packing_bound(tops: list[list[int]], num_outputs: int, threshold: int) -> i
     """An upper bound on the codebook size at a positive ``threshold``,
     from ``_top_masses``: a row's smallest decoding set has as many outputs as
     its fewest heaviest outputs that reach the threshold, and the chosen
-    sets are pairwise disjoint, so no more fit than the smallest of those
-    sizes, taken in increasing order while their sum stays at most
-    ``num_outputs``."""
-    room = num_outputs
-    fit = 0
-    for size in sorted(bisect_left(top, threshold) + 1 for top in tops):
-        room -= size
-        if room < 0:
-            break
-        fit += 1
-    return fit
+    sets are pairwise disjoint, so no more fit than ``bitsets.packing_count``
+    of those sizes in ``num_outputs``."""
+    return bitsets.packing_count((bisect_left(top, threshold) + 1 for top in tops), num_outputs)
 
 
 def _packing(

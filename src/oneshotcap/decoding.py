@@ -12,7 +12,7 @@ given the integer row mass a decoding set must capture (``Channel.min_mass``
 of an eps its caller checked), it walks the inclusion-minimal output sets
 that capture it, as bitmasks, each with the AND of a per-output pattern
 over its outputs (the subset DP's "disjoint from this set" bitset);
-``minimal_decoding_masks`` lists the masks, and
+``minimal_decoding_masks`` lists and caps the masks, and
 ``enumerate_min_decoding_sets`` is the sorted tuple form that takes eps.
 Only minimal sets matter when packing pre-images, since shrinking a
 pre-image to a minimal subset preserves disjointness.
@@ -127,7 +127,14 @@ def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     more than ``_MAX_GRAPH_NODE_LIMIT`` minimal sets raises ValueError.
     """
     found: list[int] = []
-    visit_minimal_sets(c, x, threshold, lambda mask, _: found.append(mask))
+
+    def keep(mask: int, _: int) -> None:
+        if len(found) == _MAX_GRAPH_NODE_LIMIT:  # stop before holding more
+            raise ValueError(f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
+                             "minimal decoding sets")
+        found.append(mask)
+
+    visit_minimal_sets(c, x, threshold, keep)
     return found
 
 
@@ -150,9 +157,9 @@ def visit_minimal_sets(
     qualifying set are never minimal.  The output added last is the
     lightest member, and without it the mass was below the threshold, so
     every completed set is minimal.  A set stops growing once even all
-    the outputs after its last cannot lift it to the threshold.  A row
-    with more than ``_MAX_GRAPH_NODE_LIMIT`` minimal sets raises
-    ValueError.
+    the outputs after its last cannot lift it to the threshold.  The walk
+    keeps no count: minimal sets form an antichain, so on the subset DP's
+    at most 16 outputs a row has at most C(16, 8) = 12,870 (Sperner).
     """
     row = c.weights[x]
     order = sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y])
@@ -163,11 +170,9 @@ def visit_minimal_sets(
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
-    found = 0
 
     def grow(start: int, need: int, mask: int, disjoint: int) -> None:
         # need: the mass still missing, positive
-        nonlocal found
         for i in range(start, n):
             if suffix[i] < need:
                 return  # suffix falls with i, so no later output helps either
@@ -175,12 +180,6 @@ def visit_minimal_sets(
             if left > 0:
                 grow(i + 1, left, mask | bits[i], disjoint & patterns[i])
                 continue
-            if found == _MAX_GRAPH_NODE_LIMIT:
-                raise ValueError(
-                    f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
-                    f"minimal decoding sets"
-                )
-            found += 1
             visit(mask | bits[i], disjoint & patterns[i])
 
     grow(0, threshold, 0, -1)

@@ -36,20 +36,20 @@ never needed.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
-max-metric engine behind ``capacity.max_capacity`` on channels of more
-than 16 outputs.  Narrower channels, and the max curve, build no conflict
-graph: ``capacity`` solves them with a DP over output subsets.
+max-metric engine behind ``capacity.max_capacity`` where the DP over
+output subsets does not fit (``capacity._subset_dp_ceiling``); the other
+channels, and the max curve, build no conflict graph.
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the
 conflict graph, the members still to come fit in the outputs that some
-candidate covers, so their number is at most how many of the live inputs'
-smallest candidate sizes, taken in increasing order, sum to at most the
-count of those outputs.  In the sparse search each further member needs an
-unused output, and the members still needed can capture at most the
-column maxima of the remaining inputs over the unused outputs, which caps
-what their escapes can save.  The bounds prune only branches that cannot
-succeed, so sizes and witnesses are those of the searches without them.
+candidate covers, so their number is at most ``bitsets.packing_count`` of
+the live inputs' smallest candidate sizes in the count of those outputs.
+In the sparse search each further member needs an unused output, and the
+members still needed can capture at most the column maxima of the
+remaining inputs over the unused outputs, which caps what their escapes
+can save.  The bounds prune only branches that cannot succeed, so sizes
+and witnesses are those of the searches without them.
 A plain graph (``max_independent_set``) has no inputs or outputs and is
 searched with the colouring bound alone.
 """
@@ -198,13 +198,13 @@ def _bounded_independent_set(
     Given the conflict ``graph`` that ``adj`` belongs to, the search also
     prunes with a packing bound: the members still to come take distinct
     inputs and pairwise-disjoint, non-empty output sets among the L outputs
-    that some candidate still covers, so no more of them fit than the
-    smallest candidate sizes of the live inputs, taken in increasing order
-    while their sum stays at most L.  Nodes sort by input, then by size, so
-    an input's smallest candidate is its lowest candidate bit.  Both bounds
-    prune only branches that cannot beat the incumbent, and the incumbent
-    changes only on a strict improvement, so the size and the mask are
-    those of the colouring bound alone.
+    that some candidate still covers, so no more of them fit than
+    ``bitsets.packing_count`` of the live inputs' smallest candidate sizes
+    in L.  Nodes sort by input, then by size, so an input's smallest
+    candidate is its lowest candidate bit.  Both bounds prune only branches
+    that cannot beat the incumbent, and the incumbent changes only on a
+    strict improvement, so the size and the mask are those of the
+    colouring bound alone.
     """
     best_size = 0
     best_mask = 0
@@ -231,14 +231,7 @@ def _bounded_independent_set(
             for m in outputs:
                 if m & cand:
                     room += 1
-            smallest.sort()
-            fit = 0
-            for size in smallest:
-                room -= size
-                if room < 0:
-                    break
-                fit += 1
-            if r_size + fit <= best_size:
+            if r_size + bitsets.packing_count(smallest, room) <= best_size:
                 return
         # Greedy colouring: vertices in colour class c cannot extend an
         # independent set by more than c, so colour numbers bound the branches.

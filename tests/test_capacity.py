@@ -145,16 +145,16 @@ def test_subset_dp_matches_graph_engine():
 def test_subset_dp_limits(funnel3):
     assert max_capacity(funnel3, F(1)).codebook_size == 3
     narrow, wide = gen_random(8, 16, seed=1, denominator_bound=24), identity_channel(17)
-    assert capacity._subset_dp_fits(narrow, 16)
-    assert not capacity._subset_dp_fits(wide, 1)
+    assert capacity._subset_dp_ceiling(narrow, F(1, 3)) is not None
+    assert capacity._subset_dp_ceiling(narrow, F(1)) is None
+    assert capacity._subset_dp_ceiling(wide, F(1, 3)) is None
     # a tall channel: 1000 * 17 bitsets of 2^16 bits is 139 MB of snapshots,
     # over the budget, so the rule sends it to the conflict graph; 400 rows
     # take 56 MB and stay with the DP.  Only the rule runs, on point masses.
     tall = Channel([[1 if y == x % 16 else 0 for y in range(16)] for x in range(1000)], 1)
-    ceiling = capacity._packing_bound(capacity._top_masses(tall), 16, 1)
-    assert ceiling == 16
-    assert not capacity._subset_dp_fits(tall, ceiling)
-    assert capacity._subset_dp_fits(Channel(tall.weights[:400], 1), ceiling)
+    assert capacity._packing_bound(capacity._top_masses(tall), 16, 1) == 16
+    assert capacity._subset_dp_ceiling(tall, F(1, 10)) is None
+    assert capacity._subset_dp_ceiling(Channel(tall.weights[:400], 1), F(1, 10)) == 16
     with pytest.raises(ValueError, match="<= 16 outputs"):
         capacity_curve(identity_channel(17), "max")
 

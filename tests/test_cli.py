@@ -174,6 +174,58 @@ def _uniform(nx, ny):
     return Channel.make([[F(1, ny)] * ny] * nx)
 
 
+def test_capacity_cross_check_runs_no_second_graph_over_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "random8x8.txt"
+    path.write_text(serialize_channel(gen_random(8, 8, seed=1, denominator_bound=24)))
+    argv = ["capacity", str(path), "--metric", "max", "--epsilon", "1/3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    built, solved = [], []
+
+    def build(*args, **kwargs):
+        built.append(oneshotcap.graphs.build_max_graph(*args, **kwargs))
+        return built[-1]
+
+    def solve(*args, **kwargs):
+        solved.append(args)
+        return max_capacity(*args, **kwargs)
+
+    # the DP's snapshots do not fit, so max_capacity answers from the graph
+    monkeypatch.setattr(oneshotcap.capacity, "_SUBSET_DP_BYTES", 64)
+    monkeypatch.setattr(oneshotcap.capacity, "build_max_graph", build)
+    monkeypatch.setattr(oneshotcap.cli, "build_max_graph", build)
+    monkeypatch.setattr(oneshotcap.cli, "max_capacity", solve)
+    assert main(argv + ["--cross-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "cross-check ok: packing\n" + expected
+    assert captured.err == ""
+    assert len(built) == len(solved) == 1
+
+
+def test_capacity_cross_check_skips_a_refused_graph(tmp_path, capsys):
+    # 3 * C(16, 8) = 38610 minimal sets: the DP answers, the graph refuses
+    path = tmp_path / "uniform3x16.txt"
+    path.write_text(serialize_channel(_uniform(3, 16)))
+    assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/2",
+                 "--cross-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("cross-check ok: packing\n"
+                            "codebook_size=2 capacity_bits=1.000000000000\n")
+    assert captured.err == ("cross-check: graph not compared: "
+                            "maximum-one-shot graph has more than 32768 nodes\n")
+
+
+def test_capacity_cross_check_refuses_brute_past_its_limit(tmp_path, capsys):
+    path = tmp_path / "random6x6.txt"
+    path.write_text(serialize_channel(gen_random(6, 6, seed=1, denominator_bound=24)))
+    argv = ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--engine", "brute"]
+    for extra in ([], ["--cross-check"]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: engine 'brute' not applicable here (available: packing)\n"
+
+
 @pytest.mark.parametrize("shape, call, argv, message", [
     ((1, 17), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
      "<= 16 outputs"),

@@ -350,6 +350,13 @@ def test_subset_masses_sum_each_mask():
         assert bitsets.subset_masses(row) == expected
 
 
+def test_packing_count_takes_sizes_smallest_first():
+    assert bitsets.packing_count([3, 1, 2], 4) == 2  # 1 + 2 fit, 3 more do not
+    assert bitsets.packing_count([3, 1, 2], 6) == 3
+    assert bitsets.packing_count([], 4) == 0
+    assert bitsets.packing_count([3, 1, 2], 0) == 0
+
+
 def test_avg_graph_fields_match_oracle():
     # escapes of 1/2 over a scale of 4, and a zero entry
     halves = Channel.make([["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"]])

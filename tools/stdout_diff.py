@@ -24,8 +24,14 @@ eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, and
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
 denominator 4, two channels with zero entries whose sparse numbers run from
-2 to 6, so their witnesses name nodes past the first.  An ``errors`` group runs
-first:
+2 to 6, so their witnesses name nodes past the first.  A ``cross-check``
+group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
+1/100 and on 8x8 and 8x17 channels at 1/3 (17 outputs go to the graph
+alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows of
+one output) at 1/2, and the edges of the max check's graph leg: a 1000x16
+point-mass channel at 1/10, whose DP snapshots exceed their budget, a
+uniform 3x16 channel at 1/2, whose conflict graph is too large, and
+``--engine brute`` on the 6x6 channel.  An ``errors`` group runs first:
 usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
 unknown ``--metric`` choice, an unknown command), failing ops (a missing
 file, a row that does not sum to 1, ``verify-reduction`` at eps 1/3,
@@ -178,6 +184,41 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     return ops
 
 
+def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+    """``capacity --cross-check`` ops: max and avg, with and without a
+    brute-force leg, narrow and wide, and the edges of the max cross-check's
+    graph leg (a DP over its memory budget, a graph too large to build, and
+    ``--engine brute`` past its size limit)."""
+    from fractions import Fraction
+
+    from oneshotcap.channel import (Channel, FunnelSpec, gen_funnel, gen_random,
+                                    serialize_channel)
+
+    cross = directory / "cross-check"
+    cross.mkdir()
+    channels = {
+        "funnel3": gen_funnel(FunnelSpec.make(3, [Fraction(1, 100), Fraction(1, 50)])),
+        "random8x8": gen_random(8, 8, SEED, 24),
+        "random8x17": gen_random(8, 17, SEED, 24),
+        "random6x6": gen_random(6, 6, SEED, 24),
+        "gap": Channel([[1], [1]], 1),
+        "points1000x16": gen_random(1000, 16, SEED, 1),
+        "uniform3x16": Channel([[1] * 16] * 3, 16),
+    }
+    runs = [
+        ("funnel3", "max", "1/100", []), ("random8x8", "max", "1/3", []),
+        ("random8x17", "max", "1/3", []), ("random6x6", "avg", "1/10", []),
+        ("gap", "avg", "1/2", []), ("points1000x16", "max", "1/10", []),
+        ("uniform3x16", "max", "1/2", []), ("random6x6", "max", "1/3", ["--engine", "brute"]),
+    ]
+    for name, c in channels.items():
+        (cross / f"{name}.txt").write_text(serialize_channel(c), encoding="utf-8")
+    return [("cross-check", f"{name}/{metric}@{eps}{''.join(' ' + a for a in extra)}",
+             ["capacity", str(cross / f"{name}.txt"), "--metric", metric, "--epsilon", eps,
+              *extra, "--cross-check"])
+            for name, metric, eps, extra in runs]
+
+
 def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """(group, key, argv) of every op, with the input files written; the
     ``errors`` group comes first."""
@@ -214,7 +255,7 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
                      "--minimal-only"]))
     demos = [("demos", path.name, ["demo", path.name])
              for path in sorted((ROOT / "demos").glob("*.py"))]
-    return ops + _wide_ops(directory) + demos
+    return ops + _wide_ops(directory) + _cross_check_ops(directory) + demos
 
 
 def _worker(src: str, manifest: str, out: str) -> int:
