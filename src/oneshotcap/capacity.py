@@ -41,7 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 
 from . import bitsets
 from .channel import Channel, FunnelSpec, as_prob, format_prob
@@ -193,24 +193,20 @@ def _subset_dp_ceiling(c: Channel, eps: Fraction) -> int | None:
     nx * (ceiling + 1) bitsets of 2^|Y| bits, fit in ``_SUBSET_DP_BYTES``."""
     if eps == 1 or c.num_outputs > _SUBSET_OUTPUT_LIMIT:
         return None
-    ceiling = _packing_bound(_top_masses(c), c.num_outputs, c.min_mass(eps, 1))
+    ceiling = _packing_bound(c, c.min_mass(eps, 1))
     if c.num_inputs * (ceiling + 1) << c.num_outputs > 8 * _SUBSET_DP_BYTES:
         return None
     return ceiling
 
 
-def _top_masses(c: Channel) -> list[list[int]]:
-    """Per row, the integer masses of its 1, 2, ... heaviest outputs."""
-    return [list(accumulate(sorted(row, reverse=True))) for row in c.weights]
-
-
-def _packing_bound(tops: list[list[int]], num_outputs: int, threshold: int) -> int:
-    """An upper bound on the codebook size at a positive ``threshold``,
-    from ``_top_masses``: a row's smallest decoding set has as many outputs as
-    its fewest heaviest outputs that reach the threshold, and the chosen
-    sets are pairwise disjoint, so no more fit than ``bitsets.packing_count``
-    of those sizes in ``num_outputs``."""
-    return bitsets.packing_count((bisect_left(top, threshold) + 1 for top in tops), num_outputs)
+def _packing_bound(c: Channel, threshold: int) -> int:
+    """An upper bound on the codebook size at a positive ``threshold``: a
+    row's smallest decoding set has as many outputs as it takes of its
+    heaviest to reach the threshold (``c.heaviest_first``'s running sums),
+    and the chosen sets are pairwise disjoint, so no more fit than
+    ``bitsets.packing_count`` of those sizes in the channel's outputs."""
+    return bitsets.packing_count((bisect_left(sums, threshold) for _, sums in c.heaviest_first),
+                                 c.num_outputs)
 
 
 def _packing(
@@ -390,11 +386,8 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             return Fraction(c.scale - masses[i], c.scale)
 
         # at candidate i a decoding set needs mass masses[i]: min_mass(threshold(i), 1)
-        tops = _top_masses(c)
-
         def solve(i: int, ceiling: int) -> int:
-            bound = _packing_bound(tops, c.num_outputs, masses[i])
-            return _packing(c, masses[i], min(ceiling, bound))
+            return _packing(c, masses[i], min(ceiling, _packing_bound(c, masses[i])))
 
         last = len(masses) - 1
         known = {0: solve(0, c.num_inputs), last: c.num_inputs}  # index -> size

@@ -39,6 +39,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 # "p/q" with integer p, q, or a plain finite decimal (no signs, no
@@ -112,7 +113,8 @@ def format_prob(value: Fraction) -> str:
 class Channel:
     """Immutable transition matrix, indexed [input][output]: P(y|x) =
     weights[x][y] / scale in lowest terms, so ``scale`` is the lcm of the
-    reduced denominators and equal channels compare and hash equal."""
+    reduced denominators and equal channels compare and hash equal.  The
+    views ``rows`` and ``heaviest_first`` are built on first read."""
 
     weights: tuple[tuple[int, ...], ...]
     scale: int
@@ -160,6 +162,17 @@ class Channel:
         """The matrix as Fractions, built on first read: the one Fraction
         view of the channel, which no search reads."""
         return tuple(tuple(Fraction(w, self.scale) for w in row) for row in self.weights)
+
+    @cached_property
+    def heaviest_first(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per row ``(order, sums)``: its outputs of positive weight, heaviest first
+        and ties by index, the one order the minimal-set walk and the packing
+        bound read; ``sums[i]`` is the weight of ``order[:i]``, 0 to ``scale``."""
+        view = []
+        for row in self.weights:
+            order = tuple(sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y]))
+            view.append((order, tuple(accumulate((row[y] for y in order), initial=0))))
+        return tuple(view)
 
     @property
     def num_inputs(self) -> int:

@@ -120,7 +120,8 @@ def _cmd_capacity(args) -> int:
             detail = ", ".join(f"{n}={k}" for n, k in sizes.items())
             print(f"engine disagreement: {detail}", file=sys.stderr)
             return 1
-        print(f"cross-check ok: {', '.join(sorted(sizes))}")
+        print(f"cross-check ok: {', '.join(sorted(sizes))}" if len(sizes) > 1
+              else "cross-check: no second engine applies")
     print(f"codebook_size={result.codebook_size} capacity_bits={render_bits(result.codebook_size)}")
     if args.json:
         print(json.dumps(result.to_json_dict()))
@@ -231,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "codebook search; brute: 5x5 channels at most")
     p.add_argument("--witness", help="write the witness scheme JSON here")
     p.add_argument("--cross-check", action="store_true",
-                   help="run each distinct engine once, and where the max DP answered "
-                        "the conflict graph's size too (as graph; skipped with a note "
-                        "on stderr when the graph is too large); fail on disagreement")
+                   help="run each distinct engine once, and the conflict graph (as graph) "
+                        "where the max DP answered, unless too large (noted on stderr); "
+                        "fail on disagreement; say so when no second engine applies")
     p.add_argument("--json", action="store_true", help="also print the result as JSON")
     p.set_defaults(func=_cmd_capacity)
 

@@ -122,9 +122,9 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
 def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     """The inclusion-minimal output sets of row x with integer mass at
     least a positive ``threshold`` (``c.min_mass(eps, 1)`` at budget
-    eps < 1), as bitmasks (bit y = output y) in the search order of
-    ``visit_minimal_sets``; callers that need an order sort.  A row with
-    more than ``_MAX_GRAPH_NODE_LIMIT`` minimal sets raises ValueError.
+    eps < 1), as bitmasks (bit y = output y) in the order ``visit_minimal_sets``
+    walks them (depth first, heaviest output first); callers that need another
+    order sort.  More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise ValueError.
     """
     found: list[int] = []
 
@@ -150,40 +150,38 @@ def visit_minimal_sets(
     disjoint from the set.  The walk carries it down, one AND per output
     it adds; without ``lacking`` it is 0.
 
-    Depth-first over the outputs of non-zero probability (a minimal set
-    holds no other), sorted by descending probability: a set grows only
-    while its mass is below the threshold, by one output after its last,
-    and is complete as soon as its mass reaches it, since supersets of a
-    qualifying set are never minimal.  The output added last is the
-    lightest member, and without it the mass was below the threshold, so
-    every completed set is minimal.  A set stops growing once even all
-    the outputs after its last cannot lift it to the threshold.  The walk
-    keeps no count: minimal sets form an antichain, so on the subset DP's
-    at most 16 outputs a row has at most C(16, 8) = 12,870 (Sperner).
+    Depth-first in ``c.heaviest_first`` order (a minimal set holds no
+    output of weight 0): a set grows, by one output after its last, only
+    while its mass is below the threshold, and is complete once it reaches
+    it.  The output added last is the lightest, and without it the mass
+    was below the threshold, so every completed set is minimal.  A set
+    stops growing once all the outputs after its last cannot lift it to
+    the threshold.  The walk is one loop over a stack of frames, one per
+    output added, so its memory grows with the set's size.  It keeps no
+    count: minimal sets form an antichain, so on the subset DP's at most
+    16 outputs a row has at most C(16, 8) = 12,870 (Sperner).
     """
-    row = c.weights[x]
-    order = sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y])
-    n = len(order)
-    weights = [row[y] for y in order]
-    bits = [1 << y for y in order]
-    patterns = [lacking[y] for y in order] if lacking else [0] * n
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-
-    def grow(start: int, need: int, mask: int, disjoint: int) -> None:
-        # need: the mass still missing, positive
-        for i in range(start, n):
-            if suffix[i] < need:
-                return  # suffix falls with i, so no later output helps either
-            left = need - weights[i]
+    order, sums = c.heaviest_first[x]
+    row, scale = c.weights[x], c.scale
+    patterns = lacking or (0,) * c.num_outputs
+    # a frame: the next index into order, the mass still missing (positive),
+    # the set so far and its pattern; the stack holds the frames to resume
+    stack = []
+    i, need, mask, disjoint = 0, threshold, 0, -1
+    while True:
+        if scale - sums[i] >= need:  # the outputs from i on can still reach it
+            y = order[i]
+            left = need - row[y]
             if left > 0:
-                grow(i + 1, left, mask | bits[i], disjoint & patterns[i])
+                stack.append((i + 1, need, mask, disjoint))
+                i, need, mask, disjoint = i + 1, left, mask | 1 << y, disjoint & patterns[y]
                 continue
-            visit(mask | bits[i], disjoint & patterns[i])
-
-    grow(0, threshold, 0, -1)
-    del grow  # it holds itself through its closure; free its work by refcount
+            visit(mask | 1 << y, disjoint & patterns[y])
+            i += 1
+        elif stack:
+            i, need, mask, disjoint = stack.pop()
+        else:
+            return
 
 
 def enumerate_min_decoding_sets(

@@ -68,11 +68,6 @@ def graph_independence_number(g: CubicGraph) -> tuple[int, tuple[int, ...]]:
     return size, bitsets.outputs_of(mask)
 
 
-def is_independent_in(g: CubicGraph, vertices: tuple[int, ...]) -> bool:
-    chosen = set(vertices)
-    return not any(u in chosen and v in chosen for u, v in g.edges)
-
-
 def verify_reduction(g: CubicGraph, eps) -> ReductionReport:
     """Solve the graph side at eps < 1/3 once and check that k = alpha.
 

@@ -110,6 +110,12 @@ def oracle_mis(adjacency_masks) -> int:
     return best
 
 
+def is_independent_in(g, vertices) -> bool:
+    """Whether no edge of the graph joins two of these vertices."""
+    chosen = set(vertices)
+    return not any(u in chosen and v in chosen for u, v in g.edges)
+
+
 def oracle_capacity(c: Channel, metric: str, eps: Fraction) -> int:
     """Definition-level capacity: enumerate codebooks and total decoders."""
     nx, ny = c.num_inputs, c.num_outputs

@@ -66,6 +66,14 @@ def test_identity_capacity_at_zero():
         assert avg_capacity(c, F(0)).codebook_size == n
 
 
+def test_max_capacity_on_a_minimal_set_of_1100_outputs():
+    # at eps 0 each row's one minimal set holds all 1100 outputs
+    c = Channel([[1] * 1100] * 2, 1100)
+    r = max_capacity(c, F(0))
+    assert r.codebook_size == 1
+    assert max_error(c, r.witness) == 0
+
+
 def test_eps_one_short_circuit(funnel3):
     r = max_capacity(funnel3, F(1))
     assert r.codebook_size == 3
@@ -152,7 +160,7 @@ def test_subset_dp_limits(funnel3):
     # over the budget, so the rule sends it to the conflict graph; 400 rows
     # take 56 MB and stay with the DP.  Only the rule runs, on point masses.
     tall = Channel([[1 if y == x % 16 else 0 for y in range(16)] for x in range(1000)], 1)
-    assert capacity._packing_bound(capacity._top_masses(tall), 16, 1) == 16
+    assert capacity._packing_bound(tall, 1) == 16
     assert capacity._subset_dp_ceiling(tall, F(1, 10)) is None
     assert capacity._subset_dp_ceiling(Channel(tall.weights[:400], 1), F(1, 10)) == 16
     with pytest.raises(ValueError, match="<= 16 outputs"):

@@ -165,6 +165,14 @@ def test_channel_is_kept_in_lowest_terms():
     assert c.rows == ((F(1, 2), F(1, 2)), (F(1), F(0)))
 
 
+def test_heaviest_first_view():
+    # zero weights left out, ties (the two 2s, the two 1s) by output index
+    c = Channel(((0, 1, 2, 0, 2, 1), (6, 0, 0, 0, 0, 0)), 6)
+    assert c.heaviest_first == (((2, 4, 1, 5), (0, 2, 4, 5, 6)), ((0,), (0, 6)))
+    for order, sums in gen_random(5, 9, seed=3, denominator_bound=7).heaviest_first:
+        assert len(sums) == len(order) + 1 and sums[-1] == 7
+
+
 def test_roundtrip_exact(funnel3):
     for c in [funnel3] + random_channels(20, seed0=500):
         assert parse_channel(serialize_channel(c)) == c

@@ -197,7 +197,7 @@ def test_capacity_cross_check_runs_no_second_graph_over_budget(tmp_path, capsys,
     monkeypatch.setattr(oneshotcap.cli, "max_capacity", solve)
     assert main(argv + ["--cross-check"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "cross-check ok: packing\n" + expected
+    assert captured.out == "cross-check: no second engine applies\n" + expected
     assert captured.err == ""
     assert len(built) == len(solved) == 1
 
@@ -209,10 +209,32 @@ def test_capacity_cross_check_skips_a_refused_graph(tmp_path, capsys):
     assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/2",
                  "--cross-check"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ("cross-check ok: packing\n"
+    assert captured.out == ("cross-check: no second engine applies\n"
                             "codebook_size=2 capacity_bits=1.000000000000\n")
     assert captured.err == ("cross-check: graph not compared: "
                             "maximum-one-shot graph has more than 32768 nodes\n")
+
+
+def test_capacity_cross_check_says_when_no_second_engine_applies(tmp_path, capsys):
+    # avg past brute force's 5x5 has one engine, so nothing is compared
+    path = tmp_path / "random6x6.txt"
+    path.write_text(serialize_channel(gen_random(6, 6, seed=1, denominator_bound=24)))
+    argv = ["capacity", str(path), "--metric", "avg", "--epsilon", "1/10"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--cross-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "cross-check: no second engine applies\n" + expected
+    assert captured.err == ""
+
+
+def test_capacity_on_a_minimal_set_of_1100_outputs(tmp_path, capsys):
+    path = tmp_path / "uniform2x1100.txt"
+    path.write_text(serialize_channel(Channel([[1] * 1100] * 2, 1100)))
+    assert main(["capacity", str(path), "--metric", "max", "--epsilon", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "codebook_size=1 capacity_bits=0.000000000000\n"
+    assert captured.err == ""
 
 
 def test_capacity_cross_check_refuses_brute_past_its_limit(tmp_path, capsys):

@@ -22,6 +22,7 @@ from oneshotcap import (
     scheme_from_disjoint_sets,
     simulate,
 )
+from oneshotcap.decoding import minimal_decoding_masks
 from corpus import random_channels
 from oracles import oracle_minimal_sets, oracle_scheme_errors
 
@@ -145,6 +146,12 @@ def test_min_sets_order_on_a_two_byte_row():
         assert len(set(sets)) == len(sets) > 200
         assert len({len(d) for d in sets}) >= 4
         assert sets == sorted(sets, key=lambda d: (len(d), d))
+
+
+def test_min_sets_walk_order():
+    # heaviest first (output 1, then 2 and 3 by index, then 0), depth first
+    c = Channel([[1, 3, 2, 2]], 8)
+    assert minimal_decoding_masks(c, 0, 4) == [0b0110, 0b1010, 0b0011, 0b1100]
 
 
 def test_min_sets_reject_eps_one(funnel3):

@@ -17,9 +17,8 @@ from oneshotcap.hardness import (
     cubic_petersen,
     cubic_prism,
     cubic_q3,
-    is_independent_in,
 )
-from oracles import oracle_mis
+from oracles import is_independent_in, oracle_mis
 
 F = Fraction
 

@@ -155,7 +155,7 @@ def test_subset_dp_matches_packing_oracle(c, data):
 @given(channels(), st.data())
 def test_packing_bound_is_at_least_the_packing(c, data):
     eps = data.draw(st.sampled_from([e for e in eps_candidates(c) if e < 1]), label="eps")
-    bound = capacity._packing_bound(capacity._top_masses(c), c.num_outputs, c.min_mass(eps, 1))
+    bound = capacity._packing_bound(c, c.min_mass(eps, 1))
     assert bound >= oracle_packing(c, eps)
 
 

@@ -24,7 +24,10 @@ eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, and
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
 denominator 4, two channels with zero entries whose sparse numbers run from
-2 to 6, so their witnesses name nodes past the first.  A ``cross-check``
+2 to 6, so their witnesses name nodes past the first, and ``capacity
+--metric max --epsilon 0 --json`` on a uniform 2x1100 channel, whose one
+minimal set per row holds all 1100 outputs (a walk that recurses once per
+output it adds fails there).  A ``cross-check``
 group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
 1/100 and on 8x8 and 8x17 channels at 1/3 (17 outputs go to the graph
 alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows of
@@ -149,7 +152,7 @@ def _generator_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """Ops on channels with many inputs per output, or budgets of 1/2 and
     more, where the searches' packing bounds prune most."""
-    from oneshotcap.channel import gen_random, identity_channel, serialize_channel
+    from oneshotcap.channel import Channel, gen_random, identity_channel, serialize_channel
 
     wide = directory / "wide"
     wide.mkdir()
@@ -181,6 +184,11 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         path.write_text(serialize_channel(c), encoding="utf-8")
         ops += [("wide", f"{name}/sparse@{eps}", ["sparse", str(path), "--epsilon", eps])
                 for eps in ("0", "1/4", "1/2")]
+    # each row's one minimal set at eps 0 holds all 1100 outputs
+    path = wide / "uniform2x1100.txt"
+    path.write_text(serialize_channel(Channel([[1] * 1100] * 2, 1100)), encoding="utf-8")
+    ops.append(("wide", "uniform2x1100/max@0",
+                ["capacity", str(path), "--metric", "max", "--epsilon", "0", "--json"]))
     return ops
 
 
