@@ -8,13 +8,17 @@ One exact engine per metric:
   output subsets finds it with no conflict graph, and recovers its witness
   by backtracking; on any other channel it is the independence number of
   the maximum-one-shot graph over those sets.  Both stop at a packing
-  bound.  The max curve runs the same DP (``_packing``) for sizes alone.
+  bound, the DP with the minimal set that reaches it, partway through its
+  row.  The max curve runs the same DP (``_packing``) for sizes alone.
   The test suite checks the DP against the graph engine and a separate
   packing search (``tests/oracles.py``).
-* ``avg_capacity``  -- searches codebooks largest-first; for a fixed
-  codebook the pointwise-argmax decoder is average-optimal, so the mean
-  error of a codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility
-  is a single exact comparison.  The paper's graph quantity, the
+* ``avg_capacity``  -- searches codebooks largest-first, each size depth
+  first in lexicographic order, pruned by two submodular upper bounds on
+  the mass a partial codebook's completions keep; for a fixed codebook
+  the pointwise-argmax decoder is average-optimal, so the mean error of a
+  codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility is a
+  single exact comparison.  The test suite checks it against trying every
+  codebook (``tests/oracles.py``).  The paper's graph quantity, the
   eps-sparse number of the average-one-shot graph (``graphs.sparse_number``),
   is at most this capacity, and equal unless the best scheme sacrifices a
   codeword (decoding error exactly 1).
@@ -225,7 +229,8 @@ def _packing(
     ``bitsets.lacking`` over D's outputs, and for those S | D = S + D, so
     a shift left by D moves them to level k + 1.  Every level is read
     before x, so no input is used twice.  The size is the highest
-    non-empty level.
+    non-empty level.  The set that first fills level ``ceiling`` ends the
+    walk, and with it the DP, partway through its row.
 
     The witness starts from the lowest subset S of the top level and
     walks the inputs from last to first through each input's snapshot of
@@ -233,14 +238,16 @@ def _packing(
     current level k is skipped; otherwise it took a set, and its first
     minimal mask D in ``bitsets.canonical_order`` with D inside S and
     S ^ D in the snapshot's level k - 1 is one, so S becomes S ^ D.
-    Only the snapshots and masks are kept; the row is walked again.
+    Those D are the row's minimal sets inside S, so the row is walked
+    again over S's outputs alone; only the snapshots are kept.
     """
     history: list[list[int]] = []
     unions = [1]
 
-    def add(mask: int, disjoint: int) -> None:
+    def add(mask: int, disjoint: int) -> bool:
         for k, sources in enumerate(unions):
             grown[k + 1] |= (sources & disjoint) << mask
+        return len(grown) > ceiling and grown[ceiling] != 0
 
     lacking = bitsets.lacking(c.num_outputs)
     for x in range(c.num_inputs):
@@ -267,8 +274,8 @@ def _packing(
         if k < len(before) and before[k] >> union & 1:
             continue
         below = before[k - 1]
-        taken = [d for d in minimal_decoding_masks(c, x, threshold)
-                 if d & union == d and below >> (union ^ d) & 1]
+        taken = [d for d in minimal_decoding_masks(c, x, threshold, union)
+                 if below >> (union ^ d) & 1]
         d = bitsets.canonical_order(taken, c.num_outputs)[0]
         sets.append((x, d))
         union ^= d
@@ -287,22 +294,82 @@ def _captured(c: Channel, codebook) -> int:
 def avg_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook whose optimal decoder has mean error <= eps.
 
-    Codebook sizes are searched largest-first with a per-size bound (the
-    best case uses the column maxima over the whole input alphabet), then
-    codebooks in lexicographic order; the first admissible codebook wins,
-    which makes witnesses deterministic.
+    Codebook sizes k are searched largest-first, and for each the
+    codebooks in lexicographic order, depth first; the first codebook that
+    keeps ``c.min_mass(eps, k)`` wins, which makes witnesses deterministic.
+    The mass a codebook keeps, sum_y max_x weights[x][y], is submodular, so
+    a partial codebook is dropped when either of two upper bounds on what
+    its completions keep falls short (Nemhauser, Wolsey & Fisher 1978):
+    the column maxima of it and of every input still available, or its
+    own mass plus the r largest gains one more of those inputs adds, with
+    r inputs still to choose.  Both drop only partial codebooks that no
+    completion makes admissible, so the size and the codebook are those
+    of trying every codebook in order.
     """
     eps = as_prob(eps, "eps")
-    nx = c.num_inputs
-    global_captured = _captured(c, range(nx))
-    for k in range(nx, 0, -1):
-        need = c.min_mass(eps, k)
-        if global_captured < need:
-            continue  # even the best-case codebook of this size fails
-        for cb in combinations(range(nx), k):
-            if _captured(c, cb) >= need:
-                return _checked(c, METRIC_AVG, eps, k, optimal_avg_decoder(c, cb))
+    weights = c.weights
+    # reach[j]: each output's largest weight over the inputs j, j + 1, ...
+    reach = [(0,) * c.num_outputs]
+    for row in reversed(weights):
+        reach.append(tuple(map(max, reach[-1], row)))
+    reach.reverse()
+    for k in range(c.num_inputs, 0, -1):
+        codebook = _first_codebook(weights, reach, k, c.min_mass(eps, k))
+        if codebook is not None:
+            return _checked(c, METRIC_AVG, eps, k, optimal_avg_decoder(c, codebook))
     raise AssertionError("unreachable: a singleton codebook has error 0")
+
+
+def _first_codebook(
+    weights: tuple[tuple[int, ...], ...], reach: list[tuple[int, ...]], k: int, need: int
+) -> list[int] | None:
+    """The lexicographically first k inputs whose column maxima sum to at
+    least ``need``, or None; ``avg_capacity``'s search at one size.
+
+    A node is a partial codebook: its column maxima, its mass, and the
+    first input it may still take.  With one input left to choose, its
+    children are its completions, so it only scans them.  With exactly as
+    many inputs left as it needs, its one completion keeps the
+    column-maxima bound itself.  At the root each gain is a whole row, so
+    the gains bound holds there and is not computed.  The walk is one loop
+    over a stack of frames, one per input chosen: [that input, the last
+    input a sibling may be, the parent's column maxima].
+    """
+    nx = len(weights)
+    stack: list[list] = []
+    start, cols, mass = 0, reach[nx], 0
+    while True:
+        r = k - len(stack)
+        if sum(map(max, cols, reach[start])) >= need:
+            if nx - start == r:
+                return [f[0] for f in stack] + list(range(start, nx))
+            if r == 1:
+                for j in range(start, nx):
+                    if sum(map(max, cols, weights[j])) >= need:
+                        return [f[0] for f in stack] + [j]
+            elif not stack or _gains_bound(weights, cols, mass, start, r) >= need:
+                stack.append([start - 1, nx - r, cols])
+        while stack:  # the next sibling, or the parent's
+            frame = stack[-1]
+            frame[0] += 1
+            if frame[0] <= frame[1]:
+                break
+            stack.pop()
+        else:
+            return None
+        j, _, parent = frame
+        start, cols = j + 1, tuple(map(max, parent, weights[j]))
+        mass = sum(cols)
+
+
+def _gains_bound(
+    weights: tuple[tuple[int, ...], ...], cols: tuple[int, ...], mass: int, start: int, r: int
+) -> int:
+    """The most a partial codebook of column maxima ``cols`` and mass
+    ``mass`` keeps with r more of the inputs from ``start`` on: its mass
+    plus the r largest gains one of those inputs adds to it."""
+    kept = sorted(sum(map(max, cols, weights[j])) for j in range(start, len(weights)))
+    return sum(kept[-r:]) - (r - 1) * mass
 
 
 # ---------------------------------------------------------------------------

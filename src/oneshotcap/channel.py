@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import Iterable, Sequence
 
 # "p/q" with integer p, q, or a plain finite decimal (no signs, no
@@ -129,16 +129,20 @@ class Channel:
         width = len(weights[0])
         if width == 0:
             raise ValueError("channel needs at least one output")
-        for x, row in enumerate(weights):
-            if len(row) != width:
-                raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
-            for y, w in enumerate(row):
-                if not isinstance(w, int) or w < 0:
-                    raise ValueError(f"entry ({x},{y}): {w!r} is not a non-negative int")
-            if sum(row) != scale:
-                total = _format_ratio(sum(row), scale)
-                raise ValueError(f"row {x}: probabilities sum to {total}, not 1")
-        g = math.gcd(scale, *(w for row in weights for w in row))
+        entries = list(chain.from_iterable(weights))
+        # whole-matrix passes; the entry loop below runs only to name a fault
+        if (set(map(len, weights)) != {width} or set(map(type, entries)) != {int}
+                or min(entries) < 0 or set(map(sum, weights)) != {scale}):
+            for x, row in enumerate(weights):
+                if len(row) != width:
+                    raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
+                for y, w in enumerate(row):
+                    if not isinstance(w, int) or w < 0:
+                        raise ValueError(f"entry ({x},{y}): {w!r} is not a non-negative int")
+                if sum(row) != scale:
+                    total = _format_ratio(sum(row), scale)
+                    raise ValueError(f"row {x}: probabilities sum to {total}, not 1")
+        g = math.gcd(scale, *entries)
         if g > 1:
             scale //= g
             weights = tuple(tuple([w // g for w in row]) for row in weights)
@@ -170,7 +174,7 @@ class Channel:
         bound read; ``sums[i]`` is the weight of ``order[:i]``, 0 to ``scale``."""
         view = []
         for row in self.weights:
-            order = tuple(sorted((y for y, w in enumerate(row) if w), key=lambda y: -row[y]))
+            order = tuple(sorted(compress(range(len(row)), row), key=row.__getitem__, reverse=True))
             view.append((order, tuple(accumulate((row[y] for y in order), initial=0))))
         return tuple(view)
 
@@ -234,30 +238,40 @@ def parse_channel(text: str) -> Channel:
     body = lines[1:]
     if len(body) != nx:
         raise ChannelFormatError(f"expected {nx} rows, found {len(body)}")
-    rows = []
-    # Each distinct token is parsed once, where it first appears.
+    # Each distinct token is parsed once, where it first appears.  A fault
+    # found on the way is raised after the sums of the rows before it are
+    # checked, so the first fault in the file is the one reported.
     known: dict[str, tuple[int, int]] = {}
-    for x, (lineno, line) in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != ny:
-            raise ChannelFormatError(
-                f"line {lineno}: row {x} has {len(tokens)} entries, expected {ny}"
-            )
-        entries = []
-        for y, tok in enumerate(tokens):
-            entry = known.get(tok)
-            if entry is None:
-                entry = known[tok] = _prob_ratio(tok, f"line {lineno}: row {x}, column {y}")
-            entries.append(entry)
-        common = math.lcm(*{d for _, d in entries})
-        total = sum(n * (common // d) for n, d in entries)
-        if total != common:
-            raise ChannelFormatError(
-                f"line {lineno}: row {x} sums to {_format_ratio(total, common)}, not 1"
-            )
-        rows.append(entries)
+    row_tokens: list[list[str]] = []
+    fault = None
+    try:
+        for x, (lineno, line) in enumerate(body):
+            tokens = line.split()
+            if len(tokens) != ny:
+                raise ChannelFormatError(
+                    f"line {lineno}: row {x} has {len(tokens)} entries, expected {ny}"
+                )
+            if not known.keys() >= set(tokens):  # a token not parsed yet
+                for y, tok in enumerate(tokens):
+                    if tok not in known:
+                        known[tok] = _prob_ratio(tok, f"line {lineno}: row {x}, column {y}")
+            row_tokens.append(tokens)
+    except ChannelFormatError as exc:
+        fault = exc
     scale = math.lcm(*{d for _, d in known.values()})
-    return Channel([[n * (scale // d) for n, d in row] for row in rows], scale)
+    weight = {tok: n * (scale // d) for tok, (n, d) in known.items()}
+    rows = []
+    for x, ((lineno, _), tokens) in enumerate(zip(body, row_tokens)):
+        row = [weight[tok] for tok in tokens]
+        total = sum(row)
+        if total != scale:
+            raise ChannelFormatError(
+                f"line {lineno}: row {x} sums to {_format_ratio(total, scale)}, not 1"
+            )
+        rows.append(row)
+    if fault is not None:
+        raise fault
+    return Channel(rows, scale)
 
 
 def serialize_channel(c: Channel) -> str:

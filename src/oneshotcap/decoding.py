@@ -11,8 +11,9 @@ Fractions.
 given the integer row mass a decoding set must capture (``Channel.min_mass``
 of an eps its caller checked), it walks the inclusion-minimal output sets
 that capture it, as bitmasks, each with the AND of a per-output pattern
-over its outputs (the subset DP's "disjoint from this set" bitset);
-``minimal_decoding_masks`` lists and caps the masks, and
+over its outputs (the subset DP's "disjoint from this set" bitset),
+until a visit returns a true value, and can read the outputs of one mask
+alone; ``minimal_decoding_masks`` lists and caps the masks, and
 ``enumerate_min_decoding_sets`` is the sorted tuple form that takes eps.
 Only minimal sets matter when packing pre-images, since shrinking a
 pre-image to a minimal subset preserves disjointness.
@@ -21,8 +22,10 @@ pre-image to a minimal subset preserves disjointness.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from . import bitsets
@@ -119,12 +122,14 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
 # Minimal decoding sets
 # ---------------------------------------------------------------------------
 
-def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
+def minimal_decoding_masks(c: Channel, x: int, threshold: int, within: int = -1) -> list[int]:
     """The inclusion-minimal output sets of row x with integer mass at
     least a positive ``threshold`` (``c.min_mass(eps, 1)`` at budget
     eps < 1), as bitmasks (bit y = output y) in the order ``visit_minimal_sets``
     walks them (depth first, heaviest output first); callers that need another
-    order sort.  More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise ValueError.
+    order sort.  With ``within``, only the sets inside that mask, walked
+    over its outputs alone.  More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise
+    ValueError.
     """
     found: list[int] = []
 
@@ -134,52 +139,65 @@ def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
                              "minimal decoding sets")
         found.append(mask)
 
-    visit_minimal_sets(c, x, threshold, keep)
+    visit_minimal_sets(c, x, threshold, keep, within=within)
     return found
 
 
 def visit_minimal_sets(
     c: Channel, x: int, threshold: int, visit: Callable[[int, int], object],
-    lacking: Sequence[int] | None = None,
+    lacking: Sequence[int] | None = None, within: int = -1,
 ) -> None:
     """Call ``visit(mask, disjoint)`` on each inclusion-minimal output set
-    of row x with integer mass at least a positive ``threshold``.
+    of row x with integer mass at least a positive ``threshold``, until a
+    call returns a true value: that call ends the walk.
 
     ``disjoint`` is the AND of ``lacking[y]`` over the set's outputs: with
     ``bitsets.lacking(c.num_outputs)``, the bitset of the output subsets
     disjoint from the set.  The walk carries it down, one AND per output
     it adds; without ``lacking`` it is 0.
 
+    With ``within``, the walk reads only the outputs in that mask.  A
+    minimal set of the row inside it is a minimal set of the row cut down
+    to it, and the other way round, so the walk visits exactly the sets
+    of the whole walk that lie inside ``within``, in the same order.
+
     Depth-first in ``c.heaviest_first`` order (a minimal set holds no
     output of weight 0): a set grows, by one output after its last, only
     while its mass is below the threshold, and is complete once it reaches
     it.  The output added last is the lightest, and without it the mass
     was below the threshold, so every completed set is minimal.  A set
-    stops growing once all the outputs after its last cannot lift it to
-    the threshold.  The walk is one loop over a stack of frames, one per
-    output added, so its memory grows with the set's size.  It keeps no
+    grows only by outputs up to the last index from which the rest of the
+    order can still lift it to the threshold: one ``bisect_right`` on the
+    running sums per set.  The walk is one loop over a stack of frames, one
+    per output added, so its memory grows with the set's size.  It keeps no
     count: minimal sets form an antichain, so on the subset DP's at most
     16 outputs a row has at most C(16, 8) = 12,870 (Sperner).
     """
     order, sums = c.heaviest_first[x]
-    row, scale = c.weights[x], c.scale
+    row = c.weights[x]
+    if within != -1:
+        order = [y for y in order if within >> y & 1]
+        sums = list(accumulate((row[y] for y in order), initial=0))
+    total = sums[-1]
     patterns = lacking or (0,) * c.num_outputs
-    # a frame: the next index into order, the mass still missing (positive),
-    # the set so far and its pattern; the stack holds the frames to resume
+    # a frame: the next index into order, the end of the indices that can
+    # still reach the mass missing (positive), that mass, the set so far and
+    # its pattern; the stack holds the frames to resume
     stack = []
-    i, need, mask, disjoint = 0, threshold, 0, -1
+    i, end, need, mask, disjoint = 0, bisect_right(sums, total - threshold), threshold, 0, -1
     while True:
-        if scale - sums[i] >= need:  # the outputs from i on can still reach it
+        if i < end:
             y = order[i]
             left = need - row[y]
-            if left > 0:
-                stack.append((i + 1, need, mask, disjoint))
-                i, need, mask, disjoint = i + 1, left, mask | 1 << y, disjoint & patterns[y]
-                continue
-            visit(mask | 1 << y, disjoint & patterns[y])
             i += 1
+            if left > 0:
+                stack.append((i, end, need, mask, disjoint))
+                end = bisect_right(sums, total - left, i)
+                need, mask, disjoint = left, mask | 1 << y, disjoint & patterns[y]
+            elif visit(mask | 1 << y, disjoint & patterns[y]):
+                return
         elif stack:
-            i, need, mask, disjoint = stack.pop()
+            i, end, need, mask, disjoint = stack.pop()
         else:
             return
 

@@ -215,51 +215,63 @@ def _bounded_independent_set(
         outputs = [m for m in graph.output_nodes if m]
         sizes = [m.bit_count() for m in graph.masks]
 
-    def expand(r_size: int, r_mask: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        if cand == 0:
-            if r_size > best_size:
-                best_size, best_mask = r_size, r_mask
-            return
-        if inputs:
+    # The node whose branches are being taken: its size and members, its
+    # candidates less the branches already taken, and its colouring order
+    # and bounds, with the index of its last branch taken counting down.
+    # The stack holds the nodes above it, one per member added, so no
+    # depth is too deep.  The first node is a stand-in with no branches,
+    # whose one child is the root.
+    stack: list[tuple] = []
+    r_size, r_mask, cand, order, bound, i = 0, 0, 0, (), (), 0
+    size, mask, child = 0, 0, (1 << len(adj)) - 1
+    while True:
+        if child == 0:
+            if size > best_size:
+                best_size, best_mask = size, mask
+            live = False
+        elif inputs:
             smallest = []
             for m in inputs:
-                m &= cand
+                m &= child
                 if m:
                     smallest.append(sizes[(m & -m).bit_length() - 1])
             room = 0
             for m in outputs:
-                if m & cand:
+                if m & child:
                     room += 1
-            if r_size + bitsets.packing_count(smallest, room) <= best_size:
-                return
-        # Greedy colouring: vertices in colour class c cannot extend an
-        # independent set by more than c, so colour numbers bound the branches.
-        order: list[int] = []
-        bound: list[int] = []
-        colour = 0
-        rest = cand
-        while rest:
-            colour += 1
-            avail = rest
-            while avail:
-                bit = avail & -avail
-                v = bit.bit_length() - 1
-                avail &= adj[v] & ~bit  # a self-loop must not stall the class
-                rest &= ~bit
-                order.append(v)
-                bound.append(colour)
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bound[i] <= best_size:
-                return
-            v = order[i]
-            bit = 1 << v
-            expand(r_size + 1, r_mask | bit, cand & ~(adj[v] | bit))
-            cand &= ~bit
-
-    expand(0, 0, (1 << len(adj)) - 1)
-    del expand  # it holds itself through its closure; free its work by refcount
-    return best_size, best_mask
+            live = size + bitsets.packing_count(smallest, room) > best_size
+        else:
+            live = True
+        if live:
+            # Greedy colouring: vertices in colour class c cannot extend an
+            # independent set by more than c, so colour numbers bound the
+            # branches.
+            stack.append((r_size, r_mask, cand, order, bound, i))
+            r_size, r_mask, cand, order, bound = size, mask, child, [], []
+            colour = 0
+            rest = cand
+            while rest:
+                colour += 1
+                avail = rest
+                while avail:
+                    bit = avail & -avail
+                    v = bit.bit_length() - 1
+                    avail &= adj[v] & ~bit  # a self-loop must not stall the class
+                    rest &= ~bit
+                    order.append(v)
+                    bound.append(colour)
+            i = len(order)
+        while True:  # the next branch: of this node, or of one above
+            i -= 1
+            if i >= 0 and r_size + bound[i] > best_size:
+                break
+            if not stack:
+                return best_size, best_mask
+            r_size, r_mask, cand, order, bound, i = stack.pop()
+        v = order[i]
+        bit = 1 << v
+        size, mask, child = r_size + 1, r_mask | bit, cand & ~(adj[v] | bit)
+        cand &= ~bit
 
 
 def independence_number(g: MaxOneShotGraph) -> tuple[int, tuple[OneShotNode, ...]]:

@@ -64,6 +64,26 @@ def oracle_packing(c: Channel, eps: Fraction) -> int:
     return best
 
 
+def oracle_avg_codebook(c: Channel, eps: Fraction) -> tuple[int, ...]:
+    """The avg-metric codebook ``avg_capacity`` must return: the first
+    admissible one, largest size first, then in lexicographic order, by
+    trying every codebook.  A codebook of size k is admissible when its
+    pointwise-argmax decoder keeps mass >= k * (1 - eps), tested
+    cross-multiplied over eps's denominator.  A size whose column maxima
+    over all inputs keep too little is skipped whole."""
+    nx, weights = c.num_inputs, c.weights
+    kept, whole = eps.denominator - eps.numerator, eps.denominator
+    best = sum(map(max, zip(*weights)))
+    for k in range(nx, 0, -1):
+        need = k * c.scale * kept
+        if best * whole < need:
+            continue
+        for cb in combinations(range(nx), k):
+            if sum(map(max, zip(*[weights[x] for x in cb]))) * whole >= need:
+                return cb
+    raise AssertionError("a singleton codebook keeps its whole row")
+
+
 def oracle_curve_max(c: Channel) -> tuple[tuple[Fraction, int], ...]:
     """Max-metric curve breakpoints: ``oracle_packing`` at every candidate
     threshold 1 - mass(D), D any output subset of any row, in increasing

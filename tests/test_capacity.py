@@ -26,10 +26,10 @@ from oneshotcap import (
     sparse_number,
     verify_reduction,
 )
-from oneshotcap import capacity
+from oneshotcap import bitsets, capacity
 from oneshotcap.decoding import Scheme
 from corpus import random_channels
-from oracles import oracle_capacity, oracle_curve_max, oracle_packing
+from oracles import oracle_avg_codebook, oracle_capacity, oracle_curve_max, oracle_packing
 
 F = Fraction
 
@@ -71,6 +71,16 @@ def test_max_capacity_on_a_minimal_set_of_1100_outputs():
     c = Channel([[1] * 1100] * 2, 1100)
     r = max_capacity(c, F(0))
     assert r.codebook_size == 1
+    assert max_error(c, r.witness) == 0
+
+
+def test_max_capacity_on_an_independent_set_of_1100_nodes():
+    # 1100 outputs go to the conflict graph, whose 1100 singleton nodes are
+    # pairwise independent: a search that recursed once per member failed
+    c = identity_channel(1100)
+    r = max_capacity(c, F(0))
+    assert r.codebook_size == 1100
+    assert r.witness.codebook == tuple(range(1100))
     assert max_error(c, r.witness) == 0
 
 
@@ -203,6 +213,72 @@ def test_dp_witness_backtracks_to_the_lowest_top_union():
     c = Channel([[1, 1, 0], [0, 1, 1]], 2)
     size, sets = capacity._packing(c, 1, 2, witness=True)
     assert (size, sets) == (2, [(0, 0b001), (1, 0b010)])
+
+
+def test_packing_stops_at_its_ceiling_with_an_admissible_witness():
+    for n in (6, 8, 10):
+        for i in range(2):
+            c = gen_random(n, n, seed=2850 + 10 * n + i, denominator_bound=12)
+            for eps in [F(1, 10), F(1, 3), F(1, 2), F(2, 3)]:
+                threshold = c.min_mass(eps, 1)
+                alpha = oracle_packing(c, eps)
+                for ceiling in range(1, alpha + 2):
+                    assert capacity._packing(c, threshold, ceiling) == min(ceiling, alpha)
+                    size, sets = capacity._packing(c, threshold, ceiling, witness=True)
+                    assert size == len(sets) == min(ceiling, alpha)
+                    scheme = scheme_from_disjoint_sets(
+                        c, [(x, bitsets.outputs_of(d)) for x, d in sets])
+                    assert max_error(c, scheme) <= eps
+
+
+def test_packing_walks_no_set_past_its_ceiling(monkeypatch):
+    # every output alone reaches the threshold, so each row has 4 minimal
+    # sets, and the first of row 0 already fills level 1
+    visited = []
+    walk = capacity.visit_minimal_sets
+
+    def spy(c, x, threshold, visit, *args):
+        def counted(mask, disjoint):
+            visited.append((x, mask))
+            return visit(mask, disjoint)
+        return walk(c, x, threshold, counted, *args)
+
+    monkeypatch.setattr(capacity, "visit_minimal_sets", spy)
+    c = Channel([[1, 1, 1, 1], [1, 1, 1, 1]], 4)
+    assert capacity._packing(c, 1, 1) == 1
+    assert visited == [(0, 0b0001)]
+    visited.clear()
+    assert capacity._packing(c, 1, 2) == 2
+    # row 1's first set, output 0, joins row 0's outputs 1, 2 and 3 at level 2
+    assert visited == [(0, 0b0001), (0, 0b0010), (0, 0b0100), (0, 0b1000), (1, 0b0001)]
+
+
+def typewriter(n: int) -> Channel:
+    """x goes to x and x + 1 (mod n), each with probability 1/2."""
+    return Channel([[int(y in (x, (x + 1) % n)) for y in range(n)] for x in range(n)], 2)
+
+
+def check_avg_capacity(c: Channel, eps: Fraction) -> None:
+    """Size and codebook as the exhaustive search finds them."""
+    codebook = oracle_avg_codebook(c, eps)
+    r = avg_capacity(c, eps)
+    assert (r.codebook_size, r.witness.codebook) == (len(codebook), codebook)
+
+
+def test_avg_capacity_matches_the_exhaustive_search_on_dense_channels():
+    for n in range(8, 13):
+        for i in range(2):
+            c = gen_random(n, n, seed=2900 + 10 * n + i, denominator_bound=24)
+            for eps in [F(0), F(1, 10), F(1, 3), F(1, 2), F(2, 3)]:
+                check_avg_capacity(c, eps)
+
+
+@pytest.mark.parametrize("n", range(8, 25))
+def test_avg_capacity_matches_the_exhaustive_search_on_typewriters(n):
+    # the answer is n // 2 codewords, 0, 2, 4, ...; the exhaustive search
+    # tries every earlier codebook of that size
+    check_avg_capacity(typewriter(n), F(0))
+    assert avg_capacity(typewriter(n), F(0)).witness.codebook == tuple(range(0, n - 1, 2))
 
 
 def test_avg_engines_agree_with_oracle():

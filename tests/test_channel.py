@@ -113,6 +113,21 @@ def test_parse_error_messages(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("channel 3 2\n1 0\n1/2 1/4\nnope 1\n", "line 3: row 1 sums to 3/4, not 1"),
+    ("channel 3 2\n1 0\n1/2 1/4\n1 0 0\n", "line 3: row 1 sums to 3/4, not 1"),
+    ("channel 3 2\n1 1\n1/2 1/4\n0 3/2\n", "line 2: row 0 sums to 2, not 1"),
+    ("channel 3 2\n1 0\n1/3 nope\n1 1\n",
+     "line 3: row 1, column 1: 'nope' is not a p/q fraction or finite decimal"),
+    ("channel 3 2\n1/2 1/2\n1/2 1/2 0\n1/2 1/3\n", "line 3: row 1 has 3 entries, expected 2"),
+], ids=["sum-before-token", "sum-before-width", "sum-before-range", "token-before-sum",
+        "width-before-sum"])
+def test_parse_reports_the_first_of_several_faults(text, message):
+    with pytest.raises(ChannelFormatError) as exc:
+        parse_channel(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Channel.make([[F(1, 2), F(1, 4)]]), "row 0: probabilities sum to 3/4, not 1"),
     (lambda: Channel.make([[F(3, 2), F(-1, 2)]]), "entry (0,0): Fraction(3, 2) is outside [0, 1]"),

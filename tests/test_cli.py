@@ -12,6 +12,7 @@ from oneshotcap import (
     build_avg_graph,
     capacity_curve,
     gen_random,
+    identity_channel,
     max_capacity,
     optimal_avg_decoder,
     serialize_channel,
@@ -234,6 +235,16 @@ def test_capacity_on_a_minimal_set_of_1100_outputs(tmp_path, capsys):
     assert main(["capacity", str(path), "--metric", "max", "--epsilon", "0"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "codebook_size=1 capacity_bits=0.000000000000\n"
+    assert captured.err == ""
+
+
+def test_capacity_on_an_independent_set_of_1100_nodes(tmp_path, capsys):
+    # the conflict graph's answer: 1100 codewords, one search frame each
+    path = tmp_path / "identity1100.txt"
+    path.write_text(serialize_channel(identity_channel(1100)))
+    assert main(["capacity", str(path), "--metric", "max", "--epsilon", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "codebook_size=1100 capacity_bits=10.103287808412\n"
     assert captured.err == ""
 
 

@@ -1,6 +1,7 @@
 """Property tests: the engines against brute force on generated channels.
 
-Channels are up to 4x4 with each row made of entries k/d for one d <= 12.
+Channels are up to 4x4 (6x6 for the avg search against trying every
+codebook) with each row made of entries k/d for one d <= 12.
 The budgets drawn are 0, the exact candidate thresholds 1 - mass(D) over
 every row and output subset D (where the max capacity steps), the
 midpoints between consecutive thresholds (inside the steps), and every
@@ -42,7 +43,7 @@ from oneshotcap import (
 )
 from oneshotcap import capacity
 from corpus import COPRIME, P, Q
-from oracles import oracle_curve_max, oracle_packing, oracle_sparse_number
+from oracles import oracle_avg_codebook, oracle_curve_max, oracle_packing, oracle_sparse_number
 
 F = Fraction
 
@@ -57,9 +58,9 @@ def rows(draw, ny):
 
 
 @st.composite
-def channels(draw):
-    nx = draw(st.integers(1, 4))
-    ny = draw(st.integers(1, 4))
+def channels(draw, size=4):
+    nx = draw(st.integers(1, size))
+    ny = draw(st.integers(1, size))
     return Channel.make([draw(rows(ny)) for _ in range(nx)])
 
 
@@ -133,6 +134,15 @@ def test_witnesses_are_graph_nodes_and_non_nodes_raise(c, data):
             g.edge_weight(node, stranger)
         with pytest.raises(ValueError, match="is not a node"):
             is_sparse_set(g, [stranger], eps)
+
+
+@SETTINGS
+@given(channels(size=6).filter(has_zero), st.data())
+def test_avg_capacity_matches_the_exhaustive_search(c, data):
+    eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
+    codebook = oracle_avg_codebook(c, eps)
+    r = avg_capacity(c, eps)
+    assert (r.codebook_size, r.witness.codebook) == (len(codebook), codebook)
 
 
 @SETTINGS

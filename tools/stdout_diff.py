@@ -19,7 +19,10 @@ funnel`` (leaks spelled as fractions, as decimals and as both),
 8x12, 10x12 and 12x12 channels each (seeds 1 to 3, the widest curves a
 checkout with a 12-output curve limit accepts), ``capacity
 --metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels and at
-eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, and
+eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, ``capacity
+--metric avg --json`` at eps 1/2 and 2/3 on the two 10x10 channels and at
+eps 0 on the typewriter channels of 12 and 16 symbols (x goes to x and
+x + 1 mod n), avg answers of 3 and more, and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
@@ -163,9 +166,10 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     runs = {
         (8, 6): (2, max_curve), (10, 6): (2, max_curve), (12, 8): (2, max_curve),
         (8, 12): (3, max_curve), (10, 12): (3, max_curve), (12, 12): (3, max_curve),
-        (10, 10): (2, [(f"max@{eps}", "capacity",
-                        ["--metric", "max", "--epsilon", eps, "--json"])
-                       for eps in ("1/2", "3/4")]),
+        (10, 10): (2, [(f"{metric}@{eps}", "capacity",
+                        ["--metric", metric, "--epsilon", eps, "--json"])
+                       for metric, budgets in (("max", ("1/2", "3/4")), ("avg", ("1/2", "2/3")))
+                       for eps in budgets]),
         (8, 14): (1, narrow_max), (6, 16): (1, narrow_max), (16, 16): (1, narrow_max),
         (8, 8): (2, [(f"sparse@{eps}", "sparse", ["--epsilon", eps])
                      for eps in ("1/4", "1/2")]),
@@ -184,6 +188,14 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         path.write_text(serialize_channel(c), encoding="utf-8")
         ops += [("wide", f"{name}/sparse@{eps}", ["sparse", str(path), "--epsilon", eps])
                 for eps in ("0", "1/4", "1/2")]
+    # x goes to x and x + 1 (mod n): at eps 0 the avg codebook is 0, 2, 4, ...
+    for n in (12, 16):
+        path = wide / f"typewriter{n}.txt"
+        path.write_text(serialize_channel(
+            Channel([[int(y in (x, (x + 1) % n)) for y in range(n)] for x in range(n)], 2)),
+            encoding="utf-8")
+        ops.append(("wide", f"typewriter{n}/avg@0",
+                    ["capacity", str(path), "--metric", "avg", "--epsilon", "0", "--json"]))
     # each row's one minimal set at eps 0 holds all 1100 outputs
     path = wide / "uniform2x1100.txt"
     path.write_text(serialize_channel(Channel([[1] * 1100] * 2, 1100)), encoding="utf-8")
