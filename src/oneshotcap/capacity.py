@@ -458,17 +458,14 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
 
         last = len(masses) - 1
         known = {0: solve(0, c.num_inputs), last: c.num_inputs}  # index -> size
-
-        def settle(lo: int, hi: int) -> None:
+        unsettled = [(0, last)]
+        while unsettled:
+            lo, hi = unsettled.pop()
             if hi - lo < 2 or known[lo] == known[hi]:
-                return  # every threshold inside has the ends' size
+                continue  # every threshold inside has the ends' size
             mid = (lo + hi) // 2
             known[mid] = solve(mid, known[hi])
-            settle(lo, mid)
-            settle(mid, hi)
-
-        settle(0, last)
-        del settle  # it holds itself through its closure; free its work by refcount
+            unsettled += [(lo, mid), (mid, hi)]
         sizes = {threshold(i): k for i, k in known.items()}
     else:
         if c.num_inputs > _CURVE_SWEEP_LIMIT:

@@ -204,7 +204,7 @@ class Channel:
 
 def identity_channel(n: int) -> Channel:
     """Noiseless n-symbol channel: P(y|x) = 1 iff y == x."""
-    return Channel.make([[1 if y == x else 0 for y in range(n)] for x in range(n)])
+    return Channel([[int(y == x) for y in range(n)] for x in range(n)], 1)
 
 
 # ---------------------------------------------------------------------------

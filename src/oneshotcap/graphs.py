@@ -20,10 +20,10 @@ Witnesses are tuples of nodes, and the average graph's methods take nodes;
 only the max graph's adjacency bitmasks name nodes by position.  Neither
 graph builds its node list unless it is read: the max graph keeps its
 nodes' inputs and masks as two tuples, and the average graph holds only
-its channel.  The max graph's node bitmask of each output is a column of
-the masks' transpose, taken in bulk with one byte transpose
-(``bitsets.columns``), and each adjacency row is the OR of its node's
-input range and output columns.
+its channel and the per-row subset-mass tables read so far.  The max
+graph's node bitmask of each output is a column of the masks' transpose,
+taken in bulk with one byte transpose (``bitsets.columns``), and each
+adjacency row is the OR of its node's input range and output columns.
 
 For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
@@ -32,7 +32,9 @@ sum(escapes) <= eps*k for k >= 2.  The sparse-set solver branches on that
 form, with the escapes as integers over the channel's scale, over each
 input's subsets of its support: a node padded with zero-probability
 outputs has its in-support core's escape and blocks more outputs, so it is
-never needed.
+never needed.  It asks its bounds before it builds: an input's table of
+subsets, and the average graph's table of that row's subset masses, are
+built when a branch first reaches the input.
 
 The independence-number solver is an exact branch and bound with a greedy
 colouring bound, run directly on the bitmask adjacency; it is the
@@ -293,7 +295,9 @@ class AvgOneShotGraph:
     in order and each input's sets in ``bitsets.canonical_order``.  The
     graph holds only its channel: ``nodes`` is a view built on first read,
     ``num_nodes`` is counted without it, and ``mass`` reads each row's
-    table of subset masses, so ``sparse_number`` never builds a node list.
+    table of subset masses, built when that row is first read, so
+    ``sparse_number`` never builds a node list, nor the tables of rows its
+    search does not reach.
 
     Edge weights are implicit: conflicting nodes (shared input or
     intersecting dsets) are joined with infinite weight, every other pair
@@ -322,8 +326,15 @@ class AvgOneShotGraph:
                    for x in range(c.num_inputs))
 
     @cached_property
-    def _subset_masses(self) -> tuple[list[int], ...]:
-        return tuple(map(bitsets.subset_masses, self.channel.weights))
+    def _row_tables(self) -> list[list[int] | None]:
+        return [None] * self.channel.num_inputs
+
+    def _subset_masses(self, x: int) -> list[int]:
+        """Row x's mass of every output subset, built when first read."""
+        table = self._row_tables[x]
+        if table is None:
+            table = self._row_tables[x] = bitsets.subset_masses(self.channel.weights[x])
+        return table
 
     def mass(self, node: OneShotNode) -> int:
         """The mass the node captures of its row, over ``channel.scale``.
@@ -333,7 +344,7 @@ class AvgOneShotGraph:
         x, mask = node.input, node.mask
         m = 0
         if 0 <= x < c.num_inputs and 0 <= mask < 1 << c.num_outputs:
-            m = self._subset_masses[x][mask]
+            m = self._subset_masses(x)[mask]
         if not m:
             raise ValueError(f"({x}, mask {mask:#b}) is not a node of the average graph")
         return m
@@ -399,64 +410,95 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
     needed must each take an unclaimed output, and together capture no more
     than the unclaimed outputs' largest weights over the inputs not yet
     walked, so a branch stops when there are too few such outputs or when
-    even that mass leaves their escapes over the budget.  Both cut only branches without a solution, so the first
-    solution found, and so the witness, is the one the walk finds without
-    them.
+    even that mass leaves their escapes over the budget.  Both cut only
+    branches without a solution, so the first solution found, and so the
+    witness, is the one the walk finds without them.
 
     The search reads per-input tables, not ``g.nodes``: each input's
     nonempty subsets of its support, as (escape, mask) sorted by escape,
     then mask.  A node padded with zero-probability outputs is left out: its
     in-support core has the same escape and blocks fewer outputs.  Sets
     escaping more than the largest budget are left out too, since no branch
-    can take them.  The witness is the tuple of its nodes in input order;
-    a size-k answer builds only those k nodes.
+    can take them.  An input's table, and the table of the column maxima'
+    subset masses the second bound reads, are built when a branch first
+    reaches that input with its bounds met; while no output is claimed the
+    bound is the column maxima's sum, with no table.  So where the bounds
+    at the root refuse every k >= 2, no table is built.  The walk is one
+    loop over a stack of frames, one per input whose branches are being
+    taken, so no channel has too many inputs for it.  The witness is the
+    tuple of its nodes in input order; a size-k answer builds only those k
+    nodes.
     """
     eps = as_prob(eps, "eps")
     c = g.channel
-    nx, scale = c.num_inputs, c.scale
+    nx, ny, scale = c.num_inputs, c.num_outputs, c.scale
     least_mass = scale - (nx * scale - c.min_mass(eps, nx))  # less the largest budget
-    groups: list[list[tuple[int, int]]] = []
-    for x, masses in enumerate(g._subset_masses):
-        support = c.support_mask(x)
-        groups.append(sorted((scale - m, mask) for mask, m in enumerate(masses)
-                             if m >= least_mass and mask and not mask & ~support))
-
-    all_outputs = (1 << c.num_outputs) - 1
+    all_outputs = (1 << ny) - 1
+    # reach[x]: each output's largest weight over the inputs x, x + 1, ...
+    reach = [(0,) * ny]
+    for row in reversed(c.weights):
+        reach.append(tuple(map(max, reach[-1], row)))
+    reach.reverse()
+    groups: list[list[tuple[int, int]] | None] = [None] * nx
     # ceilings[x][free]: the most mass that members from inputs x.. can
-    # capture within the outputs in free, each output's largest weight
-    # over those inputs
-    ceilings: list[list[int]] = [[]] * nx
-    column_max = [0] * c.num_outputs
-    for x in range(nx - 1, -1, -1):
-        column_max = [max(a, b) for a, b in zip(column_max, c.weights[x])]
-        ceilings[x] = bitsets.subset_masses(column_max)
+    # capture within the outputs in free
+    ceilings: list[list[int] | None] = [None] * nx
     chosen: list[tuple[int, int]] = []  # (input, mask) of the members so far
-    k = budget = 0
-
-    def dfs(x: int, count: int, esc_sum: int, used: int) -> bool:
-        if count == k:
-            return True
-        free = all_outputs & ~used
-        if count + min(nx - x, free.bit_count()) < k:
-            return False  # each member takes its own input and an output of free
-        if (k - count) * scale - ceilings[x][free] > budget - esc_sum:
-            return False  # the members still needed escape more than the budget left
-        for esc, mask in groups[x]:
-            if esc_sum + esc > budget:
-                break  # entries are escape-sorted
-            if mask & used:
-                continue
-            chosen.append((x, mask))
-            if dfs(x + 1, count + 1, esc_sum + esc, used | mask):
-                return True
-            chosen.pop()
-        return dfs(x + 1, count, esc_sum, used)
 
     for k in range(nx, 1, -1):
         budget = k * scale - c.min_mass(eps, k)
-        if dfs(0, 0, 0, 0):
+        # A frame: [input, members, escapes and claimed outputs before it,
+        # its next entry], the entry past its table once the branch that
+        # leaves the input out is taken.
+        stack: list[list[int]] = []
+        x = esc_sum = used = 0  # the node entered next; len(chosen) members
+        while len(chosen) < k:
+            count = len(chosen)
+            free = all_outputs & ~used
+            # each member takes its own input and an output of free
+            if count + min(nx - x, free.bit_count()) >= k:
+                if free == all_outputs:
+                    ceiling = sum(reach[x])
+                else:
+                    if ceilings[x] is None:
+                        ceilings[x] = bitsets.subset_masses(reach[x])
+                    ceiling = ceilings[x][free]
+                # unless the members still needed escape more than the budget left
+                if (k - count) * scale - ceiling <= budget - esc_sum:
+                    if groups[x] is None:
+                        support = c.support_mask(x)
+                        groups[x] = sorted(
+                            (scale - m, mask) for mask, m in enumerate(g._subset_masses(x))
+                            if m >= least_mass and mask and not mask & ~support)
+                    stack.append([x, count, esc_sum, used, 0])
+            while stack:  # the next branch: of this frame, or of one above
+                frame = stack[-1]
+                x, count, esc_sum, used, i = frame
+                del chosen[count:]
+                group = groups[x]
+                if i > len(group):  # every branch of this frame is taken
+                    stack.pop()
+                    continue
+                # take the next entry that fits; past the last, leave x out
+                while i < len(group):
+                    esc, mask = group[i]
+                    i += 1
+                    if esc_sum + esc > budget:
+                        i = len(group)  # entries are escape-sorted
+                    elif not mask & used:
+                        chosen.append((x, mask))
+                        esc_sum += esc
+                        used |= mask
+                        break
+                else:
+                    i += 1
+                frame[4] = i
+                x += 1
+                break
+            else:
+                break  # no k-member set
+        if chosen:
             break
-    del dfs  # it holds itself through its closure; free the tables by refcount
     if not chosen:
         # Singletons are always sparse: k*(k-1) = 0 bounds an empty edge
         # set.  The witness is input 0's first node: the mask of its

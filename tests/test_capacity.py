@@ -438,6 +438,16 @@ def test_max_curve_matches_oracle_beyond_brute_force():
             assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
 
 
+def test_max_curve_matches_oracle_where_the_packing_bound_is_loose():
+    # every row needs output 0 from mass 5/8 up, so the packing bound
+    # (set sizes only) says 2 at mass 6/8 and 4 at 5/8 and 2/8, where the
+    # size stays 1 and 2
+    c = Channel([[5, 1, 1, 1]] * 4, 8)
+    assert capacity._packing_bound(c, 6) == 2 and capacity._packing_bound(c, 5) == 4
+    assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c) == (
+        (F(0), 1), (F(5, 8), 2), (F(7, 8), 4))
+
+
 @pytest.mark.parametrize("shape", [(8, 14), (6, 16)])
 def test_wide_max_curve_matches_engine_at_and_below_breakpoints(shape):
     # past the graph engine's old 12-output curve limit; candidate

@@ -453,6 +453,42 @@ def test_sparse_singletons_always_qualify(funnel3):
         assert is_sparse_set(g, [n], F(0))
 
 
+def test_sparse_number_builds_tables_only_where_its_bounds_reach(monkeypatch):
+    # at eps 1/10 the column maxima of this channel leave every k >= 2
+    # over its escape budget at the root, so no input's table is read
+    tables = []
+    subset_masses = bitsets.subset_masses
+
+    def spy(row):
+        tables.append(tuple(row))
+        return subset_masses(row)
+
+    monkeypatch.setattr(bitsets, "subset_masses", spy)
+    c = gen_random(8, 8, 1, 24)
+    size, witness = sparse_number(build_avg_graph(c), F(1, 10))
+    assert (size, witness) == (1, (OneShotNode(0, 1),))
+    assert tables == []
+    # here branches get past the root to inputs 0 and 1 only: their two
+    # rows' tables and two ceiling tables are built, none for inputs 2..7
+    g = build_avg_graph(gen_random(8, 8, 2, 24))
+    assert sparse_number(g, F(1, 10))[0] == 1
+    assert len(tables) == 4
+    assert [t is not None for t in g._row_tables] == [True, True] + [False] * 6
+
+
+def test_sparse_number_walks_1200_inputs_without_recursion():
+    # 1197 uniform rows, then the 3x3 identity: at eps 0 the search skips
+    # down 1197 inputs before the answer, which recursing once per input
+    # could not reach
+    c = Channel([[1, 1, 1]] * 1197 + [[3, 0, 0], [0, 3, 0], [0, 0, 3]], 3)
+    g = build_avg_graph(c)
+    size, witness = sparse_number(g, F(0))
+    assert size == 3
+    assert witness == (OneShotNode(1197, 0b001), OneShotNode(1198, 0b010),
+                       OneShotNode(1199, 0b100))
+    assert is_sparse_set(g, witness, F(0))
+
+
 # ---------------------------------------------------------------------------
 # Dump format
 # ---------------------------------------------------------------------------

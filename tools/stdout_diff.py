@@ -30,7 +30,11 @@ denominator 4, two channels with zero entries whose sparse numbers run from
 2 to 6, so their witnesses name nodes past the first, and ``capacity
 --metric max --epsilon 0 --json`` on a uniform 2x1100 channel, whose one
 minimal set per row holds all 1100 outputs (a walk that recurses once per
-output it adds fails there).  A ``cross-check``
+output it adds fails there), ``sparse --epsilon 0`` on 1197 uniform
+3-output rows followed by the 3x3 identity, whose answer the search reaches
+only past 1197 inputs (a search that recurses once per input fails
+there), and ``curve --metric max`` on an 8x8 channel with half of every
+row on output 0, where the packing bound is loose.  A ``cross-check``
 group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
 1/100 and on 8x8 and 8x17 channels at 1/3 (17 outputs go to the graph
 alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows of
@@ -201,6 +205,19 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     path.write_text(serialize_channel(Channel([[1] * 1100] * 2, 1100)), encoding="utf-8")
     ops.append(("wide", "uniform2x1100/max@0",
                 ["capacity", str(path), "--metric", "max", "--epsilon", "0", "--json"]))
+    # 1197 uniform rows, then the 3x3 identity: the sparse search skips
+    # down 1197 inputs before its answer of 3
+    path = wide / "uniform1197-identity3.txt"
+    path.write_text(serialize_channel(
+        Channel([[1, 1, 1]] * 1197 + [[3, 0, 0], [0, 3, 0], [0, 0, 3]], 3)), encoding="utf-8")
+    ops.append(("wide", f"{path.stem}/sparse@0", ["sparse", str(path), "--epsilon", "0"]))
+    # half of every row on output 0, so the packing bound, which counts set
+    # sizes only, is loose wherever the rows need output 0
+    rest = gen_random(8, 7, SEED, 12)
+    path = wide / "shared8x8.txt"
+    path.write_text(serialize_channel(
+        Channel([[rest.scale, *row] for row in rest.weights], 2 * rest.scale)), encoding="utf-8")
+    ops.append(("wide", f"{path.stem}/curve-max", ["curve", str(path), "--metric", "max"]))
     return ops
 
 
