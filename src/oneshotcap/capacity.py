@@ -36,7 +36,8 @@ ever rendered for display, never compared.
 Each engine checks eps once, and its search compares integer masses
 (``Channel.weights``) against thresholds from ``Channel.min_mass(eps,
 k)``, so epsilon comparisons are exact; the step function jumps at
-rational breakpoints and ``capacity_curve`` recovers them exactly.
+rational breakpoints, and ``capacity_curve`` recovers them exactly from
+integer masses, building a Fraction only for each breakpoint.
 """
 
 from __future__ import annotations
@@ -307,24 +308,19 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
     of trying every codebook in order.
     """
     eps = as_prob(eps, "eps")
-    weights = c.weights
-    # reach[j]: each output's largest weight over the inputs j, j + 1, ...
-    reach = [(0,) * c.num_outputs]
-    for row in reversed(weights):
-        reach.append(tuple(map(max, reach[-1], row)))
-    reach.reverse()
     for k in range(c.num_inputs, 0, -1):
-        codebook = _first_codebook(weights, reach, k, c.min_mass(eps, k))
+        codebook = _first_codebook(c.weights, c.column_maxima, k, c.min_mass(eps, k))
         if codebook is not None:
             return _checked(c, METRIC_AVG, eps, k, optimal_avg_decoder(c, codebook))
     raise AssertionError("unreachable: a singleton codebook has error 0")
 
 
 def _first_codebook(
-    weights: tuple[tuple[int, ...], ...], reach: list[tuple[int, ...]], k: int, need: int
+    weights: tuple[tuple[int, ...], ...], reach: tuple[tuple[int, ...], ...], k: int, need: int
 ) -> list[int] | None:
     """The lexicographically first k inputs whose column maxima sum to at
     least ``need``, or None; ``avg_capacity``'s search at one size.
+    ``reach`` is ``Channel.column_maxima``.
 
     A node is a partial codebook: its column maxima, its mass, and the
     first input it may still take.  With one input left to choose, its
@@ -421,22 +417,25 @@ def brute_force_capacity(c: Channel, metric: str, eps) -> CapacityResult:
 def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
     """Exact breakpoints of codebook size as a step function of epsilon.
 
-    Maximum metric: the admissible-set families change only at values
-    1 - mass(D) over output subsets D, so those are the only candidate
-    thresholds; they are kept as integer masses, which are also the
-    searches' thresholds, and only the solved ones become Fractions.  The
-    size never falls as eps grows, so the sorted candidates are split in
-    halves and an interval whose two ends have equal sizes is settled
-    without solving inside it.  Each midpoint is solved by the DP over
-    output subsets (``_packing``, no conflict graph), which stops at the
-    upper end's size or the packing bound, whichever is less.  Only sizes
-    are computed, no witness; channels of more than 16 outputs are
-    refused.  Average metric: size k first becomes
-    admissible at the least optimal-decoder mean error over codebooks of
-    size k.  Candidates come from distinct integer masses; equal
-    consecutive sizes are merged.
+    Both metrics keep integer masses, and build a Fraction only for a
+    breakpoint.  Maximum metric: the admissible-set families change only
+    at values 1 - mass(D) over output subsets D, so those are the only
+    candidate thresholds; they are kept as integer masses, which are also
+    the searches' thresholds.  The size never falls as eps grows, so the
+    sorted candidates are split in halves and an interval whose two ends
+    have equal sizes is settled without solving inside it.  Each midpoint
+    is solved by the DP over output subsets (``_packing``, no conflict
+    graph), which stops at the upper end's size or the packing bound,
+    whichever is less.  Only sizes are computed, no witness; channels of
+    more than 16 outputs are refused.  Average metric: size k first
+    becomes admissible at the least optimal-decoder mean error over
+    codebooks of size k, 1 - best[k] / (k * scale) with best[k] the most
+    mass a k-codebook keeps.  A size is a breakpoint when that error is
+    below every larger size's, so a tie goes to the larger size.
     """
     metric = normalize_metric(metric)
+    scale = c.scale
+    breakpoints: list[tuple[Fraction, int]] = []
     if metric == METRIC_MAX:
         if c.num_outputs > _SUBSET_OUTPUT_LIMIT:
             raise ValueError(
@@ -446,13 +445,10 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
         for row in c.weights:
             masses.update(bitsets.subset_masses(row))
         # candidate i is eps = 1 - masses[i] / scale, from eps = 0 (the full
-        # output set) to eps = 1 (the empty set)
+        # output set) to eps = 1 (the empty set); a decoding set there needs
+        # mass masses[i], min_mass of that eps at k = 1
         masses = sorted(masses, reverse=True)
 
-        def threshold(i: int) -> Fraction:
-            return Fraction(c.scale - masses[i], c.scale)
-
-        # at candidate i a decoding set needs mass masses[i]: min_mass(threshold(i), 1)
         def solve(i: int, ceiling: int) -> int:
             return _packing(c, masses[i], min(ceiling, _packing_bound(c, masses[i])))
 
@@ -466,21 +462,23 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             mid = (lo + hi) // 2
             known[mid] = solve(mid, known[hi])
             unsettled += [(lo, mid), (mid, hi)]
-        sizes = {threshold(i): k for i, k in known.items()}
+        for i in sorted(known):
+            if not breakpoints or known[i] > breakpoints[-1][1]:
+                breakpoints.append((Fraction(scale - masses[i], scale), known[i]))
     else:
         if c.num_inputs > _CURVE_SWEEP_LIMIT:
             raise ValueError(
                 f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} inputs, channel has {c.num_inputs}"
             )
         nx = c.num_inputs
-        sizes = {}  # least mean error of each size; on a tie the larger size
-        for k in range(1, nx + 1):
+        # from the largest size down, size k's error is below that of j,
+        # the last size kept (mass kept, none at first), exactly when
+        # best / k > kept / j
+        j, kept = 1, 0
+        for k in range(nx, 0, -1):
             best = max(_captured(c, cb) for cb in combinations(range(nx), k))
-            sizes[1 - Fraction(best, k * c.scale)] = k
-
-    breakpoints: list[tuple[Fraction, int]] = []
-    for eps in sorted(sizes):
-        k = sizes[eps]
-        if not breakpoints or k > breakpoints[-1][1]:
-            breakpoints.append((eps, k))
+            if best * j > kept * k:
+                j, kept = k, best
+                breakpoints.append((Fraction(k * scale - best, k * scale), k))
+        breakpoints.reverse()
     return CapacityCurve(metric, tuple(breakpoints))

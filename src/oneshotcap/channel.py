@@ -114,7 +114,8 @@ class Channel:
     """Immutable transition matrix, indexed [input][output]: P(y|x) =
     weights[x][y] / scale in lowest terms, so ``scale`` is the lcm of the
     reduced denominators and equal channels compare and hash equal.  The
-    views ``rows`` and ``heaviest_first`` are built on first read."""
+    views ``rows``, ``heaviest_first`` and ``column_maxima`` are built on
+    first read."""
 
     weights: tuple[tuple[int, ...], ...]
     scale: int
@@ -178,6 +179,16 @@ class Channel:
             view.append((order, tuple(accumulate((row[y] for y in order), initial=0))))
         return tuple(view)
 
+    @cached_property
+    def column_maxima(self) -> tuple[tuple[int, ...], ...]:
+        """``column_maxima[x]``: each output's largest weight over the inputs
+        x, x + 1, ..., so entry ``num_inputs`` is all zeros; the bound both
+        codebook searches read on what the inputs still to come can keep."""
+        maxima = [(0,) * self.num_outputs]
+        for row in reversed(self.weights):
+            maxima.append(tuple(map(max, maxima[-1], row)))
+        return tuple(reversed(maxima))
+
     @property
     def num_inputs(self) -> int:
         return len(self.weights)
@@ -218,24 +229,29 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_channel(text: str) -> Channel:
-    """Parse the channel file format into a validated Channel."""
+def _read_header(text: str, kind: str, dims: str) -> tuple[int, int, int, list[tuple[int, str]]]:
+    """The header line ``<kind> <a> <b>`` of a channel or graph file: its
+    line number, its two integer dimensions, and the content lines after
+    it as (line number, line)."""
     lines = list(_content_lines(text))
     if not lines:
-        raise ChannelFormatError("empty channel file")
+        raise ChannelFormatError(f"empty {kind} file")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "channel":
-        raise ChannelFormatError(
-            f"line {lineno}: expected 'channel <num_inputs> <num_outputs>'"
-        )
+    if len(parts) != 3 or parts[0] != kind:
+        raise ChannelFormatError(f"line {lineno}: expected '{kind} {dims}'")
     try:
-        nx, ny = int(parts[1]), int(parts[2])
+        a, b = int(parts[1]), int(parts[2])
     except ValueError:
         raise ChannelFormatError(f"line {lineno}: dimensions must be integers") from None
+    return lineno, a, b, lines[1:]
+
+
+def parse_channel(text: str) -> Channel:
+    """Parse the channel file format into a validated Channel."""
+    lineno, nx, ny, body = _read_header(text, "channel", "<num_inputs> <num_outputs>")
     if nx < 1 or ny < 1:
         raise ChannelFormatError(f"line {lineno}: dimensions must be positive")
-    body = lines[1:]
     if len(body) != nx:
         raise ChannelFormatError(f"expected {nx} rows, found {len(body)}")
     # Each distinct token is parsed once, where it first appears.  A fault
@@ -334,20 +350,7 @@ class CubicGraph:
 
 def parse_cubic_graph(text: str) -> CubicGraph:
     """Parse the graph file format into a validated CubicGraph."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ChannelFormatError("empty graph file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "graph":
-        raise ChannelFormatError(
-            f"line {lineno}: expected 'graph <num_vertices> <num_edges>'"
-        )
-    try:
-        nv, ne = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ChannelFormatError(f"line {lineno}: dimensions must be integers") from None
-    body = lines[1:]
+    _, nv, ne, body = _read_header(text, "graph", "<num_vertices> <num_edges>")
     if len(body) != ne:
         raise ChannelFormatError(f"expected {ne} edges, found {len(body)}")
     edges = []

@@ -36,11 +36,12 @@ never needed.  It asks its bounds before it builds: an input's table of
 subsets, and the average graph's table of that row's subset masses, are
 built when a branch first reaches the input.
 
-The independence-number solver is an exact branch and bound with a greedy
-colouring bound, run directly on the bitmask adjacency; it is the
-max-metric engine behind ``capacity.max_capacity`` where the DP over
-output subsets does not fit (``capacity._subset_dp_ceiling``); the other
-channels, and the max curve, build no conflict graph.
+The independence-number solver, ``max_independent_set``, is an exact
+branch and bound with a greedy colouring bound, run directly on the
+bitmask adjacency; it is the max-metric engine behind
+``capacity.max_capacity`` where the DP over output subsets does not fit
+(``capacity._subset_dp_ceiling``); the other channels, and the max curve,
+build no conflict graph.
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the
@@ -49,11 +50,12 @@ candidate covers, so their number is at most ``bitsets.packing_count`` of
 the live inputs' smallest candidate sizes in the count of those outputs.
 In the sparse search each further member needs an unused output, and the
 members still needed can capture at most the column maxima of the
-remaining inputs over the unused outputs, which caps what their escapes
-can save.  The bounds prune only branches that cannot succeed, so sizes
-and witnesses are those of the searches without them.
-A plain graph (``max_independent_set``) has no inputs or outputs and is
-searched with the colouring bound alone.
+remaining inputs (``Channel.column_maxima``) over the unused outputs,
+which caps what their escapes can save.  The bounds prune only branches
+that cannot succeed, so sizes and witnesses are those of the searches
+without them.  A plain graph, given to ``max_independent_set`` with no
+conflict graph, has no inputs or outputs and is searched with the
+colouring bound alone.
 """
 
 from __future__ import annotations
@@ -181,32 +183,23 @@ def build_max_graph(
 # Exact independent-set solvers (bitmask adjacency)
 # ---------------------------------------------------------------------------
 
-def max_independent_set(adj: Sequence[int]) -> tuple[int, int]:
+def max_independent_set(
+    adj: Sequence[int], graph: MaxOneShotGraph | None = None
+) -> tuple[int, int]:
     """Exact maximum independent set; returns (size, member bitmask).
 
     Branch and bound over the adjacency itself with a greedy colouring
     bound: each colour class is a clique, so it holds at most one member
-    of an independent set.
-    """
-    return _bounded_independent_set(adj)
-
-
-def _bounded_independent_set(
-    adj: Sequence[int], graph: MaxOneShotGraph | None = None
-) -> tuple[int, int]:
-    """The search of ``max_independent_set``: returns alpha and a witness
-    mask of alpha members.
-
-    Given the conflict ``graph`` that ``adj`` belongs to, the search also
-    prunes with a packing bound: the members still to come take distinct
-    inputs and pairwise-disjoint, non-empty output sets among the L outputs
-    that some candidate still covers, so no more of them fit than
-    ``bitsets.packing_count`` of the live inputs' smallest candidate sizes
-    in L.  Nodes sort by input, then by size, so an input's smallest
-    candidate is its lowest candidate bit.  Both bounds prune only branches
-    that cannot beat the incumbent, and the incumbent changes only on a
-    strict improvement, so the size and the mask are those of the
-    colouring bound alone.
+    of an independent set.  Given the conflict ``graph`` that ``adj``
+    belongs to, the search also prunes with a packing bound: the members
+    still to come take distinct inputs and pairwise-disjoint, non-empty
+    output sets among the L outputs that some candidate still covers, so
+    no more of them fit than ``bitsets.packing_count`` of the live inputs'
+    smallest candidate sizes in L.  Nodes sort by input, then by size, so
+    an input's smallest candidate is its lowest candidate bit.  Both bounds
+    prune only branches that cannot beat the incumbent, and the incumbent
+    changes only on a strict improvement, so the size and the mask are
+    those of the colouring bound alone.
     """
     best_size = 0
     best_mask = 0
@@ -279,7 +272,7 @@ def _bounded_independent_set(
 def independence_number(g: MaxOneShotGraph) -> tuple[int, tuple[OneShotNode, ...]]:
     """Exact independence number of the conflict graph, with a witness:
     its members, in node order."""
-    size, mask = _bounded_independent_set(g.adj, g)
+    size, mask = max_independent_set(g.adj, g)
     return size, tuple(OneShotNode(g.inputs[i], g.masks[i]) for i in bitsets.outputs_of(mask))
 
 
@@ -434,11 +427,7 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
     nx, ny, scale = c.num_inputs, c.num_outputs, c.scale
     least_mass = scale - (nx * scale - c.min_mass(eps, nx))  # less the largest budget
     all_outputs = (1 << ny) - 1
-    # reach[x]: each output's largest weight over the inputs x, x + 1, ...
-    reach = [(0,) * ny]
-    for row in reversed(c.weights):
-        reach.append(tuple(map(max, reach[-1], row)))
-    reach.reverse()
+    reach = c.column_maxima
     groups: list[list[tuple[int, int]] | None] = [None] * nx
     # ceilings[x][free]: the most mass that members from inputs x.. can
     # capture within the outputs in free

@@ -102,6 +102,24 @@ def oracle_curve_max(c: Channel) -> tuple[tuple[Fraction, int], ...]:
     return tuple(breakpoints)
 
 
+def oracle_curve_avg(c: Channel) -> tuple[tuple[Fraction, int], ...]:
+    """Avg-metric curve breakpoints: each size's least mean error of the
+    pointwise-argmax decoder over every codebook of that size, in
+    increasing order, keeping each error where the size grows; on equal
+    errors the larger size."""
+    nx, ny = c.num_inputs, c.num_outputs
+    sizes = {}
+    for k in range(1, nx + 1):
+        kept = max(sum((max(c.rows[x][y] for x in cb) for y in range(ny)), ZERO)
+                   for cb in combinations(range(nx), k))
+        sizes[ONE - kept / k] = k
+    breakpoints = []
+    for eps in sorted(sizes):
+        if not breakpoints or sizes[eps] > breakpoints[-1][1]:
+            breakpoints.append((eps, sizes[eps]))
+    return tuple(breakpoints)
+
+
 def oracle_scheme_errors(c: Channel, s: Scheme) -> dict[int, Fraction]:
     """Per-codeword errors by explicit pre-image summation."""
     errors = {}

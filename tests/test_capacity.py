@@ -29,7 +29,8 @@ from oneshotcap import (
 from oneshotcap import bitsets, capacity
 from oneshotcap.decoding import Scheme
 from corpus import random_channels
-from oracles import oracle_avg_codebook, oracle_capacity, oracle_curve_max, oracle_packing
+from oracles import (oracle_avg_codebook, oracle_capacity, oracle_curve_avg, oracle_curve_max,
+                     oracle_packing)
 
 F = Fraction
 
@@ -446,6 +447,27 @@ def test_max_curve_matches_oracle_where_the_packing_bound_is_loose():
     assert capacity._packing_bound(c, 6) == 2 and capacity._packing_bound(c, 5) == 4
     assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c) == (
         (F(0), 1), (F(5, 8), 2), (F(7, 8), 4))
+
+
+def test_avg_curve_matches_oracle():
+    # sizes that tie, or whose least error is not below every larger
+    # size's, are not breakpoints
+    rng = random.Random(2900)
+    gaps = 0
+    for i in range(48):
+        nx = 1 + i % 8
+        c = gen_random(nx, rng.randint(1, 8), seed=2900 + i, denominator_bound=1 + i // 8)
+        curve = capacity_curve(c, "avg")
+        assert curve.breakpoints == oracle_curve_avg(c), i
+        gaps += len(curve.breakpoints) < nx
+    assert gaps >= 10
+
+
+def test_avg_curve_gives_a_tie_to_the_larger_size():
+    # sizes 1 and 2 both fit at eps 0, then 3 at 1/9 and 4 at 1/4
+    c = gen_random(4, 7, seed=6, denominator_bound=3)
+    assert capacity_curve(c, "avg").breakpoints == oracle_curve_avg(c) == (
+        (F(0), 2), (F(1, 9), 3), (F(1, 4), 4))
 
 
 @pytest.mark.parametrize("shape", [(8, 14), (6, 16)])

@@ -113,6 +113,25 @@ def test_parse_error_messages(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_channel, "# nothing\n\n", "empty channel file"),
+    (parse_channel, "\nmatrix 2 2\n1 0\n0 1\n",
+     "line 2: expected 'channel <num_inputs> <num_outputs>'"),
+    (parse_channel, "channel 2\n1 0\n", "line 1: expected 'channel <num_inputs> <num_outputs>'"),
+    (parse_channel, "channel 2 two\n1 0\n0 1\n", "line 1: dimensions must be integers"),
+    (parse_channel, "channel 0 2\n", "line 1: dimensions must be positive"),
+    (parse_cubic_graph, "", "empty graph file"),
+    (parse_cubic_graph, "# a comment\nchannel 4 6\n",
+     "line 2: expected 'graph <num_vertices> <num_edges>'"),
+    (parse_cubic_graph, "graph 4.0 6\n", "line 1: dimensions must be integers"),
+], ids=["channel-empty", "channel-word", "channel-fields", "channel-dims", "channel-zero",
+        "graph-empty", "graph-word", "graph-dims"])
+def test_parse_header_messages(parse, text, message):
+    with pytest.raises(ChannelFormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("text, message", [
     ("channel 3 2\n1 0\n1/2 1/4\nnope 1\n", "line 3: row 1 sums to 3/4, not 1"),
     ("channel 3 2\n1 0\n1/2 1/4\n1 0 0\n", "line 3: row 1 sums to 3/4, not 1"),
@@ -186,6 +205,16 @@ def test_heaviest_first_view():
     assert c.heaviest_first == (((2, 4, 1, 5), (0, 2, 4, 5, 6)), ((0,), (0, 6)))
     for order, sums in gen_random(5, 9, seed=3, denominator_bound=7).heaviest_first:
         assert len(sums) == len(order) + 1 and sums[-1] == 7
+
+
+def test_column_maxima_view():
+    for c in random_channels(12, seed0=700, max_inputs=5, max_outputs=5):
+        maxima = c.column_maxima
+        assert len(maxima) == c.num_inputs + 1
+        assert maxima[-1] == (0,) * c.num_outputs
+        for x in range(c.num_inputs):
+            assert maxima[x] == tuple(max(row[y] for row in c.weights[x:])
+                                      for y in range(c.num_outputs))
 
 
 def test_roundtrip_exact(funnel3):

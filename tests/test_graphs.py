@@ -22,7 +22,6 @@ from oneshotcap import (
 from oneshotcap import bitsets, capacity, graphs
 from oneshotcap.channel import Channel, gen_from_cubic_graph, gen_random, identity_channel
 from oneshotcap.hardness import gen_random_cubic
-from oneshotcap.graphs import _bounded_independent_set
 from corpus import COPRIME, random_channels
 from oracles import oracle_avg_graph, oracle_mis, oracle_sparse_number
 
@@ -227,7 +226,7 @@ def test_bounded_search_witness_has_alpha_independent_members():
                 if rng.random() < 0.35:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-        size, mask = _bounded_independent_set(adj)
+        size, mask = max_independent_set(adj)
         assert size == mask.bit_count() == oracle_mis(adj), trial
         assert all(not adj[v] & mask for v in range(n) if mask >> v & 1)
 

@@ -33,8 +33,11 @@ minimal set per row holds all 1100 outputs (a walk that recurses once per
 output it adds fails there), ``sparse --epsilon 0`` on 1197 uniform
 3-output rows followed by the 3x3 identity, whose answer the search reaches
 only past 1197 inputs (a search that recurses once per input fails
-there), and ``curve --metric max`` on an 8x8 channel with half of every
-row on output 0, where the packing bound is loose.  A ``cross-check``
+there), ``curve --metric max`` on an 8x8 channel with half of every
+row on output 0, where the packing bound is loose, and ``curve --metric
+avg`` on three channels whose sizes tie at eps 0: a 4x7 random channel
+with denominator 3, where sizes 1 and 2 tie, a 3x7 one with denominator 2
+and ``identity_channel(6)``, where every size fits at eps 0.  A ``cross-check``
 group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
 1/100 and on 8x8 and 8x17 channels at 1/3 (17 outputs go to the graph
 alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows of
@@ -218,6 +221,14 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     path.write_text(serialize_channel(
         Channel([[rest.scale, *row] for row in rest.weights], 2 * rest.scale)), encoding="utf-8")
     ops.append(("wide", f"{path.stem}/curve-max", ["curve", str(path), "--metric", "max"]))
+    # avg curves whose sizes tie: sizes 1 and 2 both fit at eps 0, then 3
+    # and 4 alone; every size at eps 0 (twice)
+    for name, c in (("random4x7d3", gen_random(4, 7, 6, 3)),
+                    ("random3x7d2", gen_random(3, 7, 7, 2)),
+                    ("identity6", identity_channel(6))):
+        path = wide / f"{name}.txt"
+        path.write_text(serialize_channel(c), encoding="utf-8")
+        ops.append(("wide", f"{name}/curve-avg", ["curve", str(path), "--metric", "avg"]))
     return ops
 
 
