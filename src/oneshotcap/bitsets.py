@@ -57,8 +57,11 @@ def canonical_order(masks: Sequence[int], width: int) -> list[int]:
     orders masks so: the mask's little-endian bytes, each mapped through
     ``_REVERSED_COMPLEMENT``, put output 8k+j at byte k, bit 7-j, as 0
     where D holds it, so the first differing byte and bit are at that
-    lowest output, and there D's key is the smaller.
+    lowest output, and there D's key is the smaller.  Fewer than two
+    masks are copied as they are, with no key built.
     """
+    if len(masks) < 2:
+        return list(masks)
     nbytes = (width + 7) // 8
 
     def key(mask: int) -> tuple[int, bytes]:

@@ -55,9 +55,9 @@ from .decoding import (
     avg_error,
     max_error,
     minimal_decoding_masks,
+    minimal_sets,
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
-    visit_minimal_sets,
 )
 from .graphs import build_max_graph, independence_number
 
@@ -226,34 +226,32 @@ def _packing(
     S is the union of k such sets from distinct inputs seen so far, and
     unions[0] holds only the empty set.  Input x adds each of its minimal
     masks D to every union S of a level that D is disjoint from: the
-    minimal-set walk hands over the subsets disjoint from D, the AND of
+    minimal-set walk yields the subsets disjoint from D, the AND of
     ``bitsets.lacking`` over D's outputs, and for those S | D = S + D, so
     a shift left by D moves them to level k + 1.  Every level is read
     before x, so no input is used twice.  The size is the highest
-    non-empty level.  The set that first fills level ``ceiling`` ends the
-    walk, and with it the DP, partway through its row.
+    non-empty level.  The set that first fills level ``ceiling``
+    breaks out of the walk, and with it the DP, partway through its row.
 
     The witness starts from the lowest subset S of the top level and
     walks the inputs from last to first through each input's snapshot of
     the levels before it.  An input whose snapshot already holds S at the
     current level k is skipped; otherwise it took a set, and its first
-    minimal mask D in ``bitsets.canonical_order`` with D inside S and
-    S ^ D in the snapshot's level k - 1 is one, so S becomes S ^ D.
+    minimal mask D in ``minimal_decoding_masks``'s order with D inside S
+    and S ^ D in the snapshot's level k - 1 is one, so S becomes S ^ D.
     Those D are the row's minimal sets inside S, so the row is walked
     again over S's outputs alone; only the snapshots are kept.
     """
     history: list[list[int]] = []
     unions = [1]
-
-    def add(mask: int, disjoint: int) -> bool:
-        for k, sources in enumerate(unions):
-            grown[k + 1] |= (sources & disjoint) << mask
-        return len(grown) > ceiling and grown[ceiling] != 0
-
     lacking = bitsets.lacking(c.num_outputs)
     for x in range(c.num_inputs):
         grown = unions + [0]
-        visit_minimal_sets(c, x, threshold, add, lacking)
+        for mask, disjoint in minimal_sets(c, x, threshold, lacking):
+            for k, sources in enumerate(unions):
+                grown[k + 1] |= (sources & disjoint) << mask
+            if len(grown) > ceiling and grown[ceiling]:
+                break
         if not grown[-1]:
             grown.pop()
         if witness:
@@ -275,9 +273,8 @@ def _packing(
         if k < len(before) and before[k] >> union & 1:
             continue
         below = before[k - 1]
-        taken = [d for d in minimal_decoding_masks(c, x, threshold, union)
-                 if below >> (union ^ d) & 1]
-        d = bitsets.canonical_order(taken, c.num_outputs)[0]
+        d = next(d for d in minimal_decoding_masks(c, x, threshold, union)
+                 if below >> (union ^ d) & 1)
         sets.append((x, d))
         union ^= d
     return size, sets[::-1]

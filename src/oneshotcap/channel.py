@@ -229,10 +229,10 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _read_header(text: str, kind: str, dims: str) -> tuple[int, int, int, list[tuple[int, str]]]:
+def _read_header(text: str, kind: str, dims: str) -> tuple[int, int, list[tuple[int, str]]]:
     """The header line ``<kind> <a> <b>`` of a channel or graph file: its
-    line number, its two integer dimensions, and the content lines after
-    it as (line number, line)."""
+    two positive integer dimensions, and the content lines after it as
+    (line number, line)."""
     lines = list(_content_lines(text))
     if not lines:
         raise ChannelFormatError(f"empty {kind} file")
@@ -244,14 +244,14 @@ def _read_header(text: str, kind: str, dims: str) -> tuple[int, int, int, list[t
         a, b = int(parts[1]), int(parts[2])
     except ValueError:
         raise ChannelFormatError(f"line {lineno}: dimensions must be integers") from None
-    return lineno, a, b, lines[1:]
+    if a < 1 or b < 1:
+        raise ChannelFormatError(f"line {lineno}: dimensions must be positive")
+    return a, b, lines[1:]
 
 
 def parse_channel(text: str) -> Channel:
     """Parse the channel file format into a validated Channel."""
-    lineno, nx, ny, body = _read_header(text, "channel", "<num_inputs> <num_outputs>")
-    if nx < 1 or ny < 1:
-        raise ChannelFormatError(f"line {lineno}: dimensions must be positive")
+    nx, ny, body = _read_header(text, "channel", "<num_inputs> <num_outputs>")
     if len(body) != nx:
         raise ChannelFormatError(f"expected {nx} rows, found {len(body)}")
     # Each distinct token is parsed once, where it first appears.  A fault
@@ -350,7 +350,7 @@ class CubicGraph:
 
 def parse_cubic_graph(text: str) -> CubicGraph:
     """Parse the graph file format into a validated CubicGraph."""
-    _, nv, ne, body = _read_header(text, "graph", "<num_vertices> <num_edges>")
+    nv, ne, body = _read_header(text, "graph", "<num_vertices> <num_edges>")
     if len(body) != ne:
         raise ChannelFormatError(f"expected {ne} edges, found {len(body)}")
     edges = []

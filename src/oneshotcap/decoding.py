@@ -7,14 +7,15 @@ partition the output alphabet, so the per-codeword decoding error is
 metrics (worst codeword and mean over codewords) are computed as exact
 Fractions.
 
-``visit_minimal_sets`` is the workhorse behind the capacity engines:
-given the integer row mass a decoding set must capture (``Channel.min_mass``
-of an eps its caller checked), it walks the inclusion-minimal output sets
-that capture it, as bitmasks, each with the AND of a per-output pattern
-over its outputs (the subset DP's "disjoint from this set" bitset),
-until a visit returns a true value, and can read the outputs of one mask
-alone; ``minimal_decoding_masks`` lists and caps the masks, and
-``enumerate_min_decoding_sets`` is the sorted tuple form that takes eps.
+``minimal_sets`` is the workhorse behind the capacity engines: given the
+integer row mass a decoding set must capture (``Channel.min_mass`` of an
+eps its caller checked), it yields the inclusion-minimal output sets that
+capture it, as bitmasks, each with the AND of a per-output pattern over
+its outputs (the subset DP's "disjoint from this set" bitset), and can
+read the outputs of one mask alone; a caller stops it with ``break``.
+``minimal_decoding_masks`` lists and caps the masks in
+``bitsets.canonical_order``, and ``enumerate_min_decoding_sets`` is its
+tuple form that takes eps.
 Only minimal sets matter when packing pre-images, since shrinking a
 pre-image to a minimal subset preserves disjointness.
 """
@@ -26,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bitsets
 from .channel import Channel, as_prob, format_prob
@@ -125,31 +126,27 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
 def minimal_decoding_masks(c: Channel, x: int, threshold: int, within: int = -1) -> list[int]:
     """The inclusion-minimal output sets of row x with integer mass at
     least a positive ``threshold`` (``c.min_mass(eps, 1)`` at budget
-    eps < 1), as bitmasks (bit y = output y) in the order ``visit_minimal_sets``
-    walks them (depth first, heaviest output first); callers that need another
-    order sort.  With ``within``, only the sets inside that mask, walked
-    over its outputs alone.  More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise
+    eps < 1), as bitmasks (bit y = output y) in ``bitsets.canonical_order``.
+    With ``within``, only the sets inside that mask, walked over its
+    outputs alone.  More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise
     ValueError.
     """
     found: list[int] = []
-
-    def keep(mask: int, _: int) -> None:
+    for mask, _ in minimal_sets(c, x, threshold, within=within):
         if len(found) == _MAX_GRAPH_NODE_LIMIT:  # stop before holding more
             raise ValueError(f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
                              "minimal decoding sets")
         found.append(mask)
-
-    visit_minimal_sets(c, x, threshold, keep, within=within)
-    return found
+    return bitsets.canonical_order(found, c.num_outputs)
 
 
-def visit_minimal_sets(
-    c: Channel, x: int, threshold: int, visit: Callable[[int, int], object],
+def minimal_sets(
+    c: Channel, x: int, threshold: int,
     lacking: Sequence[int] | None = None, within: int = -1,
-) -> None:
-    """Call ``visit(mask, disjoint)`` on each inclusion-minimal output set
-    of row x with integer mass at least a positive ``threshold``, until a
-    call returns a true value: that call ends the walk.
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(mask, disjoint)`` for each inclusion-minimal output set of
+    row x with integer mass at least a positive ``threshold``; a caller
+    that has seen enough stops with ``break``.
 
     ``disjoint`` is the AND of ``lacking[y]`` over the set's outputs: with
     ``bitsets.lacking(c.num_outputs)``, the bitset of the output subsets
@@ -158,7 +155,7 @@ def visit_minimal_sets(
 
     With ``within``, the walk reads only the outputs in that mask.  A
     minimal set of the row inside it is a minimal set of the row cut down
-    to it, and the other way round, so the walk visits exactly the sets
+    to it, and the other way round, so the walk yields exactly the sets
     of the whole walk that lie inside ``within``, in the same order.
 
     Depth-first in ``c.heaviest_first`` order (a minimal set holds no
@@ -194,8 +191,8 @@ def visit_minimal_sets(
                 stack.append((i, end, need, mask, disjoint))
                 end = bisect_right(sums, total - left, i)
                 need, mask, disjoint = left, mask | 1 << y, disjoint & patterns[y]
-            elif visit(mask | 1 << y, disjoint & patterns[y]):
-                return
+            else:
+                yield mask | 1 << y, disjoint & patterns[y]
         elif stack:
             i, end, need, mask, disjoint = stack.pop()
         else:
@@ -205,16 +202,13 @@ def visit_minimal_sets(
 def enumerate_min_decoding_sets(
     c: Channel, x: int, eps: Fraction
 ) -> list[tuple[int, ...]]:
-    """All inclusion-minimal output sets capturing mass >= 1-eps for input x.
-
-    Sorted by size, then lexicographically, for reproducible downstream
-    graphs and witnesses.
-    """
+    """All inclusion-minimal output sets capturing mass >= 1-eps for input
+    x, as output tuples in ``minimal_decoding_masks``'s order: by size,
+    then lexicographically."""
     eps = as_prob(eps, "eps")
     if eps == 1:
         raise ValueError("eps must be in [0, 1) for minimal decoding sets")
-    masks = minimal_decoding_masks(c, x, c.min_mass(eps, 1))
-    return [bitsets.outputs_of(m) for m in bitsets.canonical_order(masks, c.num_outputs)]
+    return [bitsets.outputs_of(m) for m in minimal_decoding_masks(c, x, c.min_mass(eps, 1))]
 
 
 # ---------------------------------------------------------------------------

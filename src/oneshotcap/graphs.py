@@ -151,7 +151,7 @@ def build_max_graph(
     input_nodes = []
     for x in range(c.num_inputs):
         if minimal_only:
-            row = bitsets.canonical_order(minimal_decoding_masks(c, x, threshold), c.num_outputs)
+            row = minimal_decoding_masks(c, x, threshold)
         else:
             masses = bitsets.subset_masses(c.weights[x])
             row = [m for m in bitsets.all_masks(c.num_outputs) if masses[m] >= threshold]

@@ -236,15 +236,14 @@ def test_packing_walks_no_set_past_its_ceiling(monkeypatch):
     # every output alone reaches the threshold, so each row has 4 minimal
     # sets, and the first of row 0 already fills level 1
     visited = []
-    walk = capacity.visit_minimal_sets
+    walk = capacity.minimal_sets
 
-    def spy(c, x, threshold, visit, *args):
-        def counted(mask, disjoint):
+    def spy(c, x, threshold, *args):
+        for mask, disjoint in walk(c, x, threshold, *args):
             visited.append((x, mask))
-            return visit(mask, disjoint)
-        return walk(c, x, threshold, counted, *args)
+            yield mask, disjoint
 
-    monkeypatch.setattr(capacity, "visit_minimal_sets", spy)
+    monkeypatch.setattr(capacity, "minimal_sets", spy)
     c = Channel([[1, 1, 1, 1], [1, 1, 1, 1]], 4)
     assert capacity._packing(c, 1, 1) == 1
     assert visited == [(0, 0b0001)]

@@ -124,8 +124,12 @@ def test_parse_error_messages(text, message):
     (parse_cubic_graph, "# a comment\nchannel 4 6\n",
      "line 2: expected 'graph <num_vertices> <num_edges>'"),
     (parse_cubic_graph, "graph 4.0 6\n", "line 1: dimensions must be integers"),
+    (parse_cubic_graph, "graph 4 -1\n", "line 1: dimensions must be positive"),
+    (parse_cubic_graph, "graph -4 0\n", "line 1: dimensions must be positive"),
+    (parse_cubic_graph, "graph 0 0\n", "line 1: dimensions must be positive"),
 ], ids=["channel-empty", "channel-word", "channel-fields", "channel-dims", "channel-zero",
-        "graph-empty", "graph-word", "graph-dims"])
+        "graph-empty", "graph-word", "graph-dims", "graph-negative-edges",
+        "graph-negative-vertices", "graph-zero"])
 def test_parse_header_messages(parse, text, message):
     with pytest.raises(ChannelFormatError) as exc:
         parse(text)

@@ -22,7 +22,7 @@ from oneshotcap import (
     scheme_from_disjoint_sets,
     simulate,
 )
-from oneshotcap.decoding import minimal_decoding_masks, visit_minimal_sets
+from oneshotcap.decoding import minimal_decoding_masks, minimal_sets
 from corpus import random_channels
 from oracles import oracle_minimal_sets, oracle_scheme_errors
 
@@ -149,21 +149,11 @@ def test_min_sets_order_on_a_two_byte_row():
 
 
 def test_min_sets_walk_order():
-    # heaviest first (output 1, then 2 and 3 by index, then 0), depth first
+    # the walk: heaviest first (output 1, then 2 and 3 by index, then 0),
+    # depth first; the list form: by size, then lexicographically
     c = Channel([[1, 3, 2, 2]], 8)
-    assert minimal_decoding_masks(c, 0, 4) == [0b0110, 0b1010, 0b0011, 0b1100]
-
-
-def test_min_sets_walk_stops_when_visit_returns_true():
-    c = Channel([[1, 3, 2, 2]], 8)
-    seen = []
-
-    def visit(mask, _):
-        seen.append(mask)
-        return mask == 0b1010
-
-    visit_minimal_sets(c, 0, 4, visit)
-    assert seen == [0b0110, 0b1010]
+    assert [mask for mask, _ in minimal_sets(c, 0, 4)] == [0b0110, 0b1010, 0b0011, 0b1100]
+    assert minimal_decoding_masks(c, 0, 4) == [0b0011, 0b0110, 0b1010, 0b1100]
 
 
 def test_min_sets_within_a_mask_are_the_sets_inside_it():
@@ -173,10 +163,13 @@ def test_min_sets_within_a_mask_are_the_sets_inside_it():
         for x in range(c.num_inputs):
             for eps in (F(0), F(1, 4), F(1, 2), F(3, 4)):
                 threshold = c.min_mass(eps, 1)
-                masks = minimal_decoding_masks(c, x, threshold)
+                walked = [d for d, _ in minimal_sets(c, x, threshold)]
+                listed = minimal_decoding_masks(c, x, threshold)
                 for within in {full, rng.randrange(full + 1), rng.randrange(full + 1)}:
+                    assert [d for d, _ in minimal_sets(c, x, threshold, within=within)] == \
+                        [d for d in walked if d & within == d]
                     assert minimal_decoding_masks(c, x, threshold, within) == \
-                        [d for d in masks if d & within == d]
+                        [d for d in listed if d & within == d]
 
 
 def test_min_sets_reject_eps_one(funnel3):

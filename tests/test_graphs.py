@@ -338,6 +338,8 @@ def test_canonical_order_is_size_then_lexicographic():
 
         expected = sorted(masks, key=lambda m: (len(outputs(m)), outputs(m)))
         assert bitsets.canonical_order(masks, width) == expected
+    assert bitsets.canonical_order([], 4) == []
+    assert bitsets.canonical_order([0b1010], 4) == [0b1010]
 
 
 def test_subset_masses_sum_each_mask():

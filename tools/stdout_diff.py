@@ -47,10 +47,11 @@ uniform 3x16 channel at 1/2, whose conflict graph is too large, and
 ``--engine brute`` on the 6x6 channel.  An ``errors`` group runs first:
 usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
 unknown ``--metric`` choice, an unknown command), failing ops (a missing
-file, a row that does not sum to 1, ``verify-reduction`` at eps 1/3,
-``--engine brute`` past its size limit, ``graph-dump --variant max``
-without ``--epsilon``, ``gen funnel --e 1/0``), and one ``capacity`` op
-with eps spelled 1/4 and 0.25, so every later op runs after the parser
+file, a row that does not sum to 1, ``verify-reduction`` at eps 1/3 and,
+at eps 1/4, on a graph file whose header gives -1 edges, ``--engine
+brute`` past its size limit, ``graph-dump --variant max`` without
+``--epsilon``, ``gen funnel --e 1/0``), and one ``capacity`` op with eps
+spelled 1/4 and 0.25, so every later op runs after the parser
 has raised ``SystemExit``.  The files are written
 once and both checkouts read the same files.  One worker process per
 checkout imports that checkout's ``src`` and runs every op in-process
@@ -85,12 +86,13 @@ def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 
     errors = directory / "errors"
     errors.mkdir()
-    channel, big, unsummed, graph = (errors / f"{name}.txt" for name in
-                                     ("channel", "random6x6", "unsummed", "k4"))
+    channel, big, unsummed, graph, bad_graph = (
+        errors / f"{name}.txt" for name in ("channel", "random6x6", "unsummed", "k4", "bad-graph"))
     channel.write_text("channel 2 2\n1 0\n1/4 3/4\n", encoding="utf-8")
     big.write_text(serialize_channel(gen_random(6, 6, SEED, 24)), encoding="utf-8")
     unsummed.write_text("channel 2 2\n1 0\n49/100 1/2\n", encoding="utf-8")
     graph.write_text(serialize_cubic_graph(cubic_k4()), encoding="utf-8")
+    bad_graph.write_text("graph 4 -1\n", encoding="utf-8")
     ops = {
         "bad-epsilon": ["capacity", str(channel), "--metric", "max", "--epsilon", "one tenth"],
         "epsilon-3_2": ["capacity", str(channel), "--metric", "max", "--epsilon", "3/2"],
@@ -102,6 +104,7 @@ def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         "missing-file": ["validate", str(errors / "missing.txt")],
         "row-sum": ["validate", str(unsummed)],
         "verify-reduction@1_3": ["verify-reduction", str(graph), "--epsilon", "1/3"],
+        "bad-graph-header": ["verify-reduction", str(bad_graph), "--epsilon", "1/4"],
         "brute-6x6": ["capacity", str(big), "--metric", "max", "--epsilon", "1/10",
                       "--engine", "brute"],
         "graph-dump-max-no-epsilon": ["graph-dump", str(channel), "--variant", "max"],
