@@ -46,6 +46,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from . import bitsets
@@ -230,8 +231,13 @@ def _packing(
     ``bitsets.lacking`` over D's outputs, and for those S | D = S + D, so
     a shift left by D moves them to level k + 1.  Every level is read
     before x, so no input is used twice.  The size is the highest
-    non-empty level.  The set that first fills level ``ceiling``
-    breaks out of the walk, and with it the DP, partway through its row.
+    non-empty level.  With r inputs after x, a union x puts at level
+    k + 1 reaches level k + 1 + r at most, so x extends only the levels
+    k with k + 1 + r >= top, the highest level so far: the others are
+    dead.  Every union a set at the top extends survives, so the size
+    and the witness are those of extending every level.  The set that
+    first fills level ``ceiling`` breaks out of the walk, and with it the
+    DP, partway through its row.
 
     The witness starts from the lowest subset S of the top level and
     walks the inputs from last to first through each input's snapshot of
@@ -245,11 +251,13 @@ def _packing(
     history: list[list[int]] = []
     unions = [1]
     lacking = bitsets.lacking(c.num_outputs)
-    for x in range(c.num_inputs):
+    nx = c.num_inputs
+    for x in range(nx):
         grown = unions + [0]
+        live = max(0, len(unions) - nx + x - 1)  # the lowest k with k + 1 + r >= top
         for mask, disjoint in minimal_sets(c, x, threshold, lacking):
-            for k, sources in enumerate(unions):
-                grown[k + 1] |= (sources & disjoint) << mask
+            for k in range(live, len(unions)):
+                grown[k + 1] |= (unions[k] & disjoint) << mask
             if len(grown) > ceiling and grown[ceiling]:
                 break
         if not grown[-1]:
@@ -418,13 +426,20 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
     breakpoint.  Maximum metric: the admissible-set families change only
     at values 1 - mass(D) over output subsets D, so those are the only
     candidate thresholds; they are kept as integer masses, which are also
-    the searches' thresholds.  The size never falls as eps grows, so the
-    sorted candidates are split in halves and an interval whose two ends
-    have equal sizes is settled without solving inside it.  Each midpoint
-    is solved by the DP over output subsets (``_packing``, no conflict
+    the searches' thresholds.  The size never falls as eps grows, and an
+    interval of sorted candidates whose two ends have equal sizes is
+    settled without solving inside it.  Inside any other interval the
+    packing bound (``_packing_bound``) never falls either and is never
+    below the size, so every candidate whose bound is at most the lower
+    end's size has that size.  The first candidate whose bound exceeds
+    it is found by bisecting the bound, and solved: a larger size there
+    is a breakpoint, and the rest of the interval is left; an equal size
+    settles the candidates up to it, and the rest is split in halves.
+    Each solve is the DP over output subsets (``_packing``, no conflict
     graph), which stops at the upper end's size or the packing bound,
-    whichever is less.  Only sizes are computed, no witness; channels of
-    more than 16 outputs are refused.  Average metric: size k first
+    whichever is less; a bound of 1 is the size, with no DP.  Only sizes
+    are computed, no witness; channels of more than 16 outputs are
+    refused.  Average metric: size k first
     becomes admissible at the least optimal-decoder mean error over
     codebooks of size k, 1 - best[k] / (k * scale) with best[k] the most
     mass a k-codebook keeps.  A size is a breakpoint when that error is
@@ -446,8 +461,13 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
         # mass masses[i], min_mass of that eps at k = 1
         masses = sorted(masses, reverse=True)
 
+        @cache
+        def bound(i: int) -> int:
+            return _packing_bound(c, masses[i])
+
         def solve(i: int, ceiling: int) -> int:
-            return _packing(c, masses[i], min(ceiling, _packing_bound(c, masses[i])))
+            ceiling = min(ceiling, bound(i))
+            return 1 if ceiling == 1 else _packing(c, masses[i], ceiling)
 
         last = len(masses) - 1
         known = {0: solve(0, c.num_inputs), last: c.num_inputs}  # index -> size
@@ -456,9 +476,18 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             lo, hi = unsettled.pop()
             if hi - lo < 2 or known[lo] == known[hi]:
                 continue  # every threshold inside has the ends' size
-            mid = (lo + hi) // 2
-            known[mid] = solve(mid, known[hi])
-            unsettled += [(lo, mid), (mid, hi)]
+            # below the first index whose bound exceeds known[lo], the size
+            # is known[lo]; a larger size at that index is a breakpoint
+            a = bisect_right(range(lo + 1, hi), known[lo], key=bound) + lo + 1
+            if a == hi:
+                continue
+            known[a] = solve(a, known[hi])
+            if known[a] > known[lo]:
+                unsettled.append((a, hi))
+            elif hi - a > 1:
+                mid = (a + hi) // 2
+                known[mid] = solve(mid, known[hi])
+                unsettled += [(a, mid), (mid, hi)]
         for i in sorted(known):
             if not breakpoints or known[i] > breakpoints[-1][1]:
                 breakpoints.append((Fraction(scale - masses[i], scale), known[i]))

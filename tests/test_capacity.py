@@ -214,6 +214,12 @@ def test_dp_witness_backtracks_to_the_lowest_top_union():
     c = Channel([[1, 1, 0], [0, 1, 1]], 2)
     size, sets = capacity._packing(c, 1, 2, witness=True)
     assert (size, sets) == (2, [(0, 0b001), (1, 0b010)])
+    # at eps 0 row 0 needs {3}, row 1 {0, 2} and row 2 {0, 1}; level 0 is
+    # dead at row 2, the last, but its level 1 still joins {3} and {0, 1}
+    # at the top, level 2, below {0, 2, 3}
+    c = Channel([[0, 0, 0, 2], [1, 0, 1, 0], [1, 1, 0, 0]], 2)
+    size, sets = capacity._packing(c, 2, 3, witness=True)
+    assert (size, sets) == (2, [(0, 0b1000), (2, 0b0011)])
 
 
 def test_packing_stops_at_its_ceiling_with_an_admissible_witness():
@@ -430,12 +436,35 @@ def test_curve_lookup_matches_direct_engines():
 
 
 def test_max_curve_matches_oracle_beyond_brute_force():
-    # the curve settles whole runs of thresholds from their ends' sizes;
-    # the oracle packs at every threshold
-    for n in (6, 7, 8):
-        for i in range(4):
-            c = gen_random(n, n, seed=2600 + 10 * n + i, denominator_bound=12)
-            assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
+    # the curve settles whole runs of thresholds from their ends' sizes
+    # and from the packing bound; the oracle packs at every threshold.
+    # Where every row is the same, the bound stays loose over long runs;
+    # with no zero entry, the bound is 1 at eps 0
+    channels = [gen_random(n, n, seed=2600 + 10 * n + i, denominator_bound=12)
+                for n in (6, 7, 8) for i in range(4)]
+    channels += [Channel([c.weights[0]] * c.num_inputs, c.scale) for c in channels[::3]]
+    channels.append(Channel([[3, 1, 2, 2], [1, 1, 4, 2], [2, 2, 2, 2], [1, 5, 1, 1]], 8))
+    assert capacity._packing_bound(channels[-1], 8) == 1
+    for c in channels:
+        assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
+
+
+def test_max_curve_solves_where_the_packing_bound_rises(monkeypatch):
+    # below the first threshold whose packing bound exceeds a known size,
+    # the size is known, so the curve solves there, not at a midpoint
+    calls = []
+    packing = capacity._packing
+
+    def spy(c, threshold, ceiling):
+        calls.append(threshold)
+        return packing(c, threshold, ceiling)
+
+    monkeypatch.setattr(capacity, "_packing", spy)
+    for seed, solves in ((1, 6), (2, 9)):
+        calls.clear()
+        c = gen_random(8, 8, seed, 24)
+        assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
+        assert len(calls) == solves
 
 
 def test_max_curve_matches_oracle_where_the_packing_bound_is_loose():

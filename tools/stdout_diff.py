@@ -34,7 +34,9 @@ output it adds fails there), ``sparse --epsilon 0`` on 1197 uniform
 3-output rows followed by the 3x3 identity, whose answer the search reaches
 only past 1197 inputs (a search that recurses once per input fails
 there), ``curve --metric max`` on an 8x8 channel with half of every
-row on output 0, where the packing bound is loose, and ``curve --metric
+row on output 0, where the packing bound is loose, ``curve --metric
+max`` on an 8x8 channel of 8 equal rows and on 4 rows of 5/8, 1/8, 1/8,
+1/8, where it stays loose over long runs of thresholds, and ``curve --metric
 avg`` on three channels whose sizes tie at eps 0: a 4x7 random channel
 with denominator 3, where sizes 1 and 2 tie, a 3x7 one with denominator 2
 and ``identity_channel(6)``, where every size fits at eps 0.  A ``cross-check``
@@ -224,6 +226,14 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     path.write_text(serialize_channel(
         Channel([[rest.scale, *row] for row in rest.weights], 2 * rest.scale)), encoding="utf-8")
     ops.append(("wide", f"{path.stem}/curve-max", ["curve", str(path), "--metric", "max"]))
+    # every row the same, so the bound stays loose over long runs of
+    # thresholds; every row needs output 0 from mass 5/8 up
+    equal = gen_random(1, 8, SEED, 24)
+    for name, c in (("equal8x8", Channel([equal.weights[0]] * 8, equal.scale)),
+                    ("shared4x4", Channel([[5, 1, 1, 1]] * 4, 8))):
+        path = wide / f"{name}.txt"
+        path.write_text(serialize_channel(c), encoding="utf-8")
+        ops.append(("wide", f"{name}/curve-max", ["curve", str(path), "--metric", "max"]))
     # avg curves whose sizes tie: sizes 1 and 2 both fit at eps 0, then 3
     # and 4 alone; every size at eps 0 (twice)
     for name, c in (("random4x7d3", gen_random(4, 7, 6, 3)),
