@@ -3,15 +3,21 @@
 One exact engine per metric:
 
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
-  decoding sets, one per chosen input.  Where ``_subset_dp_ceiling`` (the
-  rule the CLI's cross-check reads too) admits it, a DP over the 2^|Y|
-  output subsets finds it with no conflict graph, and recovers its witness
-  by backtracking; on any other channel it is the independence number of
-  the maximum-one-shot graph over those sets.  Both stop at a packing
-  bound, the DP with the minimal set that reaches it, partway through its
-  row.  The max curve runs the same DP (``_packing``) for sizes alone.
-  The test suite checks the DP against the graph engine and a separate
-  packing search (``tests/oracles.py``).
+  decoding sets, one per chosen input.  No packing is larger than the
+  packing bound, so a packing that reaches it is a certificate: the
+  answer, and its own witness.  A first-fit packing (``_first_fit``:
+  inputs in the bound's order, each taking its first minimal set inside
+  the outputs still free) is tried first, at any output width.  Where it
+  falls short, and ``_subset_dp_ceiling`` admits it, a DP over the 2^|Y|
+  output subsets finds the packing with no conflict graph, and recovers
+  its witness by backtracking; on any other channel it is the
+  independence number of the maximum-one-shot graph over those sets.
+  ``_max_engine`` is that rule, and the CLI's cross-check reads it too.
+  Both engines stop at the packing bound, the DP with the minimal set
+  that reaches it, partway through its row.  The max curve runs the same
+  DP (``_packing``) for sizes alone, with no first-fit.  The test suite
+  checks the certificate and the DP against the graph engine and a
+  separate packing search (``tests/oracles.py``).
 * ``avg_capacity``  -- searches codebooks largest-first, each size depth
   first in lexicographic order, pruned by two submodular upper bounds on
   the mass a partial codebook's completions keep; for a fixed codebook
@@ -169,32 +175,53 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook with worst-codeword error <= eps.
 
     The largest packing of pairwise-disjoint minimal decoding sets, one per
-    chosen input.  ``_subset_dp_ceiling`` picks the engine: the DP over
-    output subsets (``_packing``), stopped at the packing bound, with a
-    witness found by backtracking through its snapshots; otherwise the
-    independence number of the maximum-one-shot graph.  The witness
-    decoder sends each chosen set to its input and every leftover output
-    to the first codeword.  eps = 1 short-circuits to the full input
-    alphabet (no error can exceed 1), where no decoding set is needed.
+    chosen input.  ``_max_engine`` picks the engine.  A first-fit packing
+    (``_first_fit``) that meets the packing bound is the answer and the
+    witness, at any output width: the inputs in the bound's order (fewest
+    outputs in a smallest minimal set first, ties by index), each taking
+    the heaviest of the outputs still free that reach the threshold.
+    Otherwise the DP over output subsets (``_packing``), stopped at the
+    bound, with a witness found by backtracking through its snapshots;
+    otherwise the independence number of the maximum-one-shot graph.
+    Neither engine runs where first-fit meets the bound, and their
+    witnesses are those they give alone.  The witness decoder sends each
+    chosen set to its input and every leftover output to the first
+    codeword.  eps = 1 short-circuits to the full input alphabet (no
+    error can exceed 1), where no decoding set is needed.
     """
     eps = as_prob(eps, "eps")
     if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return _checked(c, METRIC_MAX, eps, c.num_inputs, scheme)
-    ceiling = _subset_dp_ceiling(c, eps)
-    if ceiling is None:
-        size, nodes = independence_number(build_max_graph(c, eps))
-        sets = [(n.input, n.mask) for n in nodes]
-    else:
-        size, sets = _packing(c, c.min_mass(eps, 1), ceiling, witness=True)
+    engine, threshold, ceiling, sets = _max_engine(c, eps)
+    if engine == "dp":
+        sets = _packing(c, threshold, ceiling, witness=True)[1]
+    elif engine == "graph":
+        sets = [(n.input, n.mask) for n in independence_number(build_max_graph(c, eps))[1]]
     scheme = scheme_from_disjoint_sets(c, [(x, bitsets.outputs_of(d)) for x, d in sets])
-    return _checked(c, METRIC_MAX, eps, size, scheme)
+    return _checked(c, METRIC_MAX, eps, len(sets), scheme)
+
+
+def _max_engine(c: Channel, eps: Fraction) -> tuple[str, int, int, list[tuple[int, int]]]:
+    """The rule between the max engines, at a checked eps < 1, which the
+    CLI's cross-check reads too: (engine, threshold, ceiling, packing).
+    The threshold is ``c.min_mass(eps, 1)``, the ceiling the packing bound
+    there, and the packing ``_first_fit``'s.  The engine is "first-fit"
+    when that packing meets the bound, else "dp" where
+    ``_subset_dp_ceiling`` admits the subset DP, else "graph"."""
+    threshold = c.min_mass(eps, 1)
+    dp_ceiling = _subset_dp_ceiling(c, eps)
+    ceiling = _packing_bound(c, threshold) if dp_ceiling is None else dp_ceiling
+    sets = _first_fit(c, threshold, ceiling)
+    if len(sets) == ceiling:
+        return "first-fit", threshold, ceiling, sets
+    return ("graph" if dp_ceiling is None else "dp"), threshold, ceiling, sets
 
 
 def _subset_dp_ceiling(c: Channel, eps: Fraction) -> int | None:
-    """The rule between the two max engines, at a checked eps: the packing
-    bound the subset DP stops at when the DP takes the channel, or None
-    when the conflict graph answers.  The DP takes eps < 1 on at most
+    """The subset DP's side of ``_max_engine``, at a checked eps: the
+    packing bound the DP stops at when the DP would take the channel, or
+    None when the conflict graph would.  The DP takes eps < 1 on at most
     ``_SUBSET_OUTPUT_LIMIT`` outputs when its witness snapshots, at most
     nx * (ceiling + 1) bitsets of 2^|Y| bits, fit in ``_SUBSET_DP_BYTES``."""
     if eps == 1 or c.num_outputs > _SUBSET_OUTPUT_LIMIT:
@@ -203,6 +230,31 @@ def _subset_dp_ceiling(c: Channel, eps: Fraction) -> int | None:
     if c.num_inputs * (ceiling + 1) << c.num_outputs > 8 * _SUBSET_DP_BYTES:
         return None
     return ceiling
+
+
+def _first_fit(c: Channel, threshold: int, ceiling: int) -> list[tuple[int, int]]:
+    """Pairwise-disjoint minimal decoding sets of integer mass >= a
+    positive ``threshold``, one per input, as [(input, mask), ...], found
+    first-fit, until there are ``ceiling`` of them.
+
+    The inputs go in the packing bound's order: fewest outputs in their
+    smallest minimal set first, ties by index.  Each takes the first set
+    ``minimal_sets`` yields inside the outputs still free, its heaviest
+    free outputs that reach the threshold, if any; those outputs are then
+    no longer free.  Where the packing bound is ``ceiling``, a packing of
+    that size is a largest one.
+    """
+    sizes = [bisect_left(sums, threshold) for _, sums in c.heaviest_first]
+    free = (1 << c.num_outputs) - 1
+    sets = []
+    for x in sorted(range(c.num_inputs), key=sizes.__getitem__):
+        if len(sets) == ceiling:
+            break
+        for mask, _ in minimal_sets(c, x, threshold, within=free):
+            sets.append((x, mask))
+            free ^= mask
+            break
+    return sets
 
 
 def _packing_bound(c: Channel, threshold: int) -> int:

@@ -21,7 +21,7 @@ from typing import Sequence
 from .capacity import (
     _BRUTE_FORCE_LIMIT,
     METRIC_MAX,
-    _subset_dp_ceiling,
+    _max_engine,
     avg_capacity,
     brute_force_capacity,
     capacity_curve,
@@ -110,8 +110,8 @@ def _cmd_capacity(args) -> int:
     if args.cross_check:
         sizes = {name: (result if name == engine else run()).codebook_size
                  for name, run in engines.items()}
-        if metric == METRIC_MAX and _subset_dp_ceiling(c, eps) is not None:
-            # packing ran the subset DP; the conflict graph's size checks it
+        if metric == METRIC_MAX and eps < 1 and _max_engine(c, eps)[0] != "graph":
+            # first-fit or the subset DP answered; the conflict graph's size checks it
             try:
                 sizes["graph"] = independence_number(build_max_graph(c, eps))[0]
             except ValueError as exc:
@@ -226,15 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=["max", "avg"])
     p.add_argument("--epsilon", required=True, type=_eps_arg)
     p.add_argument("--engine", default="packing", choices=["packing", "graph", "brute"],
-                   help="packing (also named graph) is the exact engine: for max the "
+                   help="packing (also named graph) is the exact engine: for max a "
+                        "first-fit packing where it meets the packing bound, else the "
                         "DP over output subsets where it fits (at most 16 outputs), "
                         "else the conflict graph's independence number; for avg the "
                         "codebook search; brute: 5x5 channels at most")
     p.add_argument("--witness", help="write the witness scheme JSON here")
     p.add_argument("--cross-check", action="store_true",
                    help="run each distinct engine once, and the conflict graph (as graph) "
-                        "where the max DP answered, unless too large (noted on stderr); "
-                        "fail on disagreement; say so when no second engine applies")
+                        "where a max first-fit packing or the DP answered, unless too "
+                        "large (noted on stderr); fail on disagreement; say so when no "
+                        "second engine applies")
     p.add_argument("--json", action="store_true", help="also print the result as JSON")
     p.set_defaults(func=_cmd_capacity)
 

@@ -39,9 +39,10 @@ built when a branch first reaches the input.
 The independence-number solver, ``max_independent_set``, is an exact
 branch and bound with a greedy colouring bound, run directly on the
 bitmask adjacency; it is the max-metric engine behind
-``capacity.max_capacity`` where the DP over output subsets does not fit
-(``capacity._subset_dp_ceiling``); the other channels, and the max curve,
-build no conflict graph.
+``capacity.max_capacity`` where a first-fit packing falls short of the
+packing bound and the DP over output subsets does not fit
+(``capacity._max_engine``); the other channels, and the max curve, build
+no conflict graph.
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the

@@ -222,6 +222,91 @@ def test_dp_witness_backtracks_to_the_lowest_top_union():
     assert (size, sets) == (2, [(0, 0b1000), (2, 0b0011)])
 
 
+def test_first_fit_certificate_matches_oracle_and_graph():
+    # 6x6 to 12x16 at five budgets, answered by first-fit or by the DP; the
+    # oracle's subset loop and unpruned search take seconds to minutes per
+    # channel past 10 outputs, so it checks the shapes up to 8x10
+    shapes = [(6, 6), (7, 8), (8, 10), (9, 12), (10, 14), (12, 16)]
+    engines = []
+    for nx, ny in shapes:
+        for i in range(2):
+            c = gen_random(nx, ny, seed=2950 + 10 * nx + i, denominator_bound=24)
+            for eps in [F(0), F(1, 10), F(1, 3), F(1, 2), F(2, 3)]:
+                engines.append(capacity._max_engine(c, eps)[0])
+                r = max_capacity(c, eps)
+                assert r.codebook_size == independence_number(build_max_graph(c, eps))[0]
+                if ny <= 10:
+                    assert r.codebook_size == oracle_packing(c, eps), (nx, ny, i, eps)
+                assert max_error(c, r.witness) <= eps
+    assert set(engines) == {"first-fit", "dp"}
+
+
+def test_first_fit_meeting_the_bound_runs_neither_engine(monkeypatch):
+    ran = []
+    packing, build = capacity._packing, capacity.build_max_graph
+
+    def spy_packing(*args, **kwargs):
+        ran.append("dp")
+        return packing(*args, **kwargs)
+
+    def spy_build(*args, **kwargs):
+        ran.append("graph")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "_packing", spy_packing)
+    monkeypatch.setattr(capacity, "build_max_graph", spy_build)
+    engines = []
+    channels = [gen_random(8, ny, seed=2330 + ny, denominator_bound=24) for ny in (8, 12, 17)]
+    channels += [gen_random(8, 8, seed=1, denominator_bound=24),
+                 gen_random(8, 17, seed=2330, denominator_bound=24)]
+    for c in channels:
+        for eps in [F(0), F(1, 10), F(1, 3), F(1, 2)]:
+            ran.clear()
+            engine, _, ceiling, sets = capacity._max_engine(c, eps)
+            r = max_capacity(c, eps)
+            if len(sets) == ceiling:
+                assert engine == "first-fit" and ran == []
+                assert r.witness.codebook == tuple(sorted(x for x, _ in sets))
+            else:
+                assert engine in ("dp", "graph") and ran == [engine]
+            assert r.codebook_size <= ceiling and max_error(c, r.witness) <= eps
+            engines.append(engine)
+    assert {"first-fit", "dp", "graph"} == set(engines)
+
+
+def test_first_fit_takes_inputs_in_the_bound_order():
+    # at eps 1/2 row 1 needs one output and row 0 two, so row 1 goes first
+    # and takes output 0, its heaviest; row 0 then takes outputs 1 and 2,
+    # where in index order it would take 0 and 1 and leave row 1 nothing
+    c = Channel([[2, 2, 1, 1], [4, 0, 0, 2]], 6)
+    assert capacity._packing_bound(c, 3) == 2
+    assert capacity._first_fit(c, 3, 2) == [(1, 0b0001), (0, 0b0110)]
+    assert capacity._first_fit(c, 3, 1) == [(1, 0b0001)]
+    # equal sizes go by index: row 0 takes output 0, its first heaviest
+    assert capacity._first_fit(Channel([[1, 1], [1, 1]], 2), 1, 2) == [(0, 0b01), (1, 0b10)]
+
+
+def test_a_planted_first_fit_below_the_threshold_is_refused(monkeypatch):
+    # codeword 1 keeps output 1 alone, 1/16 of its row
+    c = Channel([[1] * 16] * 3, 16)
+    monkeypatch.setattr(capacity, "_first_fit", lambda c, threshold, ceiling: [(0, 1), (1, 2)])
+    with pytest.raises(RuntimeError, match=r"maximum witness has error 15/16 > eps = 1/2"):
+        max_capacity(c, F(1, 2))
+
+
+def test_wide_uniform_channels_answer_without_the_graph(monkeypatch):
+    # the graph engine refuses all three: 1x22 has C(22, 11) minimal sets
+    # in its row, 2x17 and 3x16 more than 2^15 nodes
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_max_graph called on a certified channel")
+
+    monkeypatch.setattr(capacity, "build_max_graph", refuse)
+    for nx, ny, size in ((1, 22, 1), (2, 17, 1), (3, 16, 2)):
+        c = Channel([[1] * ny] * nx, ny)
+        r = max_capacity(c, F(1, 2))
+        assert r.codebook_size == size and max_error(c, r.witness) <= F(1, 2)
+
+
 def test_packing_stops_at_its_ceiling_with_an_admissible_witness():
     for n in (6, 8, 10):
         for i in range(2):

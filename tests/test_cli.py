@@ -216,6 +216,44 @@ def test_capacity_cross_check_skips_a_refused_graph(tmp_path, capsys):
                             "maximum-one-shot graph has more than 32768 nodes\n")
 
 
+def test_capacity_cross_check_compares_the_graph_with_a_wide_first_fit(
+    tmp_path, capsys, monkeypatch
+):
+    # 18 outputs, past the DP: first-fit meets the packing bound, 2, and the
+    # conflict graph, 6614 nodes, is the second opinion
+    path = tmp_path / "random6x18.txt"
+    c = gen_random(6, 18, seed=4, denominator_bound=24)
+    path.write_text(serialize_channel(c))
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(oneshotcap.graphs.build_max_graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(oneshotcap.capacity, "build_max_graph", build)
+    monkeypatch.setattr(oneshotcap.cli, "build_max_graph", build)
+    assert oneshotcap.capacity._max_engine(c, F(1, 3))[0] == "first-fit"
+    assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/3",
+                 "--cross-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("cross-check ok: graph, packing\n"
+                            "codebook_size=2 capacity_bits=1.000000000000\n")
+    assert captured.err == ""
+    assert len(built) == 1
+
+
+def test_capacity_refuses_a_planted_first_fit_below_the_threshold(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "uniform3x16.txt"
+    path.write_text(serialize_channel(_uniform(3, 16)))
+    # codeword 1 keeps output 1 alone, 1/16 of its row
+    monkeypatch.setattr(oneshotcap.capacity, "_first_fit",
+                        lambda c, threshold, ceiling: [(0, 1), (1, 2)])
+    assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: maximum witness has error 15/16 > eps = 1/2\n"
+
+
 def test_capacity_cross_check_says_when_no_second_engine_applies(tmp_path, capsys):
     # avg past brute force's 5x5 has one engine, so nothing is compared
     path = tmp_path / "random6x6.txt"
@@ -259,23 +297,29 @@ def test_capacity_cross_check_refuses_brute_past_its_limit(tmp_path, capsys):
         assert captured.err == "error: engine 'brute' not applicable here (available: packing)\n"
 
 
-@pytest.mark.parametrize("shape, call, argv, message", [
-    ((1, 17), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
+def _half_blind(nx, ny):
+    """nx copies of a row uniform over outputs 1..ny-1, with output 0 at 0:
+    at eps 1/2 each row needs ny // 2 outputs, so the packing bound is 2,
+    but the first row's set leaves too few outputs for a second."""
+    return Channel([[0] + [1] * (ny - 1)] * nx, ny - 1)
+
+
+@pytest.mark.parametrize("c, call, argv, message", [
+    (_uniform(1, 17), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
      "<= 16 outputs"),
-    ((13, 1), lambda c: capacity_curve(c, "avg"), ["curve", "--metric", "avg"],
+    (_uniform(13, 1), lambda c: capacity_curve(c, "avg"), ["curve", "--metric", "avg"],
      "<= 12 inputs"),
-    ((1, 11), build_avg_graph, ["sparse", "--epsilon", "1/10"], "<= 10 outputs"),
-    # C(22, 11) minimal sets in one row: the per-row search stops first
-    ((1, 22), lambda c: max_capacity(c, F(1, 2)),
+    (_uniform(1, 11), build_avg_graph, ["sparse", "--epsilon", "1/10"], "<= 10 outputs"),
+    # C(21, 11) minimal sets in one row: the per-row search stops first
+    (_half_blind(2, 22), lambda c: max_capacity(c, F(1, 2)),
      ["capacity", "--metric", "max", "--epsilon", "1/2"],
      "more than 32768 minimal decoding sets"),
     # 2 * C(17, 9) = 48620 nodes, each row under the cap; at 16 outputs
     # and fewer the subset DP answers without a graph
-    ((2, 17), lambda c: max_capacity(c, F(1, 2)),
+    (_half_blind(2, 18), lambda c: max_capacity(c, F(1, 2)),
      ["capacity", "--metric", "max", "--epsilon", "1/2"], "more than 32768 nodes"),
 ], ids=["curve-max", "curve-avg", "avg-graph", "max-row-sets", "max-graph-nodes"])
-def test_size_guards(tmp_path, capsys, shape, call, argv, message):
-    c = _uniform(*shape)
+def test_size_guards(tmp_path, capsys, c, call, argv, message):
     with pytest.raises(ValueError, match=message):
         call(c)
     path = tmp_path / "wide.txt"

@@ -22,7 +22,11 @@ checkout with a 12-output curve limit accepts), ``capacity
 eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, ``capacity
 --metric avg --json`` at eps 1/2 and 2/3 on the two 10x10 channels and at
 eps 0 on the typewriter channels of 12 and 16 symbols (x goes to x and
-x + 1 mod n), avg answers of 3 and more, and
+x + 1 mod n), avg answers of 3 and more, ``capacity --metric max
+--json`` at eps 1/2 on uniform 1x22, 2x17 and 3x16 channels, whose first-fit
+packings meet the packing bound where the conflict graph is too large, and
+``capacity --cross-check`` on a 6x18 channel at 1/3, first-fit answering
+past the DP's 16 outputs, and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
@@ -41,11 +45,12 @@ avg`` on three channels whose sizes tie at eps 0: a 4x7 random channel
 with denominator 3, where sizes 1 and 2 tie, a 3x7 one with denominator 2
 and ``identity_channel(6)``, where every size fits at eps 0.  A ``cross-check``
 group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
-1/100 and on 8x8 and 8x17 channels at 1/3 (17 outputs go to the graph
-alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows of
-one output) at 1/2, and the edges of the max check's graph leg: a 1000x16
-point-mass channel at 1/10, whose DP snapshots exceed their budget, a
-uniform 3x16 channel at 1/2, whose conflict graph is too large, and
+1/100 and on 8x8 and 8x17 channels at 1/3 (the 8x17 one goes to the
+graph alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows
+of one output) at 1/2, and the edges of the max check's graph leg: a
+1000x16 point-mass channel at 1/10, whose DP snapshots would exceed their
+budget but whose first-fit packing meets the packing bound, a uniform 3x16
+channel at 1/2, whose conflict graph is too large, and
 ``--engine brute`` on the 6x6 channel.  An ``errors`` group runs first:
 usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
 unknown ``--metric`` choice, an unknown command), failing ops (a missing
@@ -208,6 +213,19 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
             encoding="utf-8")
         ops.append(("wide", f"typewriter{n}/avg@0",
                     ["capacity", str(path), "--metric", "avg", "--epsilon", "0", "--json"]))
+    # at eps 1/2 the packing bound is 1, 1 and 2, and a first-fit packing
+    # meets it; 1x22 has C(22, 11) minimal sets in its row, and the other
+    # two more than 2^15 between their rows
+    for nx, ny in ((1, 22), (2, 17), (3, 16)):
+        path = wide / f"uniform{nx}x{ny}.txt"
+        path.write_text(serialize_channel(Channel([[1] * ny] * nx, ny)), encoding="utf-8")
+        ops.append(("wide", f"{path.stem}/max@1/2",
+                    ["capacity", str(path), "--metric", "max", "--epsilon", "1/2", "--json"]))
+    # 18 outputs, past the subset DP; first-fit meets the packing bound, 2
+    path = wide / "random6x18.txt"
+    path.write_text(serialize_channel(gen_random(6, 18, 4, 24)), encoding="utf-8")
+    ops.append(("wide", f"{path.stem}/max@1/3 --cross-check",
+                ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--cross-check"]))
     # each row's one minimal set at eps 0 holds all 1100 outputs
     path = wide / "uniform2x1100.txt"
     path.write_text(serialize_channel(Channel([[1] * 1100] * 2, 1100)), encoding="utf-8")
@@ -248,8 +266,9 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """``capacity --cross-check`` ops: max and avg, with and without a
     brute-force leg, narrow and wide, and the edges of the max cross-check's
-    graph leg (a DP over its memory budget, a graph too large to build, and
-    ``--engine brute`` past its size limit)."""
+    graph leg (a first-fit answer where the DP is over its memory budget,
+    a graph too large to build, and ``--engine brute`` past its size
+    limit)."""
     from fractions import Fraction
 
     from oneshotcap.channel import (Channel, FunnelSpec, gen_funnel, gen_random,
