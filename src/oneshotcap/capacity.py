@@ -3,21 +3,19 @@
 One exact engine per metric:
 
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
-  decoding sets, one per chosen input.  No packing is larger than the
-  packing bound, so a packing that reaches it is a certificate: the
-  answer, and its own witness.  A first-fit packing (``_first_fit``:
-  inputs in the bound's order, each taking its first minimal set inside
-  the outputs still free) is tried first, at any output width.  Where it
-  falls short, and ``_subset_dp_ceiling`` admits it, a DP over the 2^|Y|
-  output subsets finds the packing with no conflict graph, and recovers
-  its witness by backtracking; on any other channel it is the
-  independence number of the maximum-one-shot graph over those sets.
-  ``_max_engine`` is that rule, and the CLI's cross-check reads it too.
-  Both engines stop at the packing bound, the DP with the minimal set
-  that reaches it, partway through its row.  The max curve runs the same
-  DP (``_packing``) for sizes alone, with no first-fit.  The test suite
-  checks the certificate and the DP against the graph engine and a
-  separate packing search (``tests/oracles.py``).
+  decoding sets, one per chosen input, from one branch and bound over
+  the inputs (``_packings``), with no conflict graph and no 2^|Y|
+  bitsets.  No packing is larger than the packing bound, so the search
+  stops at a packing that reaches it.  Its first packing is first-fit's:
+  the inputs in the bound's order, each taking its first minimal set
+  inside the outputs still free.  On at most 16 outputs the search runs
+  to the end; past that its first packing answers where it meets the
+  bound, and the independence number of the maximum-one-shot graph
+  answers where it does not.  ``_max_engine`` is that rule, and the
+  CLI's cross-check reads the engine it names.  The max curve solves
+  with a DP over the 2^|Y| output subsets (``_packing``), for sizes
+  alone.  The test suite checks the search against the graph engine and
+  a separate packing search (``tests/oracles.py``).
 * ``avg_capacity``  -- searches codebooks largest-first, each size depth
   first in lexicographic order, pruned by two submodular upper bounds on
   the mass a partial codebook's completions keep; for a fixed codebook
@@ -53,7 +51,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import or_
+from typing import Iterator
 
 from . import bitsets
 from .channel import Channel, FunnelSpec, as_prob, format_prob
@@ -61,7 +61,6 @@ from .decoding import (
     Scheme,
     avg_error,
     max_error,
-    minimal_decoding_masks,
     minimal_sets,
     optimal_avg_decoder,
     scheme_from_disjoint_sets,
@@ -74,12 +73,10 @@ METRIC_AVG = "average"
 _BRUTE_FORCE_LIMIT = 5
 # The avg curve enumerates every codebook.
 _CURVE_SWEEP_LIMIT = 12
-# The subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB each at 16
-# outputs, and the max curve enumerates every output subset's mass.
+# The max curve's subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB
+# each at 16 outputs, and the curve enumerates every output subset's mass;
+# ``max_capacity`` runs its search to the end on this many outputs at most.
 _SUBSET_OUTPUT_LIMIT = 16
-# The subset DP's witness snapshots may take this many bytes, as the
-# conflict graph's N ints of N bits may at its 2^15-node cap.
-_SUBSET_DP_BYTES = 1 << 27
 
 
 def normalize_metric(metric: str) -> str:
@@ -175,86 +172,113 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook with worst-codeword error <= eps.
 
     The largest packing of pairwise-disjoint minimal decoding sets, one per
-    chosen input.  ``_max_engine`` picks the engine.  A first-fit packing
-    (``_first_fit``) that meets the packing bound is the answer and the
-    witness, at any output width: the inputs in the bound's order (fewest
-    outputs in a smallest minimal set first, ties by index), each taking
-    the heaviest of the outputs still free that reach the threshold.
-    Otherwise the DP over output subsets (``_packing``), stopped at the
-    bound, with a witness found by backtracking through its snapshots;
-    otherwise the independence number of the maximum-one-shot graph.
-    Neither engine runs where first-fit meets the bound, and their
-    witnesses are those they give alone.  The witness decoder sends each
-    chosen set to its input and every leftover output to the first
-    codeword.  eps = 1 short-circuits to the full input alphabet (no
-    error can exceed 1), where no decoding set is needed.
+    chosen input, from ``_max_engine``: the branch and bound over inputs
+    (``_packings``), or past 16 outputs, where its first packing falls
+    short of the packing bound, the independence number of the
+    maximum-one-shot graph.  The witness decoder sends each chosen set to
+    its input and every leftover output to the first codeword.  eps = 1
+    short-circuits to the full input alphabet (no error can exceed 1),
+    where no decoding set is needed.
     """
     eps = as_prob(eps, "eps")
     if eps == 1:
         scheme = optimal_avg_decoder(c, range(c.num_inputs))
         return _checked(c, METRIC_MAX, eps, c.num_inputs, scheme)
-    engine, threshold, ceiling, sets = _max_engine(c, eps)
-    if engine == "dp":
-        sets = _packing(c, threshold, ceiling, witness=True)[1]
-    elif engine == "graph":
+    return _max_engine(c, eps)[1]
+
+
+def _max_engine(c: Channel, eps: Fraction) -> tuple[str, CapacityResult]:
+    """The max answer at a checked eps < 1, and the engine that gave it,
+    "search" or "graph"; the CLI's cross-check reads the name.
+
+    On at most ``_SUBSET_OUTPUT_LIMIT`` outputs the answer is the last
+    packing ``_packings`` yields, a largest one.  Past that, the search's
+    first packing, first-fit's, answers where it meets the packing bound,
+    and the conflict graph over minimal sets answers where it does not:
+    the graph's colouring bound wins on rows of few minimal sets (cubic
+    channels), where the search's bound counts set sizes and outputs alone.
+    """
+    threshold = c.min_mass(eps, 1)
+    ceiling = _packing_bound(c, threshold)
+    packings = _packings(c, threshold, ceiling)
+    engine, sets = "search", next(packings)
+    if c.num_outputs <= _SUBSET_OUTPUT_LIMIT:
+        for sets in packings:
+            pass
+    elif len(sets) < ceiling:
+        engine = "graph"
         sets = [(n.input, n.mask) for n in independence_number(build_max_graph(c, eps))[1]]
     scheme = scheme_from_disjoint_sets(c, [(x, bitsets.outputs_of(d)) for x, d in sets])
-    return _checked(c, METRIC_MAX, eps, len(sets), scheme)
+    return engine, _checked(c, METRIC_MAX, eps, len(sets), scheme)
 
 
-def _max_engine(c: Channel, eps: Fraction) -> tuple[str, int, int, list[tuple[int, int]]]:
-    """The rule between the max engines, at a checked eps < 1, which the
-    CLI's cross-check reads too: (engine, threshold, ceiling, packing).
-    The threshold is ``c.min_mass(eps, 1)``, the ceiling the packing bound
-    there, and the packing ``_first_fit``'s.  The engine is "first-fit"
-    when that packing meets the bound, else "dp" where
-    ``_subset_dp_ceiling`` admits the subset DP, else "graph"."""
-    threshold = c.min_mass(eps, 1)
-    dp_ceiling = _subset_dp_ceiling(c, eps)
-    ceiling = _packing_bound(c, threshold) if dp_ceiling is None else dp_ceiling
-    sets = _first_fit(c, threshold, ceiling)
-    if len(sets) == ceiling:
-        return "first-fit", threshold, ceiling, sets
-    return ("graph" if dp_ceiling is None else "dp"), threshold, ceiling, sets
+def _packings(c: Channel, threshold: int, ceiling: int) -> Iterator[list[tuple[int, int]]]:
+    """Yield ever larger packings of pairwise-disjoint minimal decoding
+    sets of integer mass >= a positive ``threshold``, one per input, as
+    [(input, mask), ...], until one has ``ceiling`` sets.  Where
+    ``ceiling`` is the packing bound, the last is a largest packing.
 
-
-def _subset_dp_ceiling(c: Channel, eps: Fraction) -> int | None:
-    """The subset DP's side of ``_max_engine``, at a checked eps: the
-    packing bound the DP stops at when the DP would take the channel, or
-    None when the conflict graph would.  The DP takes eps < 1 on at most
-    ``_SUBSET_OUTPUT_LIMIT`` outputs when its witness snapshots, at most
-    nx * (ceiling + 1) bitsets of 2^|Y| bits, fit in ``_SUBSET_DP_BYTES``."""
-    if eps == 1 or c.num_outputs > _SUBSET_OUTPUT_LIMIT:
-        return None
-    ceiling = _packing_bound(c, c.min_mass(eps, 1))
-    if c.num_inputs * (ceiling + 1) << c.num_outputs > 8 * _SUBSET_DP_BYTES:
-        return None
-    return ceiling
-
-
-def _first_fit(c: Channel, threshold: int, ceiling: int) -> list[tuple[int, int]]:
-    """Pairwise-disjoint minimal decoding sets of integer mass >= a
-    positive ``threshold``, one per input, as [(input, mask), ...], found
-    first-fit, until there are ``ceiling`` of them.
-
-    The inputs go in the packing bound's order: fewest outputs in their
-    smallest minimal set first, ties by index.  Each takes the first set
-    ``minimal_sets`` yields inside the outputs still free, its heaviest
-    free outputs that reach the threshold, if any; those outputs are then
-    no longer free.  Where the packing bound is ``ceiling``, a packing of
-    that size is a largest one.
+    A branch and bound over the inputs in the packing bound's order:
+    fewest outputs in their smallest minimal set first, ties by index.  At
+    each input the search takes each set ``minimal_sets`` yields inside
+    the outputs still free, in its order, and then skips the input.  So
+    its first packing is first-fit's, each input taking its first set
+    inside the free outputs, if any; each later one is the first packing,
+    in that order, larger than the one before.  A node is dropped when
+    its members, plus how many of the remaining inputs' smallest set sizes
+    fit in the free outputs their rows reach, cannot beat the best packing
+    so far.  Those sizes are a sorted run of the order, so the count is
+    one ``bisect`` on its running sums.  The walk is one loop over a stack
+    of frames, one per set taken: (position in the order, free outputs,
+    members before it, its walk of minimal sets); a skip takes no frame.
     """
+    nx = c.num_inputs
     sizes = [bisect_left(sums, threshold) for _, sums in c.heaviest_first]
-    free = (1 << c.num_outputs) - 1
-    sets = []
-    for x in sorted(range(c.num_inputs), key=sizes.__getitem__):
-        if len(sets) == ceiling:
+    inputs = sorted(range(nx), key=sizes.__getitem__)
+    ends = list(accumulate((sizes[x] for x in inputs), initial=0))
+    best = 0
+    # built once the first packing falls short; until then best is 0, and
+    # the first descent, first-fit, prunes nothing
+    reach: list[int] = []
+
+    def most(i: int, free: int, k: int) -> int:
+        """The most members a node of k members at position i can end with."""
+        return k + bisect_right(ends, ends[i] + (free & reach[i]).bit_count()) - 1 - i
+
+    packing: list[tuple[int, int]] = []
+    stack = []
+    i, free = 0, (1 << c.num_outputs) - 1
+    while True:
+        k = len(packing)
+        if i == nx or k == ceiling:
+            if k > best:
+                best = k
+                yield packing[:]
+                if k == ceiling:
+                    return
+                # reach[i]: the outputs of positive weight in the rows of inputs[i:]
+                reach = reach or list(accumulate(
+                    (sum(1 << y for y in c.heaviest_first[x][0]) for x in reversed(inputs)),
+                    or_, initial=0))[::-1]
+        else:
+            stack.append((i, free, k, minimal_sets(c, inputs[i], threshold, within=free)))
+        while stack:  # the next child: the top frame's next set, else its skip
+            i, free, k, walk = stack[-1]
+            del packing[k:]
+            if best and most(i, free, k) <= best:
+                stack.pop()
+                continue
+            for mask, _ in walk:
+                if not best or most(i + 1, free ^ mask, k + 1) > best:
+                    packing.append((inputs[i], mask))
+                    i, free = i + 1, free ^ mask
+                    break
+            else:
+                stack.pop()
+                i += 1
             break
-        for mask, _ in minimal_sets(c, x, threshold, within=free):
-            sets.append((x, mask))
-            free ^= mask
-            break
-    return sets
+        else:
+            return
 
 
 def _packing_bound(c: Channel, threshold: int) -> int:
@@ -267,13 +291,10 @@ def _packing_bound(c: Channel, threshold: int) -> int:
                                  c.num_outputs)
 
 
-def _packing(
-    c: Channel, threshold: int, ceiling: int, witness: bool = False
-) -> int | tuple[int, list[tuple[int, int]]]:
+def _packing(c: Channel, threshold: int, ceiling: int) -> int:
     """The most pairwise-disjoint minimal decoding sets of integer mass
     >= ``threshold`` (positive) that distinct inputs can take, or
-    ``ceiling`` as soon as that many fit.  With ``witness``, returns
-    (size, [(input, mask), ...]) with the sets that reach it.
+    ``ceiling`` as soon as that many fit; the max curve's solver.
 
     unions[k] is a bitset over the 2^|Y| output subsets: bit S is set when
     S is the union of k such sets from distinct inputs seen so far, and
@@ -286,21 +307,10 @@ def _packing(
     non-empty level.  With r inputs after x, a union x puts at level
     k + 1 reaches level k + 1 + r at most, so x extends only the levels
     k with k + 1 + r >= top, the highest level so far: the others are
-    dead.  Every union a set at the top extends survives, so the size
-    and the witness are those of extending every level.  The set that
+    dead, and the size is that of extending every level.  The set that
     first fills level ``ceiling`` breaks out of the walk, and with it the
     DP, partway through its row.
-
-    The witness starts from the lowest subset S of the top level and
-    walks the inputs from last to first through each input's snapshot of
-    the levels before it.  An input whose snapshot already holds S at the
-    current level k is skipped; otherwise it took a set, and its first
-    minimal mask D in ``minimal_decoding_masks``'s order with D inside S
-    and S ^ D in the snapshot's level k - 1 is one, so S becomes S ^ D.
-    Those D are the row's minimal sets inside S, so the row is walked
-    again over S's outputs alone; only the snapshots are kept.
     """
-    history: list[list[int]] = []
     unions = [1]
     lacking = bitsets.lacking(c.num_outputs)
     nx = c.num_inputs
@@ -314,30 +324,10 @@ def _packing(
                 break
         if not grown[-1]:
             grown.pop()
-        if witness:
-            history.append(unions)
         unions = grown
         if len(unions) > ceiling:
             break
-    size = len(unions) - 1
-    if not witness:
-        return size
-    top = unions[size]
-    union = (top & -top).bit_length() - 1
-    sets = []
-    for x in range(len(history) - 1, -1, -1):
-        k = size - len(sets)
-        if k == 0:
-            break
-        before = history[x]
-        if k < len(before) and before[k] >> union & 1:
-            continue
-        below = before[k - 1]
-        d = next(d for d in minimal_decoding_masks(c, x, threshold, union)
-                 if below >> (union ^ d) & 1)
-        sets.append((x, d))
-        union ^= d
-    return size, sets[::-1]
+    return len(unions) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -106,12 +106,19 @@ def _cmd_capacity(args) -> int:
             f"engine {engine!r} not applicable here "
             f"(available: {', '.join(sorted(engines))})"
         )
-    result = engines[engine]()
-    if args.cross_check:
-        sizes = {name: (result if name == engine else run()).codebook_size
-                 for name, run in engines.items()}
-        if metric == METRIC_MAX and eps < 1 and _max_engine(c, eps)[0] != "graph":
-            # first-fit or the subset DP answered; the conflict graph's size checks it
+    if not args.cross_check:
+        result = engines[engine]()
+    else:
+        results = {}
+        answered = None
+        if metric == METRIC_MAX and eps < 1:
+            # the same answer as max_capacity, with the max engine that gave it
+            answered, results["packing"] = _max_engine(c, eps)
+        results.update((name, run()) for name, run in engines.items() if name not in results)
+        result = results[engine]
+        sizes = {name: r.codebook_size for name, r in results.items()}
+        if answered == "search":
+            # the conflict graph's size checks the search
             try:
                 sizes["graph"] = independence_number(build_max_graph(c, eps))[0]
             except ValueError as exc:
@@ -227,16 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, type=_eps_arg)
     p.add_argument("--engine", default="packing", choices=["packing", "graph", "brute"],
                    help="packing (also named graph) is the exact engine: for max a "
-                        "first-fit packing where it meets the packing bound, else the "
-                        "DP over output subsets where it fits (at most 16 outputs), "
-                        "else the conflict graph's independence number; for avg the "
-                        "codebook search; brute: 5x5 channels at most")
+                        "branch and bound over inputs, or past 16 outputs, where its "
+                        "first packing falls short of the packing bound, the conflict "
+                        "graph's independence number; for avg the codebook search; "
+                        "brute: 5x5 channels at most")
     p.add_argument("--witness", help="write the witness scheme JSON here")
     p.add_argument("--cross-check", action="store_true",
                    help="run each distinct engine once, and the conflict graph (as graph) "
-                        "where a max first-fit packing or the DP answered, unless too "
-                        "large (noted on stderr); fail on disagreement; say so when no "
-                        "second engine applies")
+                        "where the max search answered, unless too large (noted on "
+                        "stderr); fail on disagreement; say so when no second engine "
+                        "applies")
     p.add_argument("--json", action="store_true", help="also print the result as JSON")
     p.set_defaults(func=_cmd_capacity)
 

@@ -12,7 +12,8 @@ integer row mass a decoding set must capture (``Channel.min_mass`` of an
 eps its caller checked), it yields the inclusion-minimal output sets that
 capture it, as bitmasks, each with the AND of a per-output pattern over
 its outputs (the subset DP's "disjoint from this set" bitset), and can
-read the outputs of one mask alone; a caller stops it with ``break``.
+read the outputs of one mask alone (the max search's free outputs); a
+caller stops it with ``break``.
 ``minimal_decoding_masks`` lists and caps the masks in
 ``bitsets.canonical_order``, and ``enumerate_min_decoding_sets`` is its
 tuple form that takes eps.
@@ -123,16 +124,14 @@ def avg_error(c: Channel, s: Scheme) -> Fraction:
 # Minimal decoding sets
 # ---------------------------------------------------------------------------
 
-def minimal_decoding_masks(c: Channel, x: int, threshold: int, within: int = -1) -> list[int]:
+def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     """The inclusion-minimal output sets of row x with integer mass at
     least a positive ``threshold`` (``c.min_mass(eps, 1)`` at budget
     eps < 1), as bitmasks (bit y = output y) in ``bitsets.canonical_order``.
-    With ``within``, only the sets inside that mask, walked over its
-    outputs alone.  More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise
-    ValueError.
+    More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise ValueError.
     """
     found: list[int] = []
-    for mask, _ in minimal_sets(c, x, threshold, within=within):
+    for mask, _ in minimal_sets(c, x, threshold):
         if len(found) == _MAX_GRAPH_NODE_LIMIT:  # stop before holding more
             raise ValueError(f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
                              "minimal decoding sets")

@@ -149,7 +149,7 @@ def test_max_capacity_matches_packing_oracle_beyond_brute_force():
 
 
 def test_subset_dp_matches_graph_engine():
-    # 6x6 to 12x16, all narrow enough for the subset DP
+    # 6x6 to 12x16, at most 16 outputs, where the search runs to the end
     shapes = [(6, 6), (7, 8), (8, 10), (9, 12), (10, 14), (12, 16)]
     for nx, ny in shapes:
         for i in range(2):
@@ -161,19 +161,40 @@ def test_subset_dp_matches_graph_engine():
                 assert max_error(c, r.witness) <= eps
 
 
+def test_max_search_matches_graph_engine_up_to_16x16():
+    # square channels of 12 to 16 outputs, where rows have hundreds to
+    # thousands of minimal sets and the graph takes up to half a second
+    for n in (12, 14, 16):
+        c = gen_random(n, n, seed=3000 + n, denominator_bound=24)
+        for eps in [F(1, 3), F(1, 2), F(2, 3)]:
+            r = max_capacity(c, eps)
+            assert r.codebook_size == independence_number(build_max_graph(c, eps))[0], (n, eps)
+            assert max_error(c, r.witness) <= eps
+
+
+def test_max_search_takes_no_frame_per_input():
+    # 1200 point-mass rows on 16 outputs: first-fit meets the bound, 16
+    c = gen_random(1200, 16, seed=1, denominator_bound=1)
+    assert max_capacity(c, F(1, 10)).codebook_size == 16
+    # 1197 rows on output 0, then rows on outputs 1, 2 and 3: the first
+    # packing reaches its fourth set past 1197 skipped inputs (a search
+    # that recursed once per input would fail there), and the outputs the
+    # rows reach bound it at once
+    rows = [[1] + [0] * 15] * 1197 + [[int(y == x) for y in range(16)] for x in (1, 2, 3)]
+    c = Channel(rows, 1)
+    assert capacity._packing_bound(c, 1) == 16
+    r = max_capacity(c, F(1, 10))
+    assert (r.codebook_size, r.witness.codebook) == (4, (0, 1197, 1198, 1199))
+
+
 def test_subset_dp_limits(funnel3):
     assert max_capacity(funnel3, F(1)).codebook_size == 3
-    narrow, wide = gen_random(8, 16, seed=1, denominator_bound=24), identity_channel(17)
-    assert capacity._subset_dp_ceiling(narrow, F(1, 3)) is not None
-    assert capacity._subset_dp_ceiling(narrow, F(1)) is None
-    assert capacity._subset_dp_ceiling(wide, F(1, 3)) is None
-    # a tall channel: 1000 * 17 bitsets of 2^16 bits is 139 MB of snapshots,
-    # over the budget, so the rule sends it to the conflict graph; 400 rows
-    # take 56 MB and stay with the DP.  Only the rule runs, on point masses.
+    # a tall channel of point masses: the search's first packing meets the
+    # packing bound, 16, with no 2^16-bit level held per input
     tall = Channel([[1 if y == x % 16 else 0 for y in range(16)] for x in range(1000)], 1)
     assert capacity._packing_bound(tall, 1) == 16
-    assert capacity._subset_dp_ceiling(tall, F(1, 10)) is None
-    assert capacity._subset_dp_ceiling(Channel(tall.weights[:400], 1), F(1, 10)) == 16
+    engine, r = capacity._max_engine(tall, F(1, 10))
+    assert engine == "search" and r.codebook_size == 16
     with pytest.raises(ValueError, match="<= 16 outputs"):
         capacity_curve(identity_channel(17), "max")
 
@@ -190,58 +211,82 @@ def test_narrow_max_capacity_builds_no_graph(monkeypatch):
             assert max_error(c, r.witness) <= eps
 
 
-def test_over_budget_max_capacity_uses_the_graph(monkeypatch):
+def test_a_wide_first_packing_short_of_the_bound_uses_the_graph(monkeypatch):
     built = []
 
     def build(*args, **kwargs):
         built.append(build_max_graph(*args, **kwargs))
         return built[-1]
 
-    c = gen_random(8, 8, seed=2830, denominator_bound=24)
-    expected = max_capacity(c, F(1, 3))
+    # 17 outputs, past the search's own range: first-fit packs 2 sets
+    # against a packing bound of 3, so the conflict graph answers
+    c = gen_random(8, 17, seed=1, denominator_bound=24)
+    threshold = c.min_mass(F(1, 3), 1)
+    ceiling = capacity._packing_bound(c, threshold)
+    packings = list(capacity._packings(c, threshold, ceiling))
+    assert (ceiling, [len(p) for p in packings]) == (3, [2])
     monkeypatch.setattr(capacity, "build_max_graph", build)
-    assert max_capacity(c, F(1, 3)) == expected and not built
-    # 8 rows * (ceiling + 1) * 256 bits are more than 64 bytes
-    monkeypatch.setattr(capacity, "_SUBSET_DP_BYTES", 64)
-    assert max_capacity(c, F(1, 3)).codebook_size == expected.codebook_size
-    assert len(built) == 1
+    engine, r = capacity._max_engine(c, F(1, 3))
+    assert (engine, r.codebook_size, len(built)) == ("graph", 2, 1)
+    assert r.witness.codebook == tuple(sorted(n.input for n in independence_number(built[0])[1]))
 
 
-def test_dp_witness_backtracks_to_the_lowest_top_union():
-    # two inputs on outputs {0, 1, 2}: row 0 needs {0} or {1}, row 1 needs
-    # {1} or {2}; the top level holds {0, 1}, {0, 2} and {1, 2}, the lowest
-    # is {0, 1}, so row 1 takes {1} and row 0 takes {0}
-    c = Channel([[1, 1, 0], [0, 1, 1]], 2)
-    size, sets = capacity._packing(c, 1, 2, witness=True)
-    assert (size, sets) == (2, [(0, 0b001), (1, 0b010)])
-    # at eps 0 row 0 needs {3}, row 1 {0, 2} and row 2 {0, 1}; level 0 is
-    # dead at row 2, the last, but its level 1 still joins {3} and {0, 1}
-    # at the top, level 2, below {0, 2, 3}
+def test_search_yields_larger_packings_in_its_order(monkeypatch):
+    # row 0 takes output 0 first, which row 1 needs, so first-fit stops at
+    # 1; the search then takes row 0's next set, output 1, and row 1 fits
+    c = Channel([[1, 1], [2, 0]], 2)
+    assert capacity._packing_bound(c, 1) == 2
+    assert list(capacity._packings(c, 1, 2)) == [[(0, 0b01)], [(0, 0b10), (1, 0b01)]]
+    # at eps 0 row 0 needs {3}, row 1 {0, 2} and row 2 {0, 1}: first-fit
+    # packs rows 0 and 1 and meets the bound, 2, so nothing else is tried
     c = Channel([[0, 0, 0, 2], [1, 0, 1, 0], [1, 1, 0, 0]], 2)
-    size, sets = capacity._packing(c, 2, 3, witness=True)
-    assert (size, sets) == (2, [(0, 0b1000), (2, 0b0011)])
+    assert list(capacity._packings(c, 2, 2)) == [[(0, 0b1000), (1, 0b0101)]]
+    # no row reaches output 2, so the bound over the outputs the rows reach
+    # stops the search at its first packing, 2 of a packing bound of 3: it
+    # walks no set after first-fit's
+    visited = []
+    walk = capacity.minimal_sets
+
+    def spy(c, x, threshold, *args, **kwargs):
+        for mask, disjoint in walk(c, x, threshold, *args, **kwargs):
+            visited.append((x, mask))
+            yield mask, disjoint
+
+    monkeypatch.setattr(capacity, "minimal_sets", spy)
+    c = Channel([[1, 1, 0], [2, 0, 0], [0, 2, 0]], 2)
+    assert capacity._packing_bound(c, 1) == 3
+    assert list(capacity._packings(c, 1, 3)) == [[(0, 0b001), (2, 0b010)]]
+    assert visited == [(0, 0b001), (2, 0b010)]
 
 
 def test_first_fit_certificate_matches_oracle_and_graph():
-    # 6x6 to 12x16 at five budgets, answered by first-fit or by the DP; the
-    # oracle's subset loop and unpruned search take seconds to minutes per
-    # channel past 10 outputs, so it checks the shapes up to 8x10
+    # 6x6 to 12x16 at five budgets, where first-fit, the search's first
+    # packing, meets the packing bound or falls short of it; the oracle's
+    # subset loop and unpruned search take seconds to minutes per channel
+    # past 10 outputs, so it checks the shapes up to 8x10
     shapes = [(6, 6), (7, 8), (8, 10), (9, 12), (10, 14), (12, 16)]
-    engines = []
+    certified = []
     for nx, ny in shapes:
         for i in range(2):
             c = gen_random(nx, ny, seed=2950 + 10 * nx + i, denominator_bound=24)
             for eps in [F(0), F(1, 10), F(1, 3), F(1, 2), F(2, 3)]:
-                engines.append(capacity._max_engine(c, eps)[0])
+                threshold = c.min_mass(eps, 1)
+                ceiling = capacity._packing_bound(c, threshold)
+                first = next(capacity._packings(c, threshold, ceiling))
+                certified.append(len(first) == ceiling)
                 r = max_capacity(c, eps)
+                if certified[-1]:
+                    assert r.witness.codebook == tuple(sorted(x for x, _ in first))
                 assert r.codebook_size == independence_number(build_max_graph(c, eps))[0]
                 if ny <= 10:
                     assert r.codebook_size == oracle_packing(c, eps), (nx, ny, i, eps)
                 assert max_error(c, r.witness) <= eps
-    assert set(engines) == {"first-fit", "dp"}
+    assert set(certified) == {True, False}
 
 
 def test_first_fit_meeting_the_bound_runs_neither_engine(monkeypatch):
+    # neither the curve's subset DP nor, where first-fit meets the bound or
+    # the channel has at most 16 outputs, the conflict graph
     ran = []
     packing, build = capacity._packing, capacity.build_max_graph
 
@@ -255,41 +300,49 @@ def test_first_fit_meeting_the_bound_runs_neither_engine(monkeypatch):
 
     monkeypatch.setattr(capacity, "_packing", spy_packing)
     monkeypatch.setattr(capacity, "build_max_graph", spy_build)
-    engines = []
+    outcomes = set()
     channels = [gen_random(8, ny, seed=2330 + ny, denominator_bound=24) for ny in (8, 12, 17)]
     channels += [gen_random(8, 8, seed=1, denominator_bound=24),
                  gen_random(8, 17, seed=2330, denominator_bound=24)]
     for c in channels:
         for eps in [F(0), F(1, 10), F(1, 3), F(1, 2)]:
+            threshold = c.min_mass(eps, 1)
+            ceiling = capacity._packing_bound(c, threshold)
+            first = next(capacity._packings(c, threshold, ceiling))
             ran.clear()
-            engine, _, ceiling, sets = capacity._max_engine(c, eps)
-            r = max_capacity(c, eps)
-            if len(sets) == ceiling:
-                assert engine == "first-fit" and ran == []
-                assert r.witness.codebook == tuple(sorted(x for x, _ in sets))
+            engine, r = capacity._max_engine(c, eps)
+            if len(first) == ceiling:
+                assert engine == "search" and ran == []
+                assert r.witness.codebook == tuple(sorted(x for x, _ in first))
+            elif c.num_outputs <= 16:
+                assert engine == "search" and ran == []
             else:
-                assert engine in ("dp", "graph") and ran == [engine]
+                assert engine == "graph" and ran == ["graph"]
             assert r.codebook_size <= ceiling and max_error(c, r.witness) <= eps
-            engines.append(engine)
-    assert {"first-fit", "dp", "graph"} == set(engines)
+            outcomes.add((engine, len(first) == ceiling))
+    assert outcomes == {("search", True), ("search", False), ("graph", False)}
 
 
 def test_first_fit_takes_inputs_in_the_bound_order():
-    # at eps 1/2 row 1 needs one output and row 0 two, so row 1 goes first
-    # and takes output 0, its heaviest; row 0 then takes outputs 1 and 2,
-    # where in index order it would take 0 and 1 and leave row 1 nothing
+    # the search's first packing: at eps 1/2 row 1 needs one output and
+    # row 0 two, so row 1 goes first and takes output 0, its heaviest; row
+    # 0 then takes outputs 1 and 2, where in index order it would take 0
+    # and 1 and leave row 1 nothing
     c = Channel([[2, 2, 1, 1], [4, 0, 0, 2]], 6)
     assert capacity._packing_bound(c, 3) == 2
-    assert capacity._first_fit(c, 3, 2) == [(1, 0b0001), (0, 0b0110)]
-    assert capacity._first_fit(c, 3, 1) == [(1, 0b0001)]
+    assert next(capacity._packings(c, 3, 2)) == [(1, 0b0001), (0, 0b0110)]
+    assert list(capacity._packings(c, 3, 1)) == [[(1, 0b0001)]]
     # equal sizes go by index: row 0 takes output 0, its first heaviest
-    assert capacity._first_fit(Channel([[1, 1], [1, 1]], 2), 1, 2) == [(0, 0b01), (1, 0b10)]
+    c = Channel([[1, 1], [1, 1]], 2)
+    assert list(capacity._packings(c, 1, 2)) == [[(0, 0b01), (1, 0b10)]]
 
 
 def test_a_planted_first_fit_below_the_threshold_is_refused(monkeypatch):
-    # codeword 1 keeps output 1 alone, 1/16 of its row
+    # the search plants a packing whose codeword 1 keeps output 1 alone,
+    # 1/16 of its row
     c = Channel([[1] * 16] * 3, 16)
-    monkeypatch.setattr(capacity, "_first_fit", lambda c, threshold, ceiling: [(0, 1), (1, 2)])
+    monkeypatch.setattr(capacity, "_packings",
+                        lambda c, threshold, ceiling: iter([[(0, 1), (1, 2)]]))
     with pytest.raises(RuntimeError, match=r"maximum witness has error 15/16 > eps = 1/2"):
         max_capacity(c, F(1, 2))
 
@@ -316,11 +369,13 @@ def test_packing_stops_at_its_ceiling_with_an_admissible_witness():
                 alpha = oracle_packing(c, eps)
                 for ceiling in range(1, alpha + 2):
                     assert capacity._packing(c, threshold, ceiling) == min(ceiling, alpha)
-                    size, sets = capacity._packing(c, threshold, ceiling, witness=True)
-                    assert size == len(sets) == min(ceiling, alpha)
-                    scheme = scheme_from_disjoint_sets(
-                        c, [(x, bitsets.outputs_of(d)) for x, d in sets])
-                    assert max_error(c, scheme) <= eps
+                    packings = list(capacity._packings(c, threshold, ceiling))
+                    sizes = [len(sets) for sets in packings]
+                    assert sizes == sorted(set(sizes)) and sizes[-1] == min(ceiling, alpha)
+                    for sets in packings:
+                        scheme = scheme_from_disjoint_sets(
+                            c, [(x, bitsets.outputs_of(d)) for x, d in sets])
+                        assert max_error(c, scheme) <= eps
 
 
 def test_packing_walks_no_set_past_its_ceiling(monkeypatch):

@@ -175,36 +175,93 @@ def _uniform(nx, ny):
     return Channel.make([[F(1, ny)] * ny] * nx)
 
 
-def test_capacity_cross_check_runs_no_second_graph_over_budget(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "random8x8.txt"
-    path.write_text(serialize_channel(gen_random(8, 8, seed=1, denominator_bound=24)))
+def _spy(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that records each call's
+    arguments in the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_capacity_cross_check_runs_no_second_graph_where_the_graph_answers(
+    tmp_path, capsys, monkeypatch
+):
+    # 17 outputs: first-fit packs 2 sets against a packing bound of 3, so
+    # the conflict graph answers, and no second engine applies
+    path = tmp_path / "random8x17.txt"
+    path.write_text(serialize_channel(gen_random(8, 17, seed=1, denominator_bound=24)))
     argv = ["capacity", str(path), "--metric", "max", "--epsilon", "1/3"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    built, solved = [], []
+    built = []
 
     def build(*args, **kwargs):
         built.append(oneshotcap.graphs.build_max_graph(*args, **kwargs))
         return built[-1]
 
-    def solve(*args, **kwargs):
-        solved.append(args)
-        return max_capacity(*args, **kwargs)
-
-    # the DP's snapshots do not fit, so max_capacity answers from the graph
-    monkeypatch.setattr(oneshotcap.capacity, "_SUBSET_DP_BYTES", 64)
     monkeypatch.setattr(oneshotcap.capacity, "build_max_graph", build)
     monkeypatch.setattr(oneshotcap.cli, "build_max_graph", build)
-    monkeypatch.setattr(oneshotcap.cli, "max_capacity", solve)
+    searches = _spy(monkeypatch, oneshotcap.capacity, "_packings")
     assert main(argv + ["--cross-check"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "cross-check: no second engine applies\n" + expected
     assert captured.err == ""
-    assert len(built) == len(solved) == 1
+    assert len(built) == len(searches) == 1
+
+
+def _plant_a_short_packing(monkeypatch):
+    # the search yields one set of its first packing, and stops
+    search = oneshotcap.capacity._packings
+
+    def short(c, threshold, ceiling):
+        yield next(search(c, threshold, ceiling))[:1]
+
+    monkeypatch.setattr(oneshotcap.capacity, "_packings", short)
+
+
+def _plant_a_short_codebook(monkeypatch):
+    # the codebook search finds no codebook of two or more inputs
+    first = oneshotcap.capacity._first_codebook
+    monkeypatch.setattr(oneshotcap.capacity, "_first_codebook",
+                        lambda weights, reach, k, need: first(weights, reach, k, need)
+                        if k == 1 else None)
+
+
+def _plant_an_inadmissible_packing(monkeypatch):
+    # codeword 1 keeps output 1 alone, 1/16 of its row
+    monkeypatch.setattr(oneshotcap.capacity, "_packings",
+                        lambda c, threshold, ceiling: iter([[(0, 1), (1, 2)]]))
+
+
+@pytest.mark.parametrize("channel, metric, eps, plant, err", [
+    (gen_random(8, 8, seed=1, denominator_bound=24), "max", "1/3", _plant_a_short_packing,
+     "engine disagreement: packing=1, graph=2\n"),
+    (gen_random(5, 5, seed=1, denominator_bound=24), "avg", "1/3", _plant_a_short_codebook,
+     "engine disagreement: packing=1, brute=2\n"),
+    (Channel([[1] * 16] * 3, 16), "max", "1/2", _plant_an_inadmissible_packing,
+     "error: maximum witness has error 15/16 > eps = 1/2\n"),
+])
+def test_capacity_cross_check_fails_on_a_planted_fault(
+    tmp_path, capsys, monkeypatch, channel, metric, eps, plant, err
+):
+    path = tmp_path / "channel.txt"
+    path.write_text(serialize_channel(channel))
+    plant(monkeypatch)
+    searches = _spy(monkeypatch, oneshotcap.capacity, "_packings")
+    assert main(["capacity", str(path), "--metric", metric, "--epsilon", eps,
+                 "--cross-check"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    assert len(searches) == (metric == "max")
 
 
 def test_capacity_cross_check_skips_a_refused_graph(tmp_path, capsys):
-    # 3 * C(16, 8) = 38610 minimal sets: the DP answers, the graph refuses
+    # 3 * C(16, 8) = 38610 minimal sets: the search answers, the graph refuses
     path = tmp_path / "uniform3x16.txt"
     path.write_text(serialize_channel(_uniform(3, 16)))
     assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/2",
@@ -219,8 +276,8 @@ def test_capacity_cross_check_skips_a_refused_graph(tmp_path, capsys):
 def test_capacity_cross_check_compares_the_graph_with_a_wide_first_fit(
     tmp_path, capsys, monkeypatch
 ):
-    # 18 outputs, past the DP: first-fit meets the packing bound, 2, and the
-    # conflict graph, 6614 nodes, is the second opinion
+    # 18 outputs, past the search's own range: first-fit meets the packing
+    # bound, 2, and the conflict graph, 6614 nodes, is the second opinion
     path = tmp_path / "random6x18.txt"
     c = gen_random(6, 18, seed=4, denominator_bound=24)
     path.write_text(serialize_channel(c))
@@ -232,7 +289,7 @@ def test_capacity_cross_check_compares_the_graph_with_a_wide_first_fit(
 
     monkeypatch.setattr(oneshotcap.capacity, "build_max_graph", build)
     monkeypatch.setattr(oneshotcap.cli, "build_max_graph", build)
-    assert oneshotcap.capacity._max_engine(c, F(1, 3))[0] == "first-fit"
+    assert oneshotcap.capacity._max_engine(c, F(1, 3))[0] == "search"
     assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/3",
                  "--cross-check"]) == 0
     captured = capsys.readouterr()
@@ -245,9 +302,7 @@ def test_capacity_cross_check_compares_the_graph_with_a_wide_first_fit(
 def test_capacity_refuses_a_planted_first_fit_below_the_threshold(tmp_path, capsys, monkeypatch):
     path = tmp_path / "uniform3x16.txt"
     path.write_text(serialize_channel(_uniform(3, 16)))
-    # codeword 1 keeps output 1 alone, 1/16 of its row
-    monkeypatch.setattr(oneshotcap.capacity, "_first_fit",
-                        lambda c, threshold, ceiling: [(0, 1), (1, 2)])
+    _plant_an_inadmissible_packing(monkeypatch)
     assert main(["capacity", str(path), "--metric", "max", "--epsilon", "1/2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

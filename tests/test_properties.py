@@ -14,7 +14,9 @@ common denominator exceeds 2^62.
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -154,11 +156,35 @@ def test_max_curve_matches_oracle(c):
 @SETTINGS
 @given(channels(), st.data())
 def test_subset_dp_matches_packing_oracle(c, data):
-    # max_capacity runs the subset DP on these channels, witness and all
+    # max_capacity runs its search to the end on these channels
     eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
     r = max_capacity(c, eps)
     assert r.codebook_size == len(r.witness.codebook) == oracle_packing(c, eps)
     assert max_error(c, r.witness) <= eps
+
+
+@SETTINGS
+@given(st.integers(1, 10).flatmap(lambda ny: st.lists(rows(ny), min_size=1, max_size=8)),
+       st.data())
+def test_max_search_matches_packing_oracle(matrix, data):
+    # up to 8x10; the budget is 1 - the mass of some row's output subset,
+    # where a decoding set just reaches the threshold, or a round number
+    c = Channel.make(matrix)
+    row = data.draw(st.sampled_from(c.rows), label="row")
+    subset = data.draw(st.sets(st.integers(0, c.num_outputs - 1)), label="subset")
+    edge = 1 - sum((row[y] for y in subset), F(0))
+    eps = data.draw(st.sampled_from([e for e in (edge, F(0), F(1, 4), F(1, 2), F(2, 3))
+                                     if e < 1]), label="eps")
+    threshold = c.min_mass(eps, 1)
+    packings = list(capacity._packings(c, threshold, capacity._packing_bound(c, threshold)))
+    sizes = [len(sets) for sets in packings]
+    assert sizes == sorted(set(sizes)) and sizes[-1] == oracle_packing(c, eps)
+    for sets in packings:
+        assert len({x for x, _ in sets}) == len(sets)
+        assert sum(d.bit_count() for _, d in sets) == reduce(or_, (d for _, d in sets)).bit_count()
+        for x, d in sets:  # each set reaches the threshold, and no smaller one inside it
+            masses = [c.weights[x][y] for y in range(c.num_outputs) if d >> y & 1]
+            assert sum(masses) >= threshold > sum(masses) - min(masses)
 
 
 @SETTINGS

@@ -24,9 +24,13 @@ eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, ``capacity
 eps 0 on the typewriter channels of 12 and 16 symbols (x goes to x and
 x + 1 mod n), avg answers of 3 and more, ``capacity --metric max
 --json`` at eps 1/2 on uniform 1x22, 2x17 and 3x16 channels, whose first-fit
-packings meet the packing bound where the conflict graph is too large, and
-``capacity --cross-check`` on a 6x18 channel at 1/3, first-fit answering
-past the DP's 16 outputs, and
+packings meet the packing bound where the conflict graph is too large,
+``capacity --metric max --json`` at eps 2/3 on a 16x12 channel, where
+the max search takes longest against the subset DP it replaced, and at
+1/10 on 2000 point-mass rows over 15 of 16 outputs, where first-fit falls
+short of the packing bound and only the outputs the rows reach bound the
+search, and ``capacity --cross-check`` on a 6x18 channel at 1/3, first-fit
+answering past the search's own 16 outputs, and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
@@ -48,9 +52,9 @@ group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
 1/100 and on 8x8 and 8x17 channels at 1/3 (the 8x17 one goes to the
 graph alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows
 of one output) at 1/2, and the edges of the max check's graph leg: a
-1000x16 point-mass channel at 1/10, whose DP snapshots would exceed their
-budget but whose first-fit packing meets the packing bound, a uniform 3x16
-channel at 1/2, whose conflict graph is too large, and
+1000x16 point-mass channel at 1/10, whose first-fit packing meets the
+packing bound, 16, and the graph agrees, a uniform 3x16 channel at 1/2,
+whose conflict graph is too large, and
 ``--engine brute`` on the 6x6 channel.  An ``errors`` group runs first:
 usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
 unknown ``--metric`` choice, an unknown command), failing ops (a missing
@@ -221,7 +225,21 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         path.write_text(serialize_channel(Channel([[1] * ny] * nx, ny)), encoding="utf-8")
         ops.append(("wide", f"{path.stem}/max@1/2",
                     ["capacity", str(path), "--metric", "max", "--epsilon", "1/2", "--json"]))
-    # 18 outputs, past the subset DP; first-fit meets the packing bound, 2
+    # the search's slowest case against the subset DP it replaced: 5 of a
+    # packing bound of 6
+    path = wide / "random16x12.txt"
+    path.write_text(serialize_channel(gen_random(16, 12, 2, 24)), encoding="utf-8")
+    ops.append(("wide", f"{path.stem}/max@2/3",
+                ["capacity", str(path), "--metric", "max", "--epsilon", "2/3", "--json"]))
+    # no row reaches output 15: first-fit packs 15 of a packing bound of 16
+    path = wide / "points2000x16.txt"
+    path.write_text(serialize_channel(
+        Channel([[int(y == x % 15) for y in range(16)] for x in range(2000)], 1)),
+        encoding="utf-8")
+    ops.append(("wide", f"{path.stem}/max@1/10",
+                ["capacity", str(path), "--metric", "max", "--epsilon", "1/10", "--json"]))
+    # 18 outputs, past the search's own range; first-fit meets the packing
+    # bound, 2
     path = wide / "random6x18.txt"
     path.write_text(serialize_channel(gen_random(6, 18, 4, 24)), encoding="utf-8")
     ops.append(("wide", f"{path.stem}/max@1/3 --cross-check",
@@ -266,9 +284,8 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """``capacity --cross-check`` ops: max and avg, with and without a
     brute-force leg, narrow and wide, and the edges of the max cross-check's
-    graph leg (a first-fit answer where the DP is over its memory budget,
-    a graph too large to build, and ``--engine brute`` past its size
-    limit)."""
+    graph leg (a first-fit answer on 1000 inputs, a graph too large to
+    build, and ``--engine brute`` past its size limit)."""
     from fractions import Fraction
 
     from oneshotcap.channel import (Channel, FunnelSpec, gen_funnel, gen_random,
