@@ -4,15 +4,13 @@ One exact engine per metric:
 
 * ``max_capacity``  -- the largest packing of pairwise-disjoint minimal
   decoding sets, one per chosen input, from one branch and bound over
-  the inputs (``_packings``), with no conflict graph and no 2^|Y|
-  bitsets.  No packing is larger than the packing bound, so the search
-  stops at a packing that reaches it.  Its first packing is first-fit's:
-  the inputs in the bound's order, each taking its first minimal set
-  inside the outputs still free.  On at most 16 outputs the search runs
-  to the end; past that its first packing answers where it meets the
-  bound, and the independence number of the maximum-one-shot graph
-  answers where it does not.  ``_max_engine`` is that rule, and the
-  CLI's cross-check reads the engine it names.  The max curve solves
+  the inputs (``_packings``), with no 2^|Y| bitsets.  No packing is
+  larger than the packing bound, so the search stops at a packing that
+  reaches it.  Its first packing is first-fit's: the inputs in the
+  bound's order, each taking its first minimal set inside the outputs
+  still free.  ``_max_engine`` decides where the search answers and
+  where the independence number of the maximum-one-shot graph does, and
+  the CLI's cross-check reads the engine it names.  The max curve solves
   with a DP over the 2^|Y| output subsets (``_packing``), for sizes
   alone.  The test suite checks the search against the graph engine and
   a separate packing search (``tests/oracles.py``).
@@ -75,7 +73,7 @@ _BRUTE_FORCE_LIMIT = 5
 _CURVE_SWEEP_LIMIT = 12
 # The max curve's subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB
 # each at 16 outputs, and the curve enumerates every output subset's mass;
-# ``max_capacity`` runs its search to the end on this many outputs at most.
+# ``_max_engine`` reads it too.
 _SUBSET_OUTPUT_LIMIT = 16
 
 
@@ -173,12 +171,11 @@ def max_capacity(c: Channel, eps) -> CapacityResult:
 
     The largest packing of pairwise-disjoint minimal decoding sets, one per
     chosen input, from ``_max_engine``: the branch and bound over inputs
-    (``_packings``), or past 16 outputs, where its first packing falls
-    short of the packing bound, the independence number of the
-    maximum-one-shot graph.  The witness decoder sends each chosen set to
-    its input and every leftover output to the first codeword.  eps = 1
-    short-circuits to the full input alphabet (no error can exceed 1),
-    where no decoding set is needed.
+    (``_packings``) or the independence number of the maximum-one-shot
+    graph.  The witness decoder sends each chosen set to its input and
+    every leftover output to the first codeword.  eps = 1 short-circuits
+    to the full input alphabet (no error can exceed 1), where no decoding
+    set is needed.
     """
     eps = as_prob(eps, "eps")
     if eps == 1:
@@ -228,9 +225,13 @@ def _packings(c: Channel, threshold: int, ceiling: int) -> Iterator[list[tuple[i
     its members, plus how many of the remaining inputs' smallest set sizes
     fit in the free outputs their rows reach, cannot beat the best packing
     so far.  Those sizes are a sorted run of the order, so the count is
-    one ``bisect`` on its running sums.  The walk is one loop over a stack
-    of frames, one per set taken: (position in the order, free outputs,
-    members before it, its walk of minimal sets); a skip takes no frame.
+    one ``bisect`` on its running sums.  Nor can more of the remaining
+    inputs join than those with no forced output (one in every minimal
+    set of the row: weight > scale - threshold) plus the free forced
+    outputs of the others, each of which holds its own.  The walk is one
+    loop over a stack of frames, one per set taken: (position in the
+    order, free outputs, members before it, its walk of minimal sets); a
+    skip takes no frame.
     """
     nx = c.num_inputs
     sizes = [bisect_left(sums, threshold) for _, sums in c.heaviest_first]
@@ -243,7 +244,10 @@ def _packings(c: Channel, threshold: int, ceiling: int) -> Iterator[list[tuple[i
 
     def most(i: int, free: int, k: int) -> int:
         """The most members a node of k members at position i can end with."""
-        return k + bisect_right(ends, ends[i] + (free & reach[i]).bit_count()) - 1 - i
+        fit = bisect_right(ends, ends[i] + (free & reach[i]).bit_count()) - 1 - i
+        if forced[i]:  # else no more than the n - i inputs left, never below fit
+            fit = min(fit, unforced[i] + (free & forced[i]).bit_count())
+        return k + fit
 
     packing: list[tuple[int, int]] = []
     stack = []
@@ -256,10 +260,17 @@ def _packings(c: Channel, threshold: int, ceiling: int) -> Iterator[list[tuple[i
                 yield packing[:]
                 if k == ceiling:
                     return
-                # reach[i]: the outputs of positive weight in the rows of inputs[i:]
-                reach = reach or list(accumulate(
-                    (sum(1 << y for y in c.heaviest_first[x][0]) for x in reversed(inputs)),
-                    or_, initial=0))[::-1]
+                if not reach:
+                    # over the rows of inputs[i:], reach[i] is the OR of their
+                    # outputs of positive weight, forced[i] of their forced
+                    # outputs, and unforced[i] counts those with none
+                    cut = c.scale - threshold
+                    rows = [(c.support_mask(x),
+                             sum(1 << y for y, w in enumerate(c.weights[x]) if w > cut))
+                            for x in reversed(inputs)]
+                    reach, forced = ([*accumulate(masks, or_, initial=0)][::-1]
+                                     for masks in zip(*rows))
+                    unforced = [*accumulate((not f for _, f in rows), initial=0)][::-1]
         else:
             stack.append((i, free, k, minimal_sets(c, inputs[i], threshold, within=free)))
         while stack:  # the next child: the top frame's next set, else its skip

@@ -85,37 +85,23 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _engines_for(metric: str, c: Channel, eps: Fraction) -> dict[str, object]:
-    """Engine name -> callable; only engines applicable to this instance."""
-    solve = max_capacity if metric == METRIC_MAX else avg_capacity
-    engines = {"packing": lambda: solve(c, eps)}
-    if c.num_inputs <= _BRUTE_FORCE_LIMIT and c.num_outputs <= _BRUTE_FORCE_LIMIT:
-        engines["brute"] = lambda: brute_force_capacity(c, metric, eps)
-    return engines
-
-
 def _cmd_capacity(args) -> int:
     c = _load_channel(args.channel_file)
     metric = normalize_metric(args.metric)
     eps = args.epsilon
-    engines = _engines_for(metric, c, eps)
-    # Each metric has one engine besides brute force; "graph" names it too.
-    engine = "packing" if args.engine == "graph" else args.engine
-    if engine not in engines:
-        raise ValueError(
-            f"engine {engine!r} not applicable here "
-            f"(available: {', '.join(sorted(engines))})"
-        )
-    if not args.cross_check:
-        result = engines[engine]()
-    else:
-        results = {}
-        answered = None
+    brute = c.num_inputs <= _BRUTE_FORCE_LIMIT and c.num_outputs <= _BRUTE_FORCE_LIMIT
+    if args.engine == "brute" and not brute:
+        raise ValueError("engine 'brute' not applicable here (available: packing)")
+    results, answered = {}, None
+    if args.engine != "brute" or args.cross_check:
         if metric == METRIC_MAX and eps < 1:
-            # the same answer as max_capacity, with the max engine that gave it
             answered, results["packing"] = _max_engine(c, eps)
-        results.update((name, run()) for name, run in engines.items() if name not in results)
-        result = results[engine]
+        else:
+            results["packing"] = (max_capacity if metric == METRIC_MAX else avg_capacity)(c, eps)
+    if args.engine == "brute" or args.cross_check and brute:
+        results["brute"] = brute_force_capacity(c, metric, eps)
+    result = results["brute" if args.engine == "brute" else "packing"]
+    if args.cross_check:
         sizes = {name: r.codebook_size for name, r in results.items()}
         if answered == "search":
             # the conflict graph's size checks the search
@@ -233,17 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=["max", "avg"])
     p.add_argument("--epsilon", required=True, type=_eps_arg)
     p.add_argument("--engine", default="packing", choices=["packing", "graph", "brute"],
-                   help="packing (also named graph) is the exact engine: for max a "
-                        "branch and bound over inputs, or past 16 outputs, where its "
-                        "first packing falls short of the packing bound, the conflict "
-                        "graph's independence number; for avg the codebook search; "
-                        "brute: 5x5 channels at most")
+                   help="packing (also named graph): the metric's exact engine, "
+                        "max_capacity or avg_capacity; brute: brute force, 5x5 at most")
     p.add_argument("--witness", help="write the witness scheme JSON here")
     p.add_argument("--cross-check", action="store_true",
-                   help="run each distinct engine once, and the conflict graph (as graph) "
-                        "where the max search answered, unless too large (noted on "
-                        "stderr); fail on disagreement; say so when no second engine "
-                        "applies")
+                   help="also run brute force where it applies, and for max the conflict "
+                        "graph where the search answered (noted on stderr when too large); "
+                        "fail on disagreement")
     p.add_argument("--json", action="store_true", help="also print the result as JSON")
     p.set_defaults(func=_cmd_capacity)
 

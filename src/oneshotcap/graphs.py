@@ -39,10 +39,8 @@ built when a branch first reaches the input.
 The independence-number solver, ``max_independent_set``, is an exact
 branch and bound with a greedy colouring bound, run directly on the
 bitmask adjacency; it is the max-metric engine behind
-``capacity.max_capacity`` past 16 outputs, where the first packing of the
-search over inputs falls short of the packing bound
-(``capacity._max_engine``); the other channels, and the max curve, build
-no conflict graph.
+``capacity.max_capacity`` on the channels ``capacity._max_engine`` gives
+it, and the max curve builds no conflict graph.
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the

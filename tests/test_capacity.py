@@ -76,9 +76,10 @@ def test_max_capacity_on_a_minimal_set_of_1100_outputs():
 
 
 def test_max_capacity_on_an_independent_set_of_1100_nodes():
-    # 1100 outputs go to the conflict graph, whose 1100 singleton nodes are
-    # pairwise independent: a search that recursed once per member failed
+    # the search's first packing meets the packing bound, 1100, one
+    # singleton set per row: a search that recursed once per member failed
     c = identity_channel(1100)
+    assert capacity._max_engine(c, F(0))[0] == "search"
     r = max_capacity(c, F(0))
     assert r.codebook_size == 1100
     assert r.witness.codebook == tuple(range(1100))
@@ -148,7 +149,7 @@ def test_max_capacity_matches_packing_oracle_beyond_brute_force():
                 assert max_error(c, r.witness) <= eps
 
 
-def test_subset_dp_matches_graph_engine():
+def test_max_capacity_matches_graph_engine():
     # 6x6 to 12x16, at most 16 outputs, where the search runs to the end
     shapes = [(6, 6), (7, 8), (8, 10), (9, 12), (10, 14), (12, 16)]
     for nx, ny in shapes:
@@ -187,7 +188,26 @@ def test_max_search_takes_no_frame_per_input():
     assert (r.codebook_size, r.witness.codebook) == (4, (0, 1197, 1198, 1199))
 
 
-def test_subset_dp_limits(funnel3):
+def test_max_search_counts_the_forced_outputs(monkeypatch):
+    # every row needs output 0 (weight 12 > 24 - 16) and 4 more: first-fit
+    # packs 1 of a packing bound of 2, and no later row can join it, since
+    # output 0 is the one forced output left free; each row is walked once
+    walks = []
+    walk = capacity.minimal_sets
+
+    def spy(c, x, *args, **kwargs):
+        walks.append(x)
+        return walk(c, x, *args, **kwargs)
+
+    monkeypatch.setattr(capacity, "minimal_sets", spy)
+    c = Channel([[12] + [1] * 12] * 200, 24)
+    assert capacity._packing_bound(c, c.min_mass(F(1, 3), 1)) == 2
+    r = max_capacity(c, F(1, 3))
+    assert (r.codebook_size, r.witness.codebook) == (1, (0,))
+    assert len(walks) <= 200
+
+
+def test_max_search_limits(funnel3):
     assert max_capacity(funnel3, F(1)).codebook_size == 3
     # a tall channel of point masses: the search's first packing meets the
     # packing bound, 16, with no 2^16-bit level held per input

@@ -156,7 +156,7 @@ def test_capacity_cross_check_planted_disagreement(
     assert "engine disagreement" in capsys.readouterr().err
 
 
-def test_capacity_cross_check_reaches_subset_dp_past_brute_force(tmp_path, capsys, monkeypatch):
+def test_capacity_cross_check_reaches_the_search_past_brute_force(tmp_path, capsys, monkeypatch):
     path = tmp_path / "random8x8.txt"
     path.write_text(serialize_channel(gen_random(8, 8, seed=1, denominator_bound=24)))
     argv = ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--cross-check"]
@@ -212,6 +212,32 @@ def test_capacity_cross_check_runs_no_second_graph_where_the_graph_answers(
     assert captured.out == "cross-check: no second engine applies\n" + expected
     assert captured.err == ""
     assert len(built) == len(searches) == 1
+
+
+@pytest.mark.parametrize("metric, eps", [("max", "1/100"), ("avg", "1/100")])
+@pytest.mark.parametrize("cross_check", [False, True])
+@pytest.mark.parametrize("engine", ["packing", "graph", "brute"])
+def test_capacity_runs_each_engine_at_most_once(
+    funnel3_file, capsys, monkeypatch, engine, cross_check, metric, eps
+):
+    # funnel3 is within brute force's 5x5; at eps 1/100 the avg search tries
+    # one size, 3, so one run of it makes one _first_codebook call
+    ran = {
+        "packing": _spy(monkeypatch, oneshotcap.capacity,
+                        "_packings" if metric == "max" else "_first_codebook"),
+        "brute": _spy(monkeypatch, oneshotcap.cli, "brute_force_capacity"),
+        "graph": _spy(monkeypatch, oneshotcap.cli, "independence_number"),
+    }
+    argv = ["capacity", funnel3_file, "--metric", metric, "--epsilon", eps, "--engine", engine]
+    assert main(argv + ["--cross-check"] * cross_check) == 0
+    size = {"max": 2, "avg": 3}[metric]
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"codebook_size={size} ")
+    expected = {
+        "packing": int(cross_check or engine != "brute"),
+        "brute": int(cross_check or engine == "brute"),
+        "graph": int(cross_check and metric == "max"),
+    }
+    assert {name: len(calls) for name, calls in ran.items()} == expected
 
 
 def _plant_a_short_packing(monkeypatch):
@@ -332,7 +358,7 @@ def test_capacity_on_a_minimal_set_of_1100_outputs(tmp_path, capsys):
 
 
 def test_capacity_on_an_independent_set_of_1100_nodes(tmp_path, capsys):
-    # the conflict graph's answer: 1100 codewords, one search frame each
+    # the search's first packing meets the packing bound: 1100 codewords
     path = tmp_path / "identity1100.txt"
     path.write_text(serialize_channel(identity_channel(1100)))
     assert main(["capacity", str(path), "--metric", "max", "--epsilon", "0"]) == 0

@@ -155,7 +155,7 @@ def test_max_curve_matches_oracle(c):
 
 @SETTINGS
 @given(channels(), st.data())
-def test_subset_dp_matches_packing_oracle(c, data):
+def test_max_capacity_matches_packing_oracle(c, data):
     # max_capacity runs its search to the end on these channels
     eps = data.draw(st.sampled_from(eps_candidates(c)), label="eps")
     r = max_capacity(c, eps)

@@ -30,7 +30,9 @@ the max search takes longest against the subset DP it replaced, and at
 1/10 on 2000 point-mass rows over 15 of 16 outputs, where first-fit falls
 short of the packing bound and only the outputs the rows reach bound the
 search, and ``capacity --cross-check`` on a 6x18 channel at 1/3, first-fit
-answering past the search's own 16 outputs, and
+answering past the search's own 16 outputs, ``capacity --metric max
+--json`` at eps 1/3 on 80 equal rows that all need output 0 (a search
+that does not count forced outputs takes seconds there), and
 ``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
 those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
 and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
@@ -55,7 +57,11 @@ of one output) at 1/2, and the edges of the max check's graph leg: a
 1000x16 point-mass channel at 1/10, whose first-fit packing meets the
 packing bound, 16, and the graph agrees, a uniform 3x16 channel at 1/2,
 whose conflict graph is too large, and
-``--engine brute`` on the 6x6 channel.  An ``errors`` group runs first:
+``--engine brute`` on the 6x6 channel; and each engine choice of the
+``capacity`` handler: ``--engine brute`` on the funnel, max at 1/100 and
+avg at 1/200, alone and (max) with ``--cross-check``, ``--engine graph
+--cross-check`` on the 8x8 channel at 1/3, and max at eps 1 on the
+funnel with ``--cross-check``.  An ``errors`` group runs first:
 usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
 unknown ``--metric`` choice, an unknown command), failing ops (a missing
 file, a row that does not sum to 1, ``verify-reduction`` at eps 1/3 and,
@@ -244,6 +250,13 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     path.write_text(serialize_channel(gen_random(6, 18, 4, 24)), encoding="utf-8")
     ops.append(("wide", f"{path.stem}/max@1/3 --cross-check",
                 ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--cross-check"]))
+    # every row needs output 0: first-fit packs 1 of a packing bound of 2,
+    # and a search that does not count the rows' forced outputs walks every
+    # row under every set of row 0
+    path = wide / "forced80x13.txt"
+    path.write_text(serialize_channel(Channel([[12] + [1] * 12] * 80, 24)), encoding="utf-8")
+    ops.append(("wide", f"{path.stem}/max@1/3",
+                ["capacity", str(path), "--metric", "max", "--epsilon", "1/3", "--json"]))
     # each row's one minimal set at eps 0 holds all 1100 outputs
     path = wide / "uniform2x1100.txt"
     path.write_text(serialize_channel(Channel([[1] * 1100] * 2, 1100)), encoding="utf-8")
@@ -285,7 +298,9 @@ def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """``capacity --cross-check`` ops: max and avg, with and without a
     brute-force leg, narrow and wide, and the edges of the max cross-check's
     graph leg (a first-fit answer on 1000 inputs, a graph too large to
-    build, and ``--engine brute`` past its size limit)."""
+    build, and ``--engine brute`` past its size limit); and each engine
+    choice of the handler: ``--engine brute`` alone and with the check,
+    ``--engine graph`` with it, and max at eps 1, where no search runs."""
     from fractions import Fraction
 
     from oneshotcap.channel import (Channel, FunnelSpec, gen_funnel, gen_random,
@@ -302,18 +317,23 @@ def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         "points1000x16": gen_random(1000, 16, SEED, 1),
         "uniform3x16": Channel([[1] * 16] * 3, 16),
     }
+    check, brute = ["--cross-check"], ["--engine", "brute"]
     runs = [
-        ("funnel3", "max", "1/100", []), ("random8x8", "max", "1/3", []),
-        ("random8x17", "max", "1/3", []), ("random6x6", "avg", "1/10", []),
-        ("gap", "avg", "1/2", []), ("points1000x16", "max", "1/10", []),
-        ("uniform3x16", "max", "1/2", []), ("random6x6", "max", "1/3", ["--engine", "brute"]),
+        ("funnel3", "max", "1/100", check), ("random8x8", "max", "1/3", check),
+        ("random8x17", "max", "1/3", check), ("random6x6", "avg", "1/10", check),
+        ("gap", "avg", "1/2", check), ("points1000x16", "max", "1/10", check),
+        ("uniform3x16", "max", "1/2", check), ("random6x6", "max", "1/3", brute + check),
+        ("funnel3", "max", "1/100", brute), ("funnel3", "avg", "1/200", brute),
+        ("funnel3", "max", "1/100", brute + check),
+        ("random8x8", "max", "1/3", ["--engine", "graph", *check]),
+        ("funnel3", "max", "1", check),
     ]
     for name, c in channels.items():
         (cross / f"{name}.txt").write_text(serialize_channel(c), encoding="utf-8")
-    return [("cross-check", f"{name}/{metric}@{eps}{''.join(' ' + a for a in extra)}",
+    return [("cross-check", f"{name}/{metric}@{eps}{''.join(' ' + a for a in flags)}",
              ["capacity", str(cross / f"{name}.txt"), "--metric", metric, "--epsilon", eps,
-              *extra, "--cross-check"])
-            for name, metric, eps, extra in runs]
+              *flags])
+            for name, metric, eps, flags in runs]
 
 
 def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
