@@ -17,7 +17,9 @@ from oneshotcap import (
     funnel_closed_form,
     gen_funnel,
     gen_random,
+    gen_from_cubic_graph,
     gen_random_cubic,
+    graph_independence_number,
     identity_channel,
     independence_number,
     max_capacity,
@@ -171,6 +173,19 @@ def test_max_search_matches_graph_engine_up_to_16x16():
             r = max_capacity(c, eps)
             assert r.codebook_size == independence_number(build_max_graph(c, eps))[0], (n, eps)
             assert max_error(c, r.witness) <= eps
+
+
+def test_max_capacity_on_cubic_channels_matches_the_plain_graph():
+    # 60 to 120 outputs, where first-fit falls short and the conflict
+    # graph answers: one node per vertex, adjacent as the vertices are, so
+    # its search runs the packing bound and the degree-3 reduction rules
+    # together, and the plain graph's search the rules alone
+    for n in (40, 60, 80):
+        for seed in (1, 2):
+            g = gen_random_cubic(n, seed)
+            c = gen_from_cubic_graph(g)
+            assert max_capacity(c, F(1, 4)).codebook_size == graph_independence_number(g)[0]
+            assert capacity._max_engine(c, F(1, 4))[0] == "graph", (n, seed)
 
 
 def test_max_search_takes_no_frame_per_input():

@@ -21,7 +21,7 @@ from oneshotcap import (
 )
 from oneshotcap import bitsets, capacity, graphs
 from oneshotcap.channel import Channel, gen_from_cubic_graph, gen_random, identity_channel
-from oneshotcap.hardness import gen_random_cubic
+from oneshotcap.hardness import _vertex_adjacency, gen_random_cubic
 from corpus import COPRIME, random_channels
 from oracles import oracle_avg_graph, oracle_mis, oracle_sparse_number
 
@@ -229,6 +229,70 @@ def test_bounded_search_witness_has_alpha_independent_members():
         size, mask = max_independent_set(adj)
         assert size == mask.bit_count() == oracle_mis(adj), trial
         assert all(not adj[v] & mask for v in range(n) if mask >> v & 1)
+
+
+def _join(adj, u, v):
+    """Add edge uv unless it is a loop, is there already, or would give
+    either end a fourth neighbour."""
+    if u != v and not adj[u] >> v & 1 and adj[u].bit_count() < 3 and adj[v].bit_count() < 3:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+
+def degree3_graph(rng, n):
+    """A random graph of n vertices and maximum degree 3, built from the
+    shapes the search's reduction rules take (isolated vertices, paths,
+    triangles and K4s) joined by random edges, so that paths hang off the
+    rest, some vertices stay isolated and most graphs have several
+    components."""
+    adj = [0] * n
+    v = 0
+    while v < n:
+        shape = rng.choice(("vertex", "path", "triangle", "k4"))
+        size = {"vertex": 1, "triangle": 3, "k4": 4}.get(shape) or rng.randrange(2, 6)
+        piece = range(v, min(v + size, n))
+        for a, b in zip(piece, piece[1:]) if shape == "path" else combinations(piece, 2):
+            _join(adj, a, b)
+        v += size
+    for _ in range(rng.randrange(n + 1)):
+        _join(adj, rng.randrange(n), rng.randrange(n))
+    return adj
+
+
+def networkx_alpha(adj):
+    """Independence number as networkx's largest clique of the complement."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((u, v) for u, a in enumerate(adj) for v in bitsets.outputs_of(a) if u < v)
+    return len(nx.max_weight_clique(nx.complement(g), weight=None)[0])
+
+
+def assert_maximum_independent(adj, alpha):
+    size, mask = max_independent_set(adj)
+    assert size == mask.bit_count() == alpha
+    assert all(not adj[v] & mask for v in range(len(adj)) if mask >> v & 1)
+
+
+def test_reduction_rules_match_subset_oracle_on_small_degree3_graphs():
+    rng = random.Random(2801)
+    for trial in range(300):
+        adj = degree3_graph(rng, rng.randrange(0, 17))
+        assert_maximum_independent(adj, oracle_mis(adj))
+
+
+def test_reduction_rules_match_networkx_on_degree3_graphs():
+    rng = random.Random(2802)
+    for trial in range(30):
+        adj = degree3_graph(rng, rng.randrange(20, 61))
+        assert_maximum_independent(adj, networkx_alpha(adj))
+
+
+def test_reduction_rules_match_networkx_on_random_cubic_graphs():
+    for n in (20, 30, 40, 50, 60):
+        for seed in (1, 2):
+            adj = _vertex_adjacency(gen_random_cubic(n, seed))
+            assert_maximum_independent(adj, networkx_alpha(adj))
 
 
 # Mostly more inputs than outputs, at budgets up to 3/4: the regime where

@@ -149,3 +149,8 @@ def test_reduction_agrees_on_random_cubic_corpus():
             report = verify_reduction(g, eps)
             assert report.agree
             assert report.graph_alpha == oracle_mis(_vertex_adjacency(g))
+
+
+def test_reduction_at_100_vertices():
+    # the size the search's reduction rules bring under a second
+    assert verify_reduction(gen_random_cubic(100, 1), "1/4").graph_alpha == 45

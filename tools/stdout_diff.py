@@ -49,7 +49,11 @@ max`` on an 8x8 channel of 8 equal rows and on 4 rows of 5/8, 1/8, 1/8,
 1/8, where it stays loose over long runs of thresholds, and ``curve --metric
 avg`` on three channels whose sizes tie at eps 0: a 4x7 random channel
 with denominator 3, where sizes 1 and 2 tie, a 3x7 one with denominator 2
-and ``identity_channel(6)``, where every size fits at eps 0.  A ``cross-check``
+and ``identity_channel(6)``, where every size fits at eps 0.  A ``hardness``
+group runs ``verify-reduction --epsilon 1/4`` on random cubic graphs of 60,
+80 and 100 vertices, and ``capacity --metric max --epsilon 1/4 --json`` on
+the 60-vertex graph's channel, which the conflict graph answers: the
+independent-set search's largest instances.  A ``cross-check``
 group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
 1/100 and on 8x8 and 8x17 channels at 1/3 (the 8x17 one goes to the
 graph alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows
@@ -294,6 +298,29 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     return ops
 
 
+def _hardness_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+    """Ops on the independent-set search's largest instances: cubic graphs
+    of 60 to 100 vertices, and the 60-vertex graph's channel."""
+    from oneshotcap.channel import gen_from_cubic_graph, serialize_channel, serialize_cubic_graph
+    from oneshotcap.hardness import gen_random_cubic
+
+    hardness = directory / "hardness"
+    hardness.mkdir()
+    ops = []
+    for n in (60, 80, 100):
+        g = gen_random_cubic(n, SEED)
+        path = hardness / f"cubic{n}.graph"
+        path.write_text(serialize_cubic_graph(g), encoding="utf-8")
+        ops.append(("hardness", f"cubic{n}/verify@1/4",
+                    ["verify-reduction", str(path), "--epsilon", "1/4"]))
+        if n == 60:
+            path = hardness / f"cubic{n}-channel.txt"
+            path.write_text(serialize_channel(gen_from_cubic_graph(g)), encoding="utf-8")
+            ops.append(("hardness", f"cubic{n}-channel/max@1/4",
+                        ["capacity", str(path), "--metric", "max", "--epsilon", "1/4", "--json"]))
+    return ops
+
+
 def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """``capacity --cross-check`` ops: max and avg, with and without a
     brute-force leg, narrow and wide, and the edges of the max cross-check's
@@ -372,7 +399,8 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
                      "--minimal-only"]))
     demos = [("demos", path.name, ["demo", path.name])
              for path in sorted((ROOT / "demos").glob("*.py"))]
-    return ops + _wide_ops(directory) + _cross_check_ops(directory) + demos
+    return (ops + _wide_ops(directory) + _hardness_ops(directory)
+            + _cross_check_ops(directory) + demos)
 
 
 def _worker(src: str, manifest: str, out: str) -> int:
