@@ -1,8 +1,10 @@
-"""Output sets as int bitmasks: bit y set means output y is in the set."""
+"""Output sets as int bitmasks: bit y set means output y is in the set;
+and rows of small non-negative ints packed into one int each (``Fields``)."""
 
 from __future__ import annotations
 
 import functools
+from operator import lshift
 from typing import Iterable, Sequence
 
 # Byte b -> 255 - (b with its 8 bits in reverse order); see canonical_order.
@@ -103,3 +105,72 @@ def lacking(width: int) -> tuple[int, ...]:
 def all_masks(width: int) -> tuple[int, ...]:
     """Every nonempty mask of ``width`` bits, in ``canonical_order``."""
     return tuple(canonical_order(range(1, 1 << width), width))
+
+
+class Fields:
+    """A layout packing ``count`` rows of ``width`` non-negative ints into
+    one int, for fieldwise arithmetic on whole rows at once ("SIMD within
+    a register": Lamport 1975, "Multiple byte processing with full-word
+    instructions").
+
+    Let P be the smallest power of two at least ``width``.  Every field is
+    f = (P * top).bit_length() + 1 bits wide, so any sum of up to P values
+    of at most ``top`` is below 2^(f-1): the top bit of each field is a
+    guard that no value, maximum or partial row sum reaches, and no field
+    ever carries into the next.  Row r holds entry y at bit r * stride +
+    y * f, with stride = P * f; fields ``width`` to P - 1 stay zero, so a
+    row's sum folds into its own field 0.
+    """
+
+    __slots__ = ("f", "stride", "ones", "_shifts", "_folds", "_guards", "_low", "_low_guards")
+
+    def __init__(self, width: int, top: int, count: int = 1):
+        p = 1 << (width - 1).bit_length()
+        self.f = f = (p * top).bit_length() + 1
+        self.stride = stride = p * f
+        bits = count * stride
+        self._shifts = range(0, width * f, f)
+        self._folds = tuple(f << b for b in reversed(range(p.bit_length() - 1)))  # P/2, ..., 1 fields
+        # bit 0 of every row; the guard bit of every field; field 0 of every row
+        self.ones = ((1 << bits) - 1) // ((1 << stride) - 1)
+        self._guards = ((1 << bits) - 1) // ((1 << f) - 1) << (f - 1)
+        self._low = self.ones * ((1 << f) - 1)
+        self._low_guards = self.ones << (f - 1)
+
+    def pack(self, row: Sequence[int]) -> int:
+        """One row of at most ``width`` ints, each at most ``top``."""
+        return sum(map(lshift, row, self._shifts))
+
+    def stack(self, rows: Sequence[int]) -> int:
+        """Packed rows in one int, rows[i] as row i."""
+        return sum(map(lshift, rows, range(0, len(rows) * self.stride, self.stride)))
+
+    def max(self, a: int, b: int) -> int:
+        """Fieldwise maxima of two packings: a's fields with their guards
+        set, minus b's, keep a guard exactly where a's field is at least
+        b's, and that guard less its copy shifted to bit 0 selects a's
+        field there."""
+        f, guards = self.f, self._guards
+        d = ((a | guards) - b) & guards
+        return b ^ ((a ^ b) & (d - (d >> (f - 1))))
+
+    def sums(self, x: int) -> int:
+        """Each row's sum, in its field 0, and zero elsewhere.  Each fold
+        adds the fields P/2, P/4, ..., 1 places up, so field 0 ends with
+        fields 0 to P - 1 of its own row; the other fields, which mix in
+        the next row's, are masked off."""
+        for shift in self._folds:
+            x += x >> shift
+        return x & self._low
+
+    def first_at_least(self, sums: int, least: int) -> int:
+        """The first row whose ``sums`` field 0 is at least ``least`` (below
+        2^(f-1)), or -1: subtracting ``least`` from every guarded field 0
+        keeps the guards of exactly those rows."""
+        met = ((sums | self._low_guards) - least * self.ones) & self._low_guards
+        return ((met & -met).bit_length() - self.f) // self.stride if met else -1
+
+    def values(self, sums: int, n: int) -> list[int]:
+        """Field 0 of the first n rows of ``sums``."""
+        mask = (1 << self.f) - 1
+        return [sums >> shift & mask for shift in range(0, n * self.stride, self.stride)]

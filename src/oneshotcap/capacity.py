@@ -19,8 +19,11 @@ One exact engine per metric:
   the mass a partial codebook's completions keep; for a fixed codebook
   the pointwise-argmax decoder is average-optimal, so the mean error of a
   codebook is 1 - (1/k) * sum_y max_x P(y|x) and admissibility is a
-  single exact comparison.  The test suite checks it against trying every
-  codebook (``tests/oracles.py``).  The paper's graph quantity, the
+  single exact comparison.  Each row is packed into one int of guarded
+  fields (``bitsets.Fields``; the layout and why no field overflows are
+  under ``avg_capacity``), so a node's bounds, over every remaining
+  input at once, are a few big-int operations.  The test suite checks it
+  against trying every codebook (``tests/oracles.py``).  The paper's graph quantity, the
   eps-sparse number of the average-one-shot graph (``graphs.sparse_number``),
   is at most this capacity, and equal unless the best scheme sacrifices a
   codeword (decoding error exactly 1).
@@ -364,44 +367,73 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
     r inputs still to choose.  Both drop only partial codebooks that no
     completion makes admissible, so the size and the codebook are those
     of trying every codebook in order.
+
+    The rows are packed once per call into ``bitsets.Fields``: one int
+    per row of P fields, P the smallest power of two at least |Y|, each
+    (P * scale).bit_length() + 1 bits wide.  A column maximum is at most
+    the scale and a row of them sums to at most P * scale, below a
+    field's top bit, its guard, so no field carries into the next.  Sizes
+    whose need exceeds the column maxima of every input are skipped: no
+    codebook keeps more, and every need compared stays below the guard.
     """
     eps = as_prob(eps, "eps")
-    for k in range(c.num_inputs, 0, -1):
-        codebook = _first_codebook(c.weights, c.column_maxima, k, c.min_mass(eps, k))
+    one = bitsets.Fields(c.num_outputs, c.scale)
+    rows = [one.pack(row) for row in c.weights]
+    reach = list(accumulate(reversed(rows), one.max, initial=0))[::-1]
+    total = one.sums(reach[0])
+    every = bitsets.Fields(c.num_outputs, c.scale, c.num_inputs)
+    packed = (one, every, rows, every.stack(rows))
+    # the need grows with k, so the sizes within the total are a prefix
+    top = bisect_right(range(1, c.num_inputs + 1), total, key=lambda k: c.min_mass(eps, k))
+    for k in range(top, 0, -1):
+        codebook = _first_codebook(packed, reach, k, c.min_mass(eps, k))
         if codebook is not None:
             return _checked(c, METRIC_AVG, eps, k, optimal_avg_decoder(c, codebook))
     raise AssertionError("unreachable: a singleton codebook has error 0")
 
 
 def _first_codebook(
-    weights: tuple[tuple[int, ...], ...], reach: tuple[tuple[int, ...], ...], k: int, need: int
+    packed: tuple[bitsets.Fields, bitsets.Fields, list[int], int], reach: list[int], k: int,
+    need: int
 ) -> list[int] | None:
     """The lexicographically first k inputs whose column maxima sum to at
     least ``need``, or None; ``avg_capacity``'s search at one size.
-    ``reach`` is ``Channel.column_maxima``.
+    ``packed`` is the layout of one row and of every row, the rows and
+    their stack; ``reach[x]`` is the column maxima of the rows from x on.
+    ``need`` is at most the sum of ``reach[0]``, so it fits a field.
 
-    A node is a partial codebook: its column maxima, its mass, and the
-    first input it may still take.  With one input left to choose, its
-    children are its completions, so it only scans them.  With exactly as
-    many inputs left as it needs, its one completion keeps the
-    column-maxima bound itself.  At the root each gain is a whole row, so
-    the gains bound holds there and is not computed.  The walk is one loop
-    over a stack of frames, one per input chosen: [that input, the last
-    input a sibling may be, the parent's column maxima].
+    A node is a partial codebook: its column maxima and the first input
+    it may still take.  Each remaining input's kept mass, the column
+    maxima with its row added, is one fieldwise max against the rows'
+    stack shifted to that input and one fold.  With one input left to
+    choose, its children are its completions, so it takes the first of
+    those masses that reaches ``need``.  With exactly as many inputs left
+    as it needs, its one completion keeps the column-maxima bound itself.
+    At the root each gain is a whole row, so the gains bound holds there
+    and is not computed.  The walk is one loop over a stack of frames, one
+    per input chosen: [that input, the last input a sibling may be, the
+    parent's column maxima].
     """
-    nx = len(weights)
+    one, every, rows, block = packed
+    nx, stride, ones = len(rows), every.stride, every.ones
     stack: list[list] = []
-    start, cols, mass = 0, reach[nx], 0
+    start, cols = 0, 0
     while True:
         r = k - len(stack)
-        if sum(map(max, cols, reach[start])) >= need:
+        if one.sums(one.max(cols, reach[start])) >= need:
             if nx - start == r:
                 return [f[0] for f in stack] + list(range(start, nx))
-            if r == 1:
-                for j in range(start, nx):
-                    if sum(map(max, cols, weights[j])) >= need:
-                        return [f[0] for f in stack] + [j]
-            elif not stack or _gains_bound(weights, cols, mass, start, r) >= need:
+            if r == 1 or stack:
+                shift = start * stride
+                kept = every.sums(every.max(cols * (ones >> shift), block >> shift))
+                if r == 1:
+                    j = every.first_at_least(kept, need)
+                    if j >= 0:
+                        return [f[0] for f in stack] + [start + j]
+                elif (sum(sorted(every.values(kept, nx - start))[-r:])
+                      - (r - 1) * one.sums(cols) >= need):
+                    stack.append([start - 1, nx - r, cols])
+            else:
                 stack.append([start - 1, nx - r, cols])
         while stack:  # the next sibling, or the parent's
             frame = stack[-1]
@@ -412,18 +444,7 @@ def _first_codebook(
         else:
             return None
         j, _, parent = frame
-        start, cols = j + 1, tuple(map(max, parent, weights[j]))
-        mass = sum(cols)
-
-
-def _gains_bound(
-    weights: tuple[tuple[int, ...], ...], cols: tuple[int, ...], mass: int, start: int, r: int
-) -> int:
-    """The most a partial codebook of column maxima ``cols`` and mass
-    ``mass`` keeps with r more of the inputs from ``start`` on: its mass
-    plus the r largest gains one of those inputs adds to it."""
-    kept = sorted(sum(map(max, cols, weights[j])) for j in range(start, len(weights)))
-    return sum(kept[-r:]) - (r - 1) * mass
+        start, cols = j + 1, one.max(parent, rows[j])
 
 
 # ---------------------------------------------------------------------------

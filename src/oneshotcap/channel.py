@@ -122,7 +122,7 @@ class Channel:
 
     def __post_init__(self):
         scale = self.scale
-        if not isinstance(scale, int) or scale < 1:
+        if type(scale) is not int or scale < 1:
             raise ValueError(f"scale must be a positive int, got {scale!r}")
         weights = tuple(map(tuple, self.weights))
         if not weights:
@@ -138,7 +138,7 @@ class Channel:
                 if len(row) != width:
                     raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
                 for y, w in enumerate(row):
-                    if not isinstance(w, int) or w < 0:
+                    if type(w) is not int or w < 0:  # a bool is not a weight
                         raise ValueError(f"entry ({x},{y}): {w!r} is not a non-negative int")
                 if sum(row) != scale:
                     total = _format_ratio(sum(row), scale)
@@ -182,8 +182,10 @@ class Channel:
     @cached_property
     def column_maxima(self) -> tuple[tuple[int, ...], ...]:
         """``column_maxima[x]``: each output's largest weight over the inputs
-        x, x + 1, ..., so entry ``num_inputs`` is all zeros; the bound both
-        codebook searches read on what the inputs still to come can keep."""
+        x, x + 1, ..., so entry ``num_inputs`` is all zeros; the eps-sparse
+        search (``graphs.sparse_number``) bounds with it what the inputs
+        still to come can keep.  The avg codebook search packs its own
+        (``capacity.avg_capacity``)."""
         maxima = [(0,) * self.num_outputs]
         for row in reversed(self.weights):
             maxima.append(tuple(map(max, maxima[-1], row)))

@@ -194,7 +194,9 @@ def build_max_graph(
 def max_independent_set(
     adj: Sequence[int], graph: MaxOneShotGraph | None = None
 ) -> tuple[int, int]:
-    """Exact maximum independent set; returns (size, member bitmask).
+    """Exact maximum independent set; returns (size, member bitmask).  A
+    vertex with a self-loop is adjacent to itself, so no independent set
+    holds it: the root's candidates leave it out.
 
     Branch and bound over the adjacency itself with a greedy colouring
     bound: each colour class is a clique, so it holds at most one member
@@ -205,8 +207,9 @@ def max_independent_set(
     exact.  The root checks every vertex; a child checks the neighbours of
     what its branch took out and of its siblings already branched on, and
     each vertex taken queues the neighbours of what it takes out.  The
-    degree test is made once per call.  On other graphs the rules are not
-    run: the module docstring gives their measured cost there.
+    degree test and the self-loops are read in one pass per call.  On
+    other graphs the rules are not run: the module docstring gives their
+    measured cost there.
 
     Given the conflict ``graph`` that ``adj`` belongs to, the search also
     prunes with a packing bound: the members still to come take distinct
@@ -227,7 +230,11 @@ def max_independent_set(
         inputs = [m for m in graph.input_nodes if m]
         outputs = [m for m in graph.output_nodes if m]
         sizes = [m.bit_count() for m in graph.masks]
-    reduce = all((a & ~(1 << v)).bit_count() <= 3 for v, a in enumerate(adj))
+    loops, reduce = 0, True
+    for v, a in enumerate(adj):
+        loop = a & (1 << v)
+        loops |= loop
+        reduce = reduce and (a ^ loop).bit_count() <= 3
 
     # The node whose branches are being taken: its size and members, its
     # candidates less the branches already taken, the neighbours of those
@@ -238,7 +245,7 @@ def max_independent_set(
     # root.
     stack: list[tuple] = []
     r_size, r_mask, cand, dirty, order, bound, i = 0, 0, 0, 0, (), (), 0
-    size, mask, child = 0, 0, (1 << len(adj)) - 1
+    size, mask, child = 0, 0, (1 << len(adj)) - 1 ^ loops
     queue = child if reduce else 0
     while True:
         # Take each queued candidate with at most one candidate neighbour,

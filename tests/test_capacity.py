@@ -462,6 +462,92 @@ def test_avg_capacity_matches_the_exhaustive_search_on_typewriters(n):
     assert avg_capacity(typewriter(n), F(0)).witness.codebook == tuple(range(0, n - 1, 2))
 
 
+def test_fields_match_plain_arithmetic():
+    # packed maxima, row sums and the first row at least a bound, against
+    # the same on tuples, with and without padding fields and at the
+    # largest values a field holds
+    rng = random.Random(2902)
+    for width in (1, 2, 3, 8, 9, 17, 33):
+        for top in (1, 24, 10**9, 2**70):
+            count = rng.randint(1, 9)
+            one, every = bitsets.Fields(width, top), bitsets.Fields(width, top, count)
+            rows = [[rng.choice((0, top, rng.randint(0, top))) for _ in range(width)]
+                    for _ in range(count)]
+            packed = [one.pack(row) for row in rows]
+            first = rows[0]
+            assert one.max(packed[-1], packed[0]) == one.pack(list(map(max, rows[-1], first)))
+            assert one.sums(packed[-1]) == sum(rows[-1])
+            kept = every.sums(every.max(packed[0] * every.ones, every.stack(packed)))
+            expected = [sum(map(max, first, row)) for row in rows]
+            assert every.values(kept, count) == expected
+            for least in {0, 1, min(expected), max(expected), max(expected) + 1, width * top}:
+                if least <= width * top:
+                    assert every.first_at_least(kept, least) == next(
+                        (i for i, mass in enumerate(expected) if mass >= least), -1)
+
+
+def _random_rows(rng, nx, ny, scale, zero_columns=()):
+    """nx random rows of ny non-negative ints summing to ``scale``, with
+    every output in ``zero_columns`` at 0."""
+    live = [y for y in range(ny) if y not in zero_columns]
+    rows = []
+    for _ in range(nx):
+        cuts = sorted(rng.randint(0, scale) for _ in range(len(live) - 1))
+        row = [0] * ny
+        for y, a, b in zip(live, [0] + cuts, cuts + [scale]):
+            row[y] = b - a
+        rows.append(row)
+    return rows
+
+
+def _decimal(w):
+    return f"{w // 10**9}.{w % 10**9:09d}"
+
+
+@pytest.mark.parametrize("case", ["decimals", "one-output", "17-outputs", "33-outputs",
+                                  "zero-columns"])
+def test_packed_avg_search_matches_the_exhaustive_search(case):
+    # field widths and row strides at their edges: nine-digit masses,
+    # rows of one field, of 32 and 64 fields with all but 17 and 33 of
+    # them padding, and outputs no input reaches
+    rng = random.Random(2901)
+    for trial in range(6):
+        nx = rng.randint(1, 8)
+        if case == "decimals":
+            c = Channel.make([[_decimal(w) for w in row]
+                              for row in _random_rows(rng, nx, rng.randint(2, 9), 10**9)])
+        elif case == "one-output":
+            c = Channel([[1]] * nx, 1)
+        elif case == "zero-columns":
+            ny = rng.randint(2, 12)
+            zero = rng.sample(range(ny), rng.randint(1, ny - 1))
+            c = Channel(_random_rows(rng, nx, ny, 24, zero), 24)
+        else:
+            ny = int(case.split("-")[0])
+            scale = rng.choice([7, 24, 1000])
+            c = Channel(_random_rows(rng, nx, ny, scale), scale)
+        for eps in EPS_GRID + [F(1, 10**9), F(999999999, 10**9)]:
+            check_avg_capacity(c, eps)
+
+
+def test_avg_search_skips_sizes_past_the_column_maxima(monkeypatch):
+    # 12 rows over 2 outputs whose column maxima sum to 3, over a scale of
+    # 2: at eps 0 size k needs mass 2k, which from k = 4 on is past the 8
+    # a 4-bit field holds below its guard bit; only sizes whose need the
+    # column maxima reach are searched
+    c = Channel([[1, 1]] * 6 + [[2, 0]] * 6, 2)
+    tried = []
+    search = capacity._first_codebook
+    monkeypatch.setattr(capacity, "_first_codebook",
+                        lambda packed, reach, k, need: tried.append(k) or search(
+                            packed, reach, k, need))
+    for eps in EPS_GRID + [F(1, 12), F(1, 11)]:
+        tried.clear()
+        check_avg_capacity(c, eps)
+        total = sum(map(max, zip(*c.weights)))
+        assert tried and all(c.min_mass(eps, k) <= total for k in tried)
+
+
 def test_avg_engines_agree_with_oracle():
     for c in random_channels(12, seed0=2100, square_ish=True):
         for eps in [F(0), F(1, 10), F(1, 3)]:

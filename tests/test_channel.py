@@ -178,17 +178,19 @@ def test_parse_reports_the_first_of_several_faults(text, message):
     # float row sums to the scale exactly, so only the type check rejects it
     (lambda: Channel(((1, 0.5, 0.5),), 2), "entry (0,1): 0.5 is not a non-negative int"),
     (lambda: Channel(((1, 0), (2, -1)), 1), "entry (1,1): -1 is not a non-negative int"),
+    (lambda: Channel(((True, False),), 1), "entry (0,0): True is not a non-negative int"),
     (lambda: Channel(((1, 1), (2,)), 2), "row 1: expected 2 entries, got 1"),
     (lambda: Channel(((1, 1), (1, 2)), 2), "row 1: probabilities sum to 3/2, not 1"),
     (lambda: Channel(((1,),), 0), "scale must be a positive int, got 0"),
     (lambda: Channel(((0,),), -1), "scale must be a positive int, got -1"),
+    (lambda: Channel(((1,),), True), "scale must be a positive int, got True"),
     (lambda: Channel((), 1), "channel needs at least one input"),
     (lambda: Channel(((),), 1), "channel needs at least one output"),
 ], ids=["make-sum", "make-range", "make-float", "sum", "sum-row-1", "sum-int", "range",
         "range-negative", "float", "range-before-float", "float-before-width",
         "width-before-range", "range-after-good-row", "weights-float", "weights-negative",
-        "weights-ragged", "weights-sum", "weights-scale-zero", "weights-scale-negative",
-        "weights-no-inputs", "weights-no-outputs"])
+        "weights-bool", "weights-ragged", "weights-sum", "weights-scale-zero",
+        "weights-scale-negative", "weights-scale-bool", "weights-no-inputs", "weights-no-outputs"])
 def test_channel_error_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()

@@ -281,6 +281,25 @@ def test_reduction_rules_match_subset_oracle_on_small_degree3_graphs():
         assert_maximum_independent(adj, oracle_mis(adj))
 
 
+def test_self_looped_vertices_are_in_no_independent_set():
+    assert max_independent_set([1]) == (0, 0)
+    assert max_independent_set([0b011, 0b011, 0]) == (1, 0b100)
+    rng = random.Random(2803)
+    for trial in range(200):
+        n = rng.randrange(0, 13)
+        if trial % 2:  # a self-loop does not count against the degree-3 rules
+            adj = degree3_graph(rng, n)
+        else:
+            adj = [0] * n
+            for u, v in combinations(range(n), 2):
+                if rng.random() < 0.35:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        for v in rng.sample(range(n), rng.randrange(n + 1)):
+            adj[v] |= 1 << v
+        assert_maximum_independent(adj, oracle_mis(adj))
+
+
 def test_reduction_rules_match_networkx_on_degree3_graphs():
     rng = random.Random(2802)
     for trial in range(30):

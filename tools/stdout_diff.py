@@ -20,7 +20,9 @@ funnel`` (leaks spelled as fractions, as decimals and as both),
 checkout with a 12-output curve limit accepts), ``capacity
 --metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels and at
 eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, ``capacity
---metric avg --json`` at eps 1/2 and 2/3 on the two 10x10 channels and at
+--metric avg --json`` at eps 1/2 and 2/3 on the two 10x10 channels, at
+1/10 and 1/3 on a 24x24 and a 40x40 channel (rows of 32 and 64 packed
+fields in the avg search), and at
 eps 0 on the typewriter channels of 12 and 16 symbols (x goes to x and
 x + 1 mod n), avg answers of 3 and more, ``capacity --metric max
 --json`` at eps 1/2 on uniform 1x22, 2x17 and 3x16 channels, whose first-fit
@@ -80,7 +82,8 @@ through ``oneshotcap.cli.main``.  A last ``demos`` group runs each
 ``demos/*.py`` script of this checkout by name, each worker from its own
 checkout's ``demos`` directory, in-process as ``__main__``; a demo's
 stderr is not compared.  Stdout, stderr and the exit code are compared op
-by op; the first differences are printed.  Exits 1 on any difference, 0
+by op; every differing op is printed on one line, and the first five
+with the first line of each difference.  Exits 1 on any difference, 0
 when every op matches.
 """
 
@@ -97,7 +100,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
-SHOWN = 5  # differences printed in full
+SHOWN = 5  # differences printed in full; every later one gets its DIFF line
 
 
 def _error_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
@@ -219,6 +222,13 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
         path.write_text(serialize_channel(c), encoding="utf-8")
         ops += [("wide", f"{name}/sparse@{eps}", ["sparse", str(path), "--epsilon", eps])
                 for eps in ("0", "1/4", "1/2")]
+    # the avg search's packed rows of 32 and 64 fields
+    for n in (24, 40):
+        path = wide / f"random{n}x{n}.txt"
+        path.write_text(serialize_channel(gen_random(n, n, SEED, 24)), encoding="utf-8")
+        ops += [("wide", f"{path.stem}/avg@{eps}",
+                 ["capacity", str(path), "--metric", "avg", "--epsilon", eps, "--json"])
+                for eps in ("1/10", "1/3")]
     # x goes to x and x + 1 (mod n): at eps 0 the avg codebook is 0, 2, 4, ...
     for n in (12, 16):
         path = wide / f"typewriter{n}.txt"
@@ -474,11 +484,11 @@ def main(argv: list[str]) -> int:
         if mine == theirs:
             continue
         tally[1] += 1
+        shown_argv = ["python3", f"demos/{key}"] if group == "demos" else \
+            ["oneshotcap", *op_argv[:1], *op_argv[2:]]
+        print(f"DIFF {group} {key}: {' '.join(shown_argv)}")
         if shown < SHOWN:
             shown += 1
-            shown_argv = ["python3", f"demos/{key}"] if group == "demos" else \
-                ["oneshotcap", *op_argv[:1], *op_argv[2:]]
-            print(f"DIFF {group} {key}: {' '.join(shown_argv)}")
             for field, a, b in zip(("stdout", "stderr"), mine, theirs):
                 if a != b:
                     print(f"  {field}: {_first_line_diff(a, b)}")
