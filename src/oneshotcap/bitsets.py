@@ -4,6 +4,7 @@ and rows of small non-negative ints packed into one int each (``Fields``)."""
 from __future__ import annotations
 
 import functools
+import struct
 from operator import lshift
 from typing import Iterable, Sequence
 
@@ -113,19 +114,21 @@ class Fields:
     a register": Lamport 1975, "Multiple byte processing with full-word
     instructions").
 
-    Let P be the smallest power of two at least ``width``.  Every field is
-    f = (P * top).bit_length() + 1 bits wide, so any sum of up to P values
-    of at most ``top`` is below 2^(f-1): the top bit of each field is a
-    guard that no value, maximum or partial row sum reaches, and no field
-    ever carries into the next.  Row r holds entry y at bit r * stride +
-    y * f, with stride = P * f; fields ``width`` to P - 1 stay zero, so a
-    row's sum folds into its own field 0.
+    Let P be the smallest power of two at least ``width`` and at least 8.
+    Every field is f = (P * top).bit_length() + 1 bits wide, so any sum of
+    up to P values of at most ``top`` is below 2^(f-1): the top bit of each
+    field is a guard that no value, maximum or partial row sum reaches,
+    and no field ever carries into the next.  Row r holds entry y at bit
+    r * stride + y * f, with stride = P * f, a whole number of bytes;
+    fields ``width`` to P - 1 stay zero, so a row's sum folds into its own
+    field 0.
     """
 
-    __slots__ = ("f", "stride", "ones", "_shifts", "_folds", "_guards", "_low", "_low_guards")
+    __slots__ = ("f", "stride", "ones", "_shifts", "_folds", "_guards", "_low", "_low_guards",
+                 "_field0")
 
     def __init__(self, width: int, top: int, count: int = 1):
-        p = 1 << (width - 1).bit_length()
+        p = 1 << max(3, (width - 1).bit_length())
         self.f = f = (p * top).bit_length() + 1
         self.stride = stride = p * f
         bits = count * stride
@@ -136,6 +139,13 @@ class Fields:
         self._guards = ((1 << bits) - 1) // ((1 << f) - 1) << (f - 1)
         self._low = self.ones * ((1 << f) - 1)
         self._low_guards = self.ones << (f - 1)
+        # one row in a struct format: its field 0, read from the row's
+        # first bytes as the smallest standard int that holds it, or as
+        # raw bytes past 8, then the rest of the row skipped; a row is
+        # P * f / 8 >= f bytes, room for either
+        size = next((size for size in (1, 2, 4, 8) if 8 * size >= f), (f + 7) >> 3)
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size, f"{size}s")
+        self._field0 = f"{code}{(stride >> 3) - size}x"
 
     def pack(self, row: Sequence[int]) -> int:
         """One row of at most ``width`` ints, each at most ``top``."""
@@ -171,6 +181,10 @@ class Fields:
         return ((met & -met).bit_length() - self.f) // self.stride if met else -1
 
     def values(self, sums: int, n: int) -> list[int]:
-        """Field 0 of the first n rows of ``sums``."""
-        mask = (1 << self.f) - 1
-        return [sums >> shift & mask for shift in range(0, n * self.stride, self.stride)]
+        """Field 0 of the first n rows of ``sums``, which is zero outside
+        the rows' fields 0 (as ``sums`` leaves it).  Every row starts at a
+        byte, so one struct format reads them all from the little-endian
+        bytes of ``sums``, in time linear in its length."""
+        data = sums.to_bytes((max(n * self.stride, sums.bit_length()) + 7) >> 3, "little")
+        got = struct.unpack_from("<" + self._field0 * n, data)
+        return list(got) if self.f <= 64 else [int.from_bytes(b, "little") for b in got]

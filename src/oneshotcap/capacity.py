@@ -72,11 +72,11 @@ METRIC_MAX = "maximum"
 METRIC_AVG = "average"
 
 _BRUTE_FORCE_LIMIT = 5
-# The avg curve enumerates every codebook.
+# The avg curve walks every codebook, and holds the column maxima of each.
 _CURVE_SWEEP_LIMIT = 12
 # The max curve's subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB
-# each at 16 outputs, and the curve enumerates every output subset's mass;
-# ``_max_engine`` reads it too.
+# each at 16 outputs, and a row may have 2^|Y| distinct subset sums, each
+# a candidate threshold; ``_max_engine`` reads it too.
 _SUBSET_OUTPUT_LIMIT = 16
 
 
@@ -348,11 +348,6 @@ def _packing(c: Channel, threshold: int, ceiling: int) -> int:
 # Average-error metric
 # ---------------------------------------------------------------------------
 
-def _captured(c: Channel, codebook) -> int:
-    """Mass the pointwise-argmax decoder keeps: sum_y max_{x in cb} weights[x][y]."""
-    return sum(map(max, zip(*(c.weights[x] for x in codebook))))
-
-
 def avg_capacity(c: Channel, eps) -> CapacityResult:
     """Largest codebook whose optimal decoder has mean error <= eps.
 
@@ -369,12 +364,13 @@ def avg_capacity(c: Channel, eps) -> CapacityResult:
     of trying every codebook in order.
 
     The rows are packed once per call into ``bitsets.Fields``: one int
-    per row of P fields, P the smallest power of two at least |Y|, each
-    (P * scale).bit_length() + 1 bits wide.  A column maximum is at most
-    the scale and a row of them sums to at most P * scale, below a
-    field's top bit, its guard, so no field carries into the next.  Sizes
-    whose need exceeds the column maxima of every input are skipped: no
-    codebook keeps more, and every need compared stays below the guard.
+    per row of P fields, P the smallest power of two at least |Y| and at
+    least 8, each (P * scale).bit_length() + 1 bits wide.  A column
+    maximum is at most the scale and a row of them sums to at most
+    P * scale, below a field's top bit, its guard, so no field carries
+    into the next.  Sizes whose need exceeds the column maxima of every
+    input are skipped: no codebook keeps more, and every need compared
+    stays below the guard.
     """
     eps = as_prob(eps, "eps")
     one = bitsets.Fields(c.num_outputs, c.scale)
@@ -500,7 +496,9 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
     breakpoint.  Maximum metric: the admissible-set families change only
     at values 1 - mass(D) over output subsets D, so those are the only
     candidate thresholds; they are kept as integer masses, which are also
-    the searches' thresholds.  The size never falls as eps grows, and an
+    the searches' thresholds.  A row's subset masses are its distinct
+    subset sums, grown output by output (a zero weight adds none), so no
+    per-subset table is built.  The size never falls as eps grows, and an
     interval of sorted candidates whose two ends have equal sizes is
     settled without solving inside it.  Inside any other interval the
     packing bound (``_packing_bound``) never falls either and is never
@@ -513,11 +511,16 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
     graph), which stops at the upper end's size or the packing bound,
     whichever is less; a bound of 1 is the size, with no DP.  Only sizes
     are computed, no witness; channels of more than 16 outputs are
-    refused.  Average metric: size k first
-    becomes admissible at the least optimal-decoder mean error over
-    codebooks of size k, 1 - best[k] / (k * scale) with best[k] the most
-    mass a k-codebook keeps.  A size is a breakpoint when that error is
-    below every larger size's, so a tie goes to the larger size.
+    refused.  Average metric: size k first becomes admissible at the
+    least optimal-decoder mean error over codebooks of size k,
+    1 - best[k] / (k * scale) with best[k] the most mass a k-codebook
+    keeps.  One walk over the 2^|X| codebooks, as masks of inputs in
+    increasing order, finds every best[k]: the rows are packed once
+    (``bitsets.Fields``), and a codebook's column maxima are one fieldwise
+    max of its parent's (the codebook less its lowest input) and that
+    input's row, and one fold gives the mass kept.  A size is a breakpoint
+    when its error is below every larger size's, so a tie goes to the
+    larger size; channels of more than 12 inputs are refused.
     """
     metric = normalize_metric(metric)
     scale = c.scale
@@ -527,9 +530,17 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
             raise ValueError(
                 f"curve sweep needs <= {_SUBSET_OUTPUT_LIMIT} outputs, channel has {c.num_outputs}"
             )
+        # a row's subset masses are its subset sums, grown output by output;
+        # the sums all lie in [0, scale], so a list of more than scale + 1
+        # repeats some, and is deduplicated before it doubles again
         masses = set()
         for row in c.weights:
-            masses.update(bitsets.subset_masses(row))
+            sums = [0]
+            for w in filter(None, row):
+                if len(sums) > scale:
+                    sums = list(set(sums))
+                sums += [s + w for s in sums]
+            masses.update(sums)
         # candidate i is eps = 1 - masses[i] / scale, from eps = 0 (the full
         # output set) to eps = 1 (the empty set); a decoding set there needs
         # mass masses[i], min_mass of that eps at k = 1
@@ -571,14 +582,26 @@ def capacity_curve(c: Channel, metric: str) -> CapacityCurve:
                 f"curve sweep needs <= {_CURVE_SWEEP_LIMIT} inputs, channel has {c.num_inputs}"
             )
         nx = c.num_inputs
+        one = bitsets.Fields(c.num_outputs, scale)
+        rows = [one.pack(row) for row in c.weights]
+        # cols[cb]: the column maxima of codebook cb, a mask of inputs, from
+        # those of cb less its lowest input; best[k]: the most mass a
+        # k-codebook keeps
+        cols = [0] * (1 << nx)
+        best = [0] * (nx + 1)
+        for cb in range(1, 1 << nx):
+            low = cb & -cb
+            cols[cb] = maxima = one.max(cols[cb ^ low], rows[low.bit_length() - 1])
+            k, mass = cb.bit_count(), one.sums(maxima)
+            if mass > best[k]:
+                best[k] = mass
         # from the largest size down, size k's error is below that of j,
         # the last size kept (mass kept, none at first), exactly when
-        # best / k > kept / j
+        # best[k] / k > kept / j
         j, kept = 1, 0
         for k in range(nx, 0, -1):
-            best = max(_captured(c, cb) for cb in combinations(range(nx), k))
-            if best * j > kept * k:
-                j, kept = k, best
-                breakpoints.append((Fraction(k * scale - best, k * scale), k))
+            if best[k] * j > kept * k:
+                j, kept = k, best[k]
+                breakpoints.append((Fraction(k * scale - kept, k * scale), k))
         breakpoints.reverse()
     return CapacityCurve(metric, tuple(breakpoints))

@@ -480,6 +480,7 @@ def test_fields_match_plain_arithmetic():
             kept = every.sums(every.max(packed[0] * every.ones, every.stack(packed)))
             expected = [sum(map(max, first, row)) for row in rows]
             assert every.values(kept, count) == expected
+            assert every.values(kept, count - 1) == expected[:-1]  # a prefix of the rows
             for least in {0, 1, min(expected), max(expected), max(expected) + 1, width * top}:
                 if least <= width * top:
                     assert every.first_at_least(kept, least) == next(
@@ -700,12 +701,20 @@ def test_max_curve_matches_oracle_beyond_brute_force():
     # the curve settles whole runs of thresholds from their ends' sizes
     # and from the packing bound; the oracle packs at every threshold.
     # Where every row is the same, the bound stays loose over long runs;
-    # with no zero entry, the bound is 1 at eps 0
+    # with no zero entry, the bound is 1 at eps 0.  Candidates are subset
+    # sums: zero weights add none, and 6-digit decimals (scale 10^6) make
+    # sums that rarely collide
     channels = [gen_random(n, n, seed=2600 + 10 * n + i, denominator_bound=12)
                 for n in (6, 7, 8) for i in range(4)]
     channels += [Channel([c.weights[0]] * c.num_inputs, c.scale) for c in channels[::3]]
     channels.append(Channel([[3, 1, 2, 2], [1, 1, 4, 2], [2, 2, 2, 2], [1, 5, 1, 1]], 8))
     assert capacity._packing_bound(channels[-1], 8) == 1
+    channels += [gen_random(5, 8, seed=2910 + i, denominator_bound=4) for i in range(3)]
+    channels += [Channel([[0, 3, 0, 1, 2, 0]] * 4, 6), Channel([[1, 0, 0, 0]] * 3, 1)]
+    rng = random.Random(2910)
+    channels += [Channel.make([[f"{w // 10**6}.{w % 10**6:06d}" for w in row]
+                               for row in _random_rows(rng, 4, 6, 10**6)]) for _ in range(2)]
+    assert channels[-1].scale == 10**6
     for c in channels:
         assert capacity_curve(c, "max").breakpoints == oracle_curve_max(c)
 
@@ -740,15 +749,19 @@ def test_max_curve_matches_oracle_where_the_packing_bound_is_loose():
 
 def test_avg_curve_matches_oracle():
     # sizes that tie, or whose least error is not below every larger
-    # size's, are not breakpoints
+    # size's, are not breakpoints; 9 to 12 inputs take codebook masks past
+    # one byte, up to the curve's input limit
     rng = random.Random(2900)
+    channels = [gen_random(1 + i % 8, rng.randint(1, 8), seed=2900 + i,
+                           denominator_bound=1 + i // 8) for i in range(48)]
+    channels += [gen_random(nx, rng.randint(1, 12), seed=2950 + 4 * nx + j,
+                            denominator_bound=rng.choice((2, 5, 24)))
+                 for nx in range(9, 13) for j in range(3)]
     gaps = 0
-    for i in range(48):
-        nx = 1 + i % 8
-        c = gen_random(nx, rng.randint(1, 8), seed=2900 + i, denominator_bound=1 + i // 8)
+    for i, c in enumerate(channels):
         curve = capacity_curve(c, "avg")
         assert curve.breakpoints == oracle_curve_avg(c), i
-        gaps += len(curve.breakpoints) < nx
+        gaps += len(curve.breakpoints) < c.num_inputs
     assert gaps >= 10
 
 

@@ -387,9 +387,9 @@ def _half_blind(nx, ny):
 
 @pytest.mark.parametrize("c, call, argv, message", [
     (_uniform(1, 17), lambda c: capacity_curve(c, "max"), ["curve", "--metric", "max"],
-     "<= 16 outputs"),
+     "curve sweep needs <= 16 outputs, channel has 17"),
     (_uniform(13, 1), lambda c: capacity_curve(c, "avg"), ["curve", "--metric", "avg"],
-     "<= 12 inputs"),
+     "curve sweep needs <= 12 inputs, channel has 13"),
     (_uniform(1, 11), build_avg_graph, ["sparse", "--epsilon", "1/10"], "<= 10 outputs"),
     # C(21, 11) minimal sets in one row: the per-row search stops first
     (_half_blind(2, 22), lambda c: max_capacity(c, F(1, 2)),

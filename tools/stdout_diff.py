@@ -17,8 +17,10 @@ funnel`` (leaks spelled as fractions, as decimals and as both),
 ``wide`` group, where the searches' packing bounds prune most: ``curve
 --metric max`` on two 8x6, 10x6 and 12x8 channels each, and on three
 8x12, 10x12 and 12x12 channels each (seeds 1 to 3, the widest curves a
-checkout with a 12-output curve limit accepts), ``capacity
---metric max --json`` at eps 1/2 and 3/4 on two 10x10 channels and at
+checkout with a 12-output curve limit accepts), ``curve --metric avg``
+on the three 12x12 channels and on two 10x10 channels (seeds 1 and 2,
+past the sweep corpus's 8 inputs, up to the avg curve's 12), ``capacity
+--metric max --json`` at eps 1/2 and 3/4 on the two 10x10 channels and at
 eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, ``capacity
 --metric avg --json`` at eps 1/2 and 2/3 on the two 10x10 channels, at
 1/10 and 1/3 on a 24x24 and a 40x40 channel (rows of 32 and 64 packed
@@ -194,16 +196,17 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     wide = directory / "wide"
     wide.mkdir()
     max_curve = [("curve-max", "curve", ["--metric", "max"])]
+    avg_curve = [("curve-avg", "curve", ["--metric", "avg"])]
     narrow_max = [(f"max@{eps}", "capacity", ["--metric", "max", "--epsilon", eps, "--json"])
                   for eps in ("1/3", "2/3")]
     # (nx, ny) -> (channels of that shape, ops on each)
     runs = {
         (8, 6): (2, max_curve), (10, 6): (2, max_curve), (12, 8): (2, max_curve),
-        (8, 12): (3, max_curve), (10, 12): (3, max_curve), (12, 12): (3, max_curve),
+        (8, 12): (3, max_curve), (10, 12): (3, max_curve), (12, 12): (3, max_curve + avg_curve),
         (10, 10): (2, [(f"{metric}@{eps}", "capacity",
                         ["--metric", metric, "--epsilon", eps, "--json"])
                        for metric, budgets in (("max", ("1/2", "3/4")), ("avg", ("1/2", "2/3")))
-                       for eps in budgets]),
+                       for eps in budgets] + avg_curve),
         (8, 14): (1, narrow_max), (6, 16): (1, narrow_max), (16, 16): (1, narrow_max),
         (8, 8): (2, [(f"sparse@{eps}", "sparse", ["--epsilon", eps])
                      for eps in ("1/4", "1/2")]),
