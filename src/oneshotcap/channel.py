@@ -131,9 +131,13 @@ class Channel:
         if width == 0:
             raise ValueError("channel needs at least one output")
         entries = list(chain.from_iterable(weights))
-        # whole-matrix passes; the entry loop below runs only to name a fault
+        # whole-matrix passes; the entry loop below runs only to name a fault.
+        # The types are read per entry, since a bool equals 0 or 1 and a set
+        # of values would hide it; the sign and the gcd need only the
+        # distinct values.
+        values = set(entries)
         if (set(map(len, weights)) != {width} or set(map(type, entries)) != {int}
-                or min(entries) < 0 or set(map(sum, weights)) != {scale}):
+                or min(values) < 0 or set(map(sum, weights)) != {scale}):
             for x, row in enumerate(weights):
                 if len(row) != width:
                     raise ValueError(f"row {x}: expected {width} entries, got {len(row)}")
@@ -143,7 +147,7 @@ class Channel:
                 if sum(row) != scale:
                     total = _format_ratio(sum(row), scale)
                     raise ValueError(f"row {x}: probabilities sum to {total}, not 1")
-        g = math.gcd(scale, *entries)
+        g = math.gcd(scale, *values)
         if g > 1:
             scale //= g
             weights = tuple(tuple([w // g for w in row]) for row in weights)

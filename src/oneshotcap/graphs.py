@@ -37,19 +37,27 @@ subsets, and the average graph's table of that row's subset masses, are
 built when a branch first reaches the input.
 
 The independence-number solver, ``max_independent_set``, is an exact
-branch and bound with a greedy colouring bound, run directly on the
-bitmask adjacency; it is the max-metric engine behind
-``capacity.max_capacity`` on the channels ``capacity._max_engine`` gives
-it, and the max curve builds no conflict graph.  On graphs of maximum
-degree 3 (the cubic graphs of ``hardness``, and the conflict graphs of
-their channels below eps 1/3) each node of the search first takes every
-candidate with at most one candidate neighbour, or two adjacent ones,
-and checks again only the candidates whose neighbourhood shrank.  On
-other graphs it does not: there a branch re-checks the neighbours of all
-it takes out, most of a dense conflict graph, and with the rules run
-there the search on ``gen_random(12, 16, 2820, 24)``'s graph went from
-0.11 s to 37 s at eps 1/2, and from 0.84 s to 24 s at 3/4 (one run each,
-on a 2-core machine).
+branch and bound run directly on the bitmask adjacency; it is the
+max-metric engine behind ``capacity.max_capacity`` on the channels
+``capacity._max_engine`` gives it, and the max curve builds no conflict
+graph.  On graphs of maximum degree 3 (the cubic graphs of ``hardness``,
+and the conflict graphs of their channels below eps 1/3) each node of the
+search first reduces its candidates, checking only those whose
+neighbourhood changed: it takes every candidate with at most one candidate
+neighbour, or two adjacent ones, and folds every candidate v with two that
+are not adjacent, a and b, into one vertex adjacent to the rest of their
+neighbours (Xiao and Nagamochi 2013; Akiba and Iwata 2016).  Some maximum
+independent set holds either v or both a and b, so a fold lowers the
+independence number by exactly one, and sizes stay exact.  A set of the
+folded graph unfolds to one of the graph before, one larger: v gives way
+to a and b where it is a member and joins the set where it is not, the
+last fold undone first.  The node then branches on a candidate of most
+candidate neighbours.  On other graphs it does not reduce, and branches
+in greedy-colouring order under the colouring bound: there a branch
+re-checks the neighbours of all it takes out, most of a dense conflict
+graph, and with the rules run there the search on
+``gen_random(12, 16, 2820, 24)``'s graph went from 0.11 s to 37 s at eps
+1/2, and from 0.84 s to 24 s at 3/4 (one run each, on a 2-core machine).
 
 Both searches also prune with packing bounds, since every member of a set
 takes its own input and outputs that no other member holds.  On the
@@ -61,9 +69,11 @@ members still needed can capture at most the column maxima of the
 remaining inputs (``Channel.column_maxima``) over the unused outputs,
 which caps what their escapes can save.  The bounds prune only branches
 that cannot succeed, so sizes and witnesses are those of the searches
-without them.  A plain graph, given to ``max_independent_set`` with no
-conflict graph, has no inputs or outputs and is searched with the
-colouring bound and the same reduction rules.
+without them.  The conflict graph's bound holds once vertices fold: a
+fold only adds edges among the candidates left, so an independent set of
+the candidates, each bit read as its original node, is still a packing.
+A plain graph, given to ``max_independent_set`` with no conflict graph,
+has no inputs or outputs, and its search has no packing bound.
 """
 
 from __future__ import annotations
@@ -198,18 +208,35 @@ def max_independent_set(
     vertex with a self-loop is adjacent to itself, so no independent set
     holds it: the root's candidates leave it out.
 
-    Branch and bound over the adjacency itself with a greedy colouring
-    bound: each colour class is a clique, so it holds at most one member
-    of an independent set.  Where every vertex has at most 3 neighbours,
-    not counting a self-loop, each node first takes every candidate with
-    at most one candidate neighbour, or with two that are adjacent: some
-    maximum independent set of the candidates holds it, so sizes stay
-    exact.  The root checks every vertex; a child checks the neighbours of
-    what its branch took out and of its siblings already branched on, and
-    each vertex taken queues the neighbours of what it takes out.  The
-    degree test and the self-loops are read in one pass per call.  On
-    other graphs the rules are not run: the module docstring gives their
-    measured cost there.
+    Where every vertex has at most 3 neighbours, not counting a
+    self-loop, the search branches and reduces.  Each node first takes
+    every candidate with at most one candidate neighbour, or with two that
+    are adjacent: some maximum independent set of the candidates holds it.
+    It folds each candidate v with two candidate neighbours a and b that
+    are not adjacent: v's bit becomes the merged vertex, adjacent to the
+    candidates next to a or b, each of those gains v, a and b leave the
+    candidates, and the size rises by one.  Some maximum set holds v or
+    both a and b, so the fold lowers the independence number by exactly
+    one, and sizes stay exact.  A node copies the adjacency at its first
+    fold and logs each fold as (v, a|b).  A recorded set undoes the folds
+    of its node and of every node above, the last first: where v is a
+    member, a and b replace it, and where it is not, v joins the set.  The
+    root checks every vertex; a child checks the neighbours of what its
+    branch took out, a take queues the neighbours of what it takes out,
+    and a fold v and the candidates next to it.  Reduced, a node branches
+    on a candidate of most candidate neighbours, the lowest on ties: taken,
+    then left out.  Then every candidate has at least 3 candidate
+    neighbours, and only a folded one more than 3, so only the folded
+    candidates are counted.  The branches are bounded by the candidates'
+    count alone: a greedy colouring bound at each node took the search on
+    20 seeded cubic graphs of 32 vertices from 0.14 to 0.16 ms (medians),
+    and saved time only from about 100 vertices (69 against 80 ms at 160).
+    The degree test and the self-loops are read in one pass per call.
+
+    On other graphs the rules are not run, and the search branches in
+    greedy colouring order with the colouring bound: each colour class is
+    a clique, so it holds at most one member of an independent set.  The
+    module docstring gives the rules' measured cost there.
 
     Given the conflict ``graph`` that ``adj`` belongs to, the search also
     prunes with a packing bound: the members still to come take distinct
@@ -217,10 +244,14 @@ def max_independent_set(
     outputs that some candidate still covers, so no more of them fit than
     ``bitsets.packing_count`` of the live inputs' smallest candidate sizes
     in L.  Nodes sort by input, then by size, so an input's smallest
-    candidate is its lowest candidate bit.  Both bounds prune only
-    branches that cannot beat the incumbent, and the incumbent changes
-    only on a strict improvement, so the size and the mask are those of
-    the colouring bound alone, with the same rules in both modes.
+    candidate is its lowest candidate bit.  The bound holds once vertices
+    fold: a folded vertex's only candidate neighbours were its pair, and a
+    fold only adds edges among the candidates left, so any independent set
+    of the candidates, each bit read as its original node, is independent
+    in the original graph.  The bounds prune only branches that cannot
+    beat the incumbent, and the incumbent changes only on a strict
+    improvement, so the size and the mask are those of the search without
+    the packing bound.
     """
     best_size = 0
     best_mask = 0
@@ -237,29 +268,48 @@ def max_independent_set(
         reduce = reduce and (a ^ loop).bit_count() <= 3
 
     # The node whose branches are being taken: its size and members, its
-    # candidates less the branches already taken, the neighbours of those
-    # branches, and its colouring order and bounds, with the index of its
-    # last branch taken counting down.  The stack holds the nodes above
-    # it, at most one per member added, so no depth is too deep.  The
-    # first node is a stand-in with no branches, whose one child is the
-    # root.
+    # candidates less the branches already taken, its folded vertices, its
+    # branches and their bounds, with the index of its last branch taken
+    # counting down, and its adjacency and folds.  A branch that leaves a
+    # vertex out is ~v.  The stack holds the nodes above it, at most one
+    # per vertex, since each branch takes out a candidate, so no depth is
+    # too deep.  The first node is a stand-in with no branches, whose one
+    # child is the root.
     stack: list[tuple] = []
-    r_size, r_mask, cand, dirty, order, bound, i = 0, 0, 0, 0, (), (), 0
-    size, mask, child = 0, 0, (1 << len(adj)) - 1 ^ loops
+    r_size, r_mask, cand, r_merged, order, bound, i, r_adj, r_log = 0, 0, 0, 0, (), (), 0, adj, ()
+    size, mask, child, merged, log = 0, 0, (1 << len(adj)) - 1 ^ loops, 0, ()
     queue = child if reduce else 0
     while True:
-        # Take each queued candidate with at most one candidate neighbour,
-        # or two that are adjacent: some maximum set of the candidates
-        # holds it.  Only a vertex whose candidate neighbours changed is
-        # queued, since the node above left none that qualifies.
+        # Reduce the queued candidates: take each with at most one
+        # candidate neighbour, or two that are adjacent, and fold each with
+        # two that are not.  Only a vertex whose candidate neighbours
+        # changed is queued, since the node above left none that qualifies.
         while queue:
             bit = queue & -queue
             queue ^= bit
             u = bit.bit_length() - 1
             nbrs = adj[u] & child & ~bit
             high = nbrs & (nbrs - 1)
-            if high and (high & (high - 1) or not adj[(nbrs ^ high).bit_length() - 1] & high):
-                continue
+            if high:
+                if high & (high - 1):
+                    continue
+                if not adj[(nbrs ^ high).bit_length() - 1] & high:
+                    # fold: u stands for its pair from here on
+                    if not log:  # the node's first fold copies the adjacency
+                        adj, log = list(adj), []
+                    child ^= nbrs
+                    joined = adj[(nbrs ^ high).bit_length() - 1] | adj[high.bit_length() - 1]
+                    joined &= child & ~bit
+                    adj[u] = joined
+                    queue = (queue | joined | bit) & child
+                    while joined:
+                        w = joined & -joined
+                        adj[w.bit_length() - 1] |= bit
+                        joined ^= w
+                    size += 1
+                    merged |= bit
+                    log += bit, nbrs
+                    continue
             size += 1
             mask |= bit
             gone = nbrs | bit
@@ -271,6 +321,12 @@ def max_independent_set(
             queue &= child
         if child == 0:
             if size > best_size:
+                # undo the folds, the last first: a folded vertex in the
+                # set gives way to its pair, and one out of it joins it
+                for folds in (log, r_log, *[f[8] for f in reversed(stack)]):
+                    for k in range(len(folds) - 2, -1, -2):
+                        bit = folds[k]
+                        mask = mask ^ bit | folds[k + 1] if mask & bit else mask | bit
                 best_size, best_mask = size, mask
             live = False
         elif inputs:
@@ -287,49 +343,70 @@ def max_independent_set(
         else:
             live = True
         if live:
-            # Greedy colouring: vertices in colour class c cannot extend an
-            # independent set by more than c, so colour numbers bound the
-            # branches.  A vertex of colour at most best_size - size is
-            # never branched on, so it is coloured but not listed.
-            stack.append((r_size, r_mask, cand, dirty, order, bound, i))
-            r_size, r_mask, cand, dirty, order, bound = size, mask, child, 0, [], []
-            colour = 0
-            floor = best_size - size
-            rest = cand
-            while rest:
-                colour += 1
-                avail = rest
-                while avail:
-                    bit = avail & -avail
+            stack.append((r_size, r_mask, cand, r_merged, order, bound, i, r_adj, r_log))
+            r_size, r_mask, cand, r_merged, r_adj, r_log = size, mask, child, merged, adj, log
+            if reduce:
+                # Branch on a candidate of most candidate neighbours, the
+                # lowest on ties: taken, then left out.  Reduced, every
+                # candidate has at least 3, and only a folded one more.
+                top, pick = 3, (cand & -cand).bit_length() - 1
+                rest = merged & cand
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
                     v = bit.bit_length() - 1
-                    avail &= adj[v] & ~bit  # a self-loop must not stall the class
-                    rest &= ~bit
-                    if colour > floor:
-                        order.append(v)
-                        bound.append(colour)
-            i = len(order)
+                    d = (adj[v] & cand).bit_count()
+                    if d > top:
+                        top, pick = d, v
+                left = cand.bit_count()
+                order, bound, i = (~pick, pick), (left, left), 2
+            else:
+                # Greedy colouring: vertices in colour class c cannot extend
+                # an independent set by more than c, so colour numbers bound
+                # the branches.  A vertex of colour at most best_size - size
+                # is never branched on, so it is coloured but not listed.
+                order, bound = [], []
+                colour = 0
+                floor = best_size - size
+                rest = cand
+                while rest:
+                    colour += 1
+                    avail = rest
+                    while avail:
+                        bit = avail & -avail
+                        v = bit.bit_length() - 1
+                        avail &= adj[v] & ~bit  # a self-loop must not stall the class
+                        rest &= ~bit
+                        if colour > floor:
+                            order.append(v)
+                            bound.append(colour)
+                i = len(order)
         while True:  # the next branch: of this node, or of one above
             i -= 1
             if i >= 0 and r_size + bound[i] > best_size:
                 break
             if not stack:
                 return best_size, best_mask
-            r_size, r_mask, cand, dirty, order, bound, i = stack.pop()
+            r_size, r_mask, cand, r_merged, order, bound, i, r_adj, r_log = stack.pop()
+        adj, merged, log = r_adj, r_merged, ()
         v = order[i]
+        if v < 0:  # leave the branching vertex, ~v, out
+            v = ~v
+            size, mask, child = r_size, r_mask, cand & ~(1 << v)
+            queue = adj[v] & child
+            continue
         bit = 1 << v
         gone = cand & (adj[v] | bit)
         size, mask, child = r_size + 1, r_mask | bit, cand & ~gone
         cand &= ~bit
         if reduce:
-            # the candidates next to the branches already taken, or next to
-            # what this branch takes out
-            queue = dirty
+            # the candidates next to what this branch takes out
+            queue = 0
             while gone:
                 bit = gone & -gone
                 queue |= adj[bit.bit_length() - 1]
                 gone ^= bit
             queue &= child
-            dirty |= adj[v]
 
 
 def independence_number(g: MaxOneShotGraph) -> tuple[int, tuple[OneShotNode, ...]]:

@@ -546,6 +546,24 @@ def test_gen_cubic_feeds_reduce(tmp_path, capsys):
     assert main(["verify-reduction", str(graph_path), "--epsilon", "1/100"]) == 0
 
 
+def test_verify_reduction_on_160_vertices(tmp_path, capsys):
+    # the reduction's largest instance here: the independent-set search
+    # folds its degree-2 vertices, and a search that did not took about
+    # 23 s on this graph
+    graph_path = tmp_path / "g.txt"
+    assert main(["gen", "cubic", "--vertices", "160", "--seed", "1",
+                 "--out", str(graph_path)]) == 0
+    assert main(["verify-reduction", str(graph_path), "--epsilon", "1/4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["agree"] is True
+    assert data["graph_alpha"] == data["channel_capacity_k"] == 72
+    witness = set(data["graph_witness"])
+    assert len(witness) == 72
+    edges = [tuple(map(int, line.split())) for line in graph_path.read_text().splitlines()[1:]]
+    assert len(edges) == 240
+    assert not any(u in witness and v in witness for u, v in edges)
+
+
 def test_usage_errors_exit_2(funnel3_file):
     with pytest.raises(SystemExit) as exc:
         main(["capacity", funnel3_file, "--metric", "nope", "--epsilon", "0"])

@@ -21,7 +21,7 @@ from oneshotcap import (
 )
 from oneshotcap import bitsets, capacity, graphs
 from oneshotcap.channel import Channel, gen_from_cubic_graph, gen_random, identity_channel
-from oneshotcap.hardness import _vertex_adjacency, gen_random_cubic
+from oneshotcap.hardness import _vertex_adjacency, gen_random_cubic, graph_independence_number
 from corpus import COPRIME, random_channels
 from oracles import oracle_avg_graph, oracle_mis, oracle_sparse_number
 
@@ -259,6 +259,23 @@ def degree3_graph(rng, n):
     return adj
 
 
+def degree2_paths_graph(rng, n):
+    """A random graph of n vertices and maximum degree 3 whose vertices
+    lie mostly on long paths of degree-2 vertices: a few hubs, joined by
+    paths of up to 8 inner vertices, the fold rule's case; unused degree
+    is left free, so some hubs have degree 2 and some paths dangle."""
+    hubs = max(2, n // 6)
+    adj = [0] * n
+    v = hubs
+    while v < n:
+        length = min(rng.randrange(1, 9), n - v)
+        path = [rng.randrange(hubs), *range(v, v + length), rng.randrange(hubs)]
+        for a, b in zip(path, path[1:]):
+            _join(adj, a, b)
+        v += length
+    return adj
+
+
 def networkx_alpha(adj):
     """Independence number as networkx's largest clique of the complement."""
     nx = pytest.importorskip("networkx")
@@ -278,6 +295,10 @@ def test_reduction_rules_match_subset_oracle_on_small_degree3_graphs():
     rng = random.Random(2801)
     for trial in range(300):
         adj = degree3_graph(rng, rng.randrange(0, 17))
+        assert_maximum_independent(adj, oracle_mis(adj))
+    rng = random.Random(3101)
+    for trial in range(300):
+        adj = degree2_paths_graph(rng, rng.randrange(3, 17))
         assert_maximum_independent(adj, oracle_mis(adj))
 
 
@@ -305,6 +326,10 @@ def test_reduction_rules_match_networkx_on_degree3_graphs():
     for trial in range(30):
         adj = degree3_graph(rng, rng.randrange(20, 61))
         assert_maximum_independent(adj, networkx_alpha(adj))
+    rng = random.Random(3102)
+    for trial in range(30):
+        adj = degree2_paths_graph(rng, rng.randrange(20, 61))
+        assert_maximum_independent(adj, networkx_alpha(adj))
 
 
 def test_reduction_rules_match_networkx_on_random_cubic_graphs():
@@ -312,6 +337,34 @@ def test_reduction_rules_match_networkx_on_random_cubic_graphs():
         for seed in (1, 2):
             adj = _vertex_adjacency(gen_random_cubic(n, seed))
             assert_maximum_independent(adj, networkx_alpha(adj))
+
+
+def test_cycles_fold_down_to_their_independence_number():
+    # every vertex of a cycle has two neighbours that are not adjacent, so
+    # the search folds and its folds nest: vertex 0 absorbs two more
+    # vertices at each fold, until a triangle or a 4-cycle is left.  At
+    # 3,000 vertices, 1,499 nested folds are undone: a search that
+    # recursed once per fold would pass Python's default recursion limit.
+    for n in [*range(3, 41), 999, 1000, 2999, 3000]:
+        adj = [1 << (v + 1) % n | 1 << (v - 1) % n for v in range(n)]
+        assert_maximum_independent(adj, n // 2)
+
+
+def test_folds_keep_alpha_and_mask_on_reduction_conflict_graphs():
+    # below eps 1/3 a cubic graph's channel has one node per vertex, its
+    # three edges, and the conflict graph is the cubic graph again: the
+    # search folds there under the packing bound, and must find the plain
+    # graph's alpha and the mask of the search without that bound
+    for n in (20, 30, 40, 50, 60):
+        for seed in (1, 2, 3):
+            cubic = gen_random_cubic(n, seed)
+            g = build_max_graph(gen_from_cubic_graph(cubic), F(1, 4))
+            assert g.num_nodes == n
+            size, witness = independence_number(g)
+            assert size == graph_independence_number(cubic)[0]
+            mask = sum(1 << g.nodes.index(node) for node in witness)
+            assert (size, mask) == max_independent_set(g.adj)
+            assert len(witness) == size and non_conflicting(witness)
 
 
 # Mostly more inputs than outputs, at budgets up to 3/4: the regime where

@@ -55,9 +55,10 @@ avg`` on three channels whose sizes tie at eps 0: a 4x7 random channel
 with denominator 3, where sizes 1 and 2 tie, a 3x7 one with denominator 2
 and ``identity_channel(6)``, where every size fits at eps 0.  A ``hardness``
 group runs ``verify-reduction --epsilon 1/4`` on random cubic graphs of 60,
-80 and 100 vertices, and ``capacity --metric max --epsilon 1/4 --json`` on
-the 60-vertex graph's channel, which the conflict graph answers: the
-independent-set search's largest instances.  A ``cross-check``
+80, 100, 120 and 160 vertices (a checkout whose search does not fold
+takes about 25 s over them), and ``capacity --metric max --epsilon 1/4
+--json`` on the 60-vertex graph's channel, which the conflict graph
+answers: the independent-set search's largest instances.  A ``cross-check``
 group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
 1/100 and on 8x8 and 8x17 channels at 1/3 (the 8x17 one goes to the
 graph alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows
@@ -313,14 +314,14 @@ def _wide_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
 
 def _hardness_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     """Ops on the independent-set search's largest instances: cubic graphs
-    of 60 to 100 vertices, and the 60-vertex graph's channel."""
+    of 60 to 160 vertices, and the 60-vertex graph's channel."""
     from oneshotcap.channel import gen_from_cubic_graph, serialize_channel, serialize_cubic_graph
     from oneshotcap.hardness import gen_random_cubic
 
     hardness = directory / "hardness"
     hardness.mkdir()
     ops = []
-    for n in (60, 80, 100):
+    for n in (60, 80, 100, 120, 160):
         g = gen_random_cubic(n, SEED)
         path = hardness / f"cubic{n}.graph"
         path.write_text(serialize_cubic_graph(g), encoding="utf-8")
