@@ -90,16 +90,26 @@ def columns(masks: Sequence[int], width: int) -> list[int]:
 
 
 @functools.cache
-def lacking(width: int) -> tuple[int, ...]:
-    """Bitsets over the 2^width subsets of ``width`` outputs: bit S of
-    lacking(width)[y] is set when the subset S lacks output y.
+def disjoint_tables(width: int) -> tuple[list[int], list[int]]:
+    """Bitsets over the 2^width subsets of ``width`` outputs, in two
+    tables, (low, high): bit S of ``low[mask & 255] & high[mask >> 8]`` is
+    set when the subset S is disjoint from ``mask``, a mask of at most
+    ``width`` bits: low is indexed by outputs 0-7, high by the rest.
 
-    Subsets with bit y clear come in runs of 2^y, once every 2^(y+1), so
-    the pattern is a run of 2^y ones repeated; the all-ones bitset divided
-    by 2^(2^(y+1)) - 1 has a one at the start of each period.
+    Subsets lacking output y come in runs of 2^y, once every 2^(y+1), so
+    that bitset is a run of 2^y ones repeated; the all-ones bitset divided
+    by 2^(2^(y+1)) - 1 has a one at the start of each period.  Each table
+    is built by doubling: the entries holding output y are those without
+    it, ANDed with y's bitset.  The tables hold at most 260 bitsets of 128
+    bytes at 10 outputs, 33 KB, and 512 of 8 KB at 16, 4 MB.
     """
     full = (1 << (1 << width)) - 1
-    return tuple(full // ((1 << (2 << y)) - 1) * ((1 << (1 << y)) - 1) for y in range(width))
+    low, high = [full], [full]
+    for y in range(width):
+        lacks = full // ((1 << (2 << y)) - 1) * ((1 << (1 << y)) - 1)
+        table = low if y < 8 else high
+        table += [t & lacks for t in table]
+    return low, high
 
 
 @functools.cache

@@ -75,8 +75,9 @@ _BRUTE_FORCE_LIMIT = 5
 # The avg curve walks every codebook, and holds the column maxima of each.
 _CURVE_SWEEP_LIMIT = 12
 # The max curve's subset DP holds (alpha + 1) bitsets of 2^|Y| bits, 8 KB
-# each at 16 outputs, and a row may have 2^|Y| distinct subset sums, each
-# a candidate threshold; ``_max_engine`` reads it too.
+# each at 16 outputs, besides the 512 of ``bitsets.disjoint_tables``, 4 MB,
+# and a row may have 2^|Y| distinct subset sums, each a candidate
+# threshold; ``_max_engine`` reads it too.
 _SUBSET_OUTPUT_LIMIT = 16
 
 
@@ -282,7 +283,7 @@ def _packings(c: Channel, threshold: int, ceiling: int) -> Iterator[list[tuple[i
             if best and most(i, free, k) <= best:
                 stack.pop()
                 continue
-            for mask, _ in walk:
+            for mask in walk:
                 if not best or most(i + 1, free ^ mask, k + 1) > best:
                     packing.append((inputs[i], mask))
                     i, free = i + 1, free ^ mask
@@ -314,24 +315,25 @@ def _packing(c: Channel, threshold: int, ceiling: int) -> int:
     S is the union of k such sets from distinct inputs seen so far, and
     unions[0] holds only the empty set.  Input x adds each of its minimal
     masks D to every union S of a level that D is disjoint from: the
-    minimal-set walk yields the subsets disjoint from D, the AND of
-    ``bitsets.lacking`` over D's outputs, and for those S | D = S + D, so
-    a shift left by D moves them to level k + 1.  Every level is read
-    before x, so no input is used twice.  The size is the highest
-    non-empty level.  With r inputs after x, a union x puts at level
-    k + 1 reaches level k + 1 + r at most, so x extends only the levels
-    k with k + 1 + r >= top, the highest level so far: the others are
-    dead, and the size is that of extending every level.  The set that
-    first fills level ``ceiling`` breaks out of the walk, and with it the
-    DP, partway through its row.
+    subsets disjoint from D are one AND of two ``bitsets.disjoint_tables``
+    entries, one per byte of D, and for those S | D = S + D, so a shift
+    left by D moves them to level k + 1.  Every level is read before x,
+    so no input is used twice.  The size is the highest non-empty level.
+    With r inputs after x, a union x puts at level k + 1 reaches level
+    k + 1 + r at most, so x extends only the levels k with k + 1 + r >=
+    top, the highest level so far: the others are dead, and the size is
+    that of extending every level.  The set that first fills level
+    ``ceiling`` breaks out of the walk, and with it the DP, partway
+    through its row.
     """
     unions = [1]
-    lacking = bitsets.lacking(c.num_outputs)
+    low, high = bitsets.disjoint_tables(c.num_outputs)
     nx = c.num_inputs
     for x in range(nx):
         grown = unions + [0]
         live = max(0, len(unions) - nx + x - 1)  # the lowest k with k + 1 + r >= top
-        for mask, disjoint in minimal_sets(c, x, threshold, lacking):
+        for mask in minimal_sets(c, x, threshold):
+            disjoint = low[mask & 255] & high[mask >> 8]
             for k in range(live, len(unions)):
                 grown[k + 1] |= (unions[k] & disjoint) << mask
             if len(grown) > ceiling and grown[ceiling]:

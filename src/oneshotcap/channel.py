@@ -114,8 +114,7 @@ class Channel:
     """Immutable transition matrix, indexed [input][output]: P(y|x) =
     weights[x][y] / scale in lowest terms, so ``scale`` is the lcm of the
     reduced denominators and equal channels compare and hash equal.  The
-    views ``rows``, ``heaviest_first`` and ``column_maxima`` are built on
-    first read."""
+    views ``rows`` and ``heaviest_first`` are built on first read."""
 
     weights: tuple[tuple[int, ...], ...]
     scale: int
@@ -182,18 +181,6 @@ class Channel:
             order = tuple(sorted(compress(range(len(row)), row), key=row.__getitem__, reverse=True))
             view.append((order, tuple(accumulate((row[y] for y in order), initial=0))))
         return tuple(view)
-
-    @cached_property
-    def column_maxima(self) -> tuple[tuple[int, ...], ...]:
-        """``column_maxima[x]``: each output's largest weight over the inputs
-        x, x + 1, ..., so entry ``num_inputs`` is all zeros; the eps-sparse
-        search (``graphs.sparse_number``) bounds with it what the inputs
-        still to come can keep.  The avg codebook search packs its own
-        (``capacity.avg_capacity``)."""
-        maxima = [(0,) * self.num_outputs]
-        for row in reversed(self.weights):
-            maxima.append(tuple(map(max, maxima[-1], row)))
-        return tuple(reversed(maxima))
 
     @property
     def num_inputs(self) -> int:
@@ -416,7 +403,8 @@ class FunnelSpec:
 
     @classmethod
     def make(cls, n: int, e: Iterable) -> "FunnelSpec":
-        return cls(n, tuple(Fraction(v) for v in e))
+        """Leaks given as anything ``as_prob`` takes; floats and bools raise."""
+        return cls(n, tuple(as_prob(v, f"e_{i}") for i, v in enumerate(e, start=1)))
 
 
 def gen_funnel(spec: FunnelSpec) -> Channel:

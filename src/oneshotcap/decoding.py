@@ -10,10 +10,8 @@ Fractions.
 ``minimal_sets`` is the workhorse behind the capacity engines: given the
 integer row mass a decoding set must capture (``Channel.min_mass`` of an
 eps its caller checked), it yields the inclusion-minimal output sets that
-capture it, as bitmasks, each with the AND of a per-output pattern over
-its outputs (the subset DP's "disjoint from this set" bitset), and can
-read the outputs of one mask alone (the max search's free outputs); a
-caller stops it with ``break``.
+capture it, as bare bitmasks, and can read the outputs of one mask alone
+(the max search's free outputs); a caller stops it with ``break``.
 ``minimal_decoding_masks`` lists and caps the masks in
 ``bitsets.canonical_order``, and ``enumerate_min_decoding_sets`` is its
 tuple form that takes eps.
@@ -131,7 +129,7 @@ def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     More than ``_MAX_GRAPH_NODE_LIMIT`` sets raise ValueError.
     """
     found: list[int] = []
-    for mask, _ in minimal_sets(c, x, threshold):
+    for mask in minimal_sets(c, x, threshold):
         if len(found) == _MAX_GRAPH_NODE_LIMIT:  # stop before holding more
             raise ValueError(f"input {x} has more than {_MAX_GRAPH_NODE_LIMIT} "
                              "minimal decoding sets")
@@ -139,18 +137,10 @@ def minimal_decoding_masks(c: Channel, x: int, threshold: int) -> list[int]:
     return bitsets.canonical_order(found, c.num_outputs)
 
 
-def minimal_sets(
-    c: Channel, x: int, threshold: int,
-    lacking: Sequence[int] | None = None, within: int = -1,
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(mask, disjoint)`` for each inclusion-minimal output set of
-    row x with integer mass at least a positive ``threshold``; a caller
-    that has seen enough stops with ``break``.
-
-    ``disjoint`` is the AND of ``lacking[y]`` over the set's outputs: with
-    ``bitsets.lacking(c.num_outputs)``, the bitset of the output subsets
-    disjoint from the set.  The walk carries it down, one AND per output
-    it adds; without ``lacking`` it is 0.
+def minimal_sets(c: Channel, x: int, threshold: int, within: int = -1) -> Iterator[int]:
+    """Yield the mask of each inclusion-minimal output set of row x with
+    integer mass at least a positive ``threshold``; a caller that has seen
+    enough stops with ``break``.
 
     With ``within``, the walk reads only the outputs in that mask.  A
     minimal set of the row inside it is a minimal set of the row cut down
@@ -175,25 +165,24 @@ def minimal_sets(
         order = [y for y in order if within >> y & 1]
         sums = list(accumulate((row[y] for y in order), initial=0))
     total = sums[-1]
-    patterns = lacking or (0,) * c.num_outputs
     # a frame: the next index into order, the end of the indices that can
-    # still reach the mass missing (positive), that mass, the set so far and
-    # its pattern; the stack holds the frames to resume
+    # still reach the mass missing (positive), that mass and the set so
+    # far; the stack holds the frames to resume
     stack = []
-    i, end, need, mask, disjoint = 0, bisect_right(sums, total - threshold), threshold, 0, -1
+    i, end, need, mask = 0, bisect_right(sums, total - threshold), threshold, 0
     while True:
         if i < end:
             y = order[i]
             left = need - row[y]
             i += 1
             if left > 0:
-                stack.append((i, end, need, mask, disjoint))
+                stack.append((i, end, need, mask))
                 end = bisect_right(sums, total - left, i)
-                need, mask, disjoint = left, mask | 1 << y, disjoint & patterns[y]
+                need, mask = left, mask | 1 << y
             else:
-                yield mask | 1 << y, disjoint & patterns[y]
+                yield mask | 1 << y
         elif stack:
-            i, end, need, mask, disjoint = stack.pop()
+            i, end, need, mask = stack.pop()
         else:
             return
 

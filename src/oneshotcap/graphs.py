@@ -20,10 +20,10 @@ Witnesses are tuples of nodes, and the average graph's methods take nodes;
 only the max graph's adjacency bitmasks name nodes by position.  Neither
 graph builds its node list unless it is read: the max graph keeps its
 nodes' inputs and masks as two tuples, and the average graph holds only
-its channel and the per-row subset-mass tables read so far.  The max
-graph's node bitmask of each output is a column of the masks' transpose,
-taken in bulk with one byte transpose (``bitsets.columns``), and each
-adjacency row is the OR of its node's input range and output columns.
+its channel.  The max graph's node bitmask of each output is a column of
+the masks' transpose, taken in bulk with one byte transpose
+(``bitsets.columns``), and each adjacency row is the OR of its node's
+input range and output columns.
 
 For a set with no infinite edges the dsets are pairwise disjoint and the
 inputs distinct, so the induced weight collapses to (k-1) * sum of the
@@ -33,8 +33,8 @@ form, with the escapes as integers over the channel's scale, over each
 input's subsets of its support: a node padded with zero-probability
 outputs has its in-support core's escape and blocks more outputs, so it is
 never needed.  It asks its bounds before it builds: an input's table of
-subsets, and the average graph's table of that row's subset masses, are
-built when a branch first reaches the input.
+subsets, from that row's subset masses, is built when a branch first
+reaches the input.
 
 The independence-number solver, ``max_independent_set``, is an exact
 branch and bound run directly on the bitmask adjacency; it is the
@@ -66,12 +66,12 @@ candidate covers, so their number is at most ``bitsets.packing_count`` of
 the live inputs' smallest candidate sizes in the count of those outputs.
 In the sparse search each further member needs an unused output, and the
 members still needed can capture at most the column maxima of the
-remaining inputs (``Channel.column_maxima``) over the unused outputs,
-which caps what their escapes can save.  The bounds prune only branches
-that cannot succeed, so sizes and witnesses are those of the searches
-without them.  The conflict graph's bound holds once vertices fold: a
-fold only adds edges among the candidates left, so an independent set of
-the candidates, each bit read as its original node, is still a packing.
+remaining inputs over the unused outputs, which caps what their escapes
+can save.  The bounds prune only branches that cannot succeed, so sizes
+and witnesses are those of the searches without them.  The conflict
+graph's bound holds once vertices fold: a fold only adds edges among the
+candidates left, so an independent set of the candidates, each bit read
+as its original node, is still a packing.
 A plain graph, given to ``max_independent_set`` with no conflict graph,
 has no inputs or outputs, and its search has no packing bound.
 """
@@ -427,10 +427,8 @@ class AvgOneShotGraph:
     The nodes are each input's output sets that meet its support, inputs
     in order and each input's sets in ``bitsets.canonical_order``.  The
     graph holds only its channel: ``nodes`` is a view built on first read,
-    ``num_nodes`` is counted without it, and ``mass`` reads each row's
-    table of subset masses, built when that row is first read, so
-    ``sparse_number`` never builds a node list, nor the tables of rows its
-    search does not reach.
+    ``num_nodes`` is counted without it, and ``mass`` sums the row over
+    the node's outputs, so ``sparse_number`` never builds a node list.
 
     Edge weights are implicit: conflicting nodes (shared input or
     intersecting dsets) are joined with infinite weight, every other pair
@@ -458,26 +456,17 @@ class AvgOneShotGraph:
         return sum((1 << ny) - (1 << ny - c.support_mask(x).bit_count())
                    for x in range(c.num_inputs))
 
-    @cached_property
-    def _row_tables(self) -> list[list[int] | None]:
-        return [None] * self.channel.num_inputs
-
-    def _subset_masses(self, x: int) -> list[int]:
-        """Row x's mass of every output subset, built when first read."""
-        table = self._row_tables[x]
-        if table is None:
-            table = self._row_tables[x] = bitsets.subset_masses(self.channel.weights[x])
-        return table
-
     def mass(self, node: OneShotNode) -> int:
         """The mass the node captures of its row, over ``channel.scale``.
         ValueError when the pair is not a node: an input or an output out
         of range, or zero mass."""
-        c = self.channel
+        weights = self.channel.weights  # no size properties: dumps call this per node pair
         x, mask = node.input, node.mask
         m = 0
-        if 0 <= x < c.num_inputs and 0 <= mask < 1 << c.num_outputs:
-            m = self._subset_masses(x)[mask]
+        if 0 <= x < len(weights) and 0 <= mask < 1 << len(weights[0]):
+            row = weights[x]
+            for y in bitsets.outputs_of(mask):
+                m += row[y]
         if not m:
             raise ValueError(f"({x}, mask {mask:#b}) is not a node of the average graph")
         return m
@@ -552,26 +541,27 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
     then mask.  A node padded with zero-probability outputs is left out: its
     in-support core has the same escape and blocks fewer outputs.  Sets
     escaping more than the largest budget are left out too, since no branch
-    can take them.  An input's table, and the table of the column maxima'
-    subset masses the second bound reads, are built when a branch first
-    reaches that input with its bounds met; while no output is claimed the
-    bound is the column maxima's sum, with no table.  So where the bounds
-    at the root refuse every k >= 2, no table is built.  The walk is one
-    loop over a stack of frames, one per input whose branches are being
-    taken, so no channel has too many inputs for it.  The witness is the
-    tuple of its nodes in input order; a size-k answer builds only those k
-    nodes.
+    can take them.  An input's table is built from its row's subset masses
+    (``bitsets.subset_masses``) when a branch first reaches that input with
+    its bounds met, so where the bounds at the root refuse every k >= 2, no
+    table is built.  The second bound sums the free outputs' column maxima
+    over the inputs not yet walked, suffix maxima the search takes once per
+    call, with no table.  The walk is one loop over a stack of frames, one
+    per input whose branches are being taken, so no channel has too many
+    inputs for it.  The witness is the tuple of its nodes in input order; a
+    size-k answer builds only those k nodes.
     """
     eps = as_prob(eps, "eps")
     c = g.channel
     nx, ny, scale = c.num_inputs, c.num_outputs, c.scale
     least_mass = scale - (nx * scale - c.min_mass(eps, nx))  # less the largest budget
     all_outputs = (1 << ny) - 1
-    reach = c.column_maxima
+    # reach[x]: each output's largest weight over the inputs x, x + 1, ...
+    reach = [(0,) * ny]
+    for row in reversed(c.weights):
+        reach.append(tuple(map(max, reach[-1], row)))
+    reach.reverse()
     groups: list[list[tuple[int, int]] | None] = [None] * nx
-    # ceilings[x][free]: the most mass that members from inputs x.. can
-    # capture within the outputs in free
-    ceilings: list[list[int] | None] = [None] * nx
     chosen: list[tuple[int, int]] = []  # (input, mask) of the members so far
 
     for k in range(nx, 1, -1):
@@ -586,18 +576,15 @@ def sparse_number(g: AvgOneShotGraph, eps: Fraction) -> tuple[int, tuple[OneShot
             free = all_outputs & ~used
             # each member takes its own input and an output of free
             if count + min(nx - x, free.bit_count()) >= k:
-                if free == all_outputs:
-                    ceiling = sum(reach[x])
-                else:
-                    if ceilings[x] is None:
-                        ceilings[x] = bitsets.subset_masses(reach[x])
-                    ceiling = ceilings[x][free]
+                # the most mass members from inputs x on can capture in free
+                ceiling = sum([w for y, w in enumerate(reach[x]) if free >> y & 1])
                 # unless the members still needed escape more than the budget left
                 if (k - count) * scale - ceiling <= budget - esc_sum:
                     if groups[x] is None:
                         support = c.support_mask(x)
                         groups[x] = sorted(
-                            (scale - m, mask) for mask, m in enumerate(g._subset_masses(x))
+                            (scale - m, mask)
+                            for mask, m in enumerate(bitsets.subset_masses(c.weights[x]))
                             if m >= least_mass and mask and not mask & ~support)
                     stack.append([x, count, esc_sum, used, 0])
             while stack:  # the next branch: of this frame, or of one above

@@ -66,21 +66,45 @@ def oracle_packing(c: Channel, eps: Fraction) -> int:
 
 def oracle_avg_codebook(c: Channel, eps: Fraction) -> tuple[int, ...]:
     """The avg-metric codebook ``avg_capacity`` must return: the first
-    admissible one, largest size first, then in lexicographic order, by
-    trying every codebook.  A codebook of size k is admissible when its
-    pointwise-argmax decoder keeps mass >= k * (1 - eps), tested
-    cross-multiplied over eps's denominator.  A size whose column maxima
-    over all inputs keep too little is skipped whole."""
-    nx, weights = c.num_inputs, c.weights
+    admissible one, largest size first, then in lexicographic order.  A
+    codebook of size k is admissible when its pointwise-argmax decoder
+    keeps mass >= k * (1 - eps), tested cross-multiplied over eps's
+    denominator.
+
+    Each size is a lexicographic depth-first search over prefixes, kept as
+    tuples of column maxima.  A prefix is dropped only when no completion
+    can be admissible: when its mass plus r * scale falls short, r the
+    inputs still to choose, since a codeword adds at most its row's total;
+    or when the column maxima of the prefix and of every later input fall
+    short, since the kept mass only grows as inputs join.  So the
+    codebook is the one trying every codebook in order finds."""
+    nx, ny, scale, weights = c.num_inputs, c.num_outputs, c.scale, c.weights
     kept, whole = eps.denominator - eps.numerator, eps.denominator
-    best = sum(map(max, zip(*weights)))
+    # later[x]: the column maxima of rows x, x + 1, ...
+    later = [(0,) * ny]
+    for row in reversed(weights):
+        later.append(tuple(map(max, later[-1], row)))
+    later.reverse()
+
+    def first(k: int, need: int, start: int, cols: tuple, prefix: tuple):
+        r = k - len(prefix)
+        mass = sum(cols)
+        if r == 0:
+            return prefix if mass * whole >= need else None
+        if (mass + r * scale) * whole < need:
+            return None
+        if sum(map(max, cols, later[start])) * whole < need:
+            return None
+        for x in range(start, nx - r + 1):
+            found = first(k, need, x + 1, tuple(map(max, cols, weights[x])), prefix + (x,))
+            if found is not None:
+                return found
+        return None
+
     for k in range(nx, 0, -1):
-        need = k * c.scale * kept
-        if best * whole < need:
-            continue
-        for cb in combinations(range(nx), k):
-            if sum(map(max, zip(*[weights[x] for x in cb]))) * whole >= need:
-                return cb
+        found = first(k, k * scale * kept, 0, (0,) * ny, ())
+        if found is not None:
+            return found
     raise AssertionError("a singleton codebook keeps its whole row")
 
 

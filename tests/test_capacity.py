@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -283,9 +284,9 @@ def test_search_yields_larger_packings_in_its_order(monkeypatch):
     walk = capacity.minimal_sets
 
     def spy(c, x, threshold, *args, **kwargs):
-        for mask, disjoint in walk(c, x, threshold, *args, **kwargs):
+        for mask in walk(c, x, threshold, *args, **kwargs):
             visited.append((x, mask))
-            yield mask, disjoint
+            yield mask
 
     monkeypatch.setattr(capacity, "minimal_sets", spy)
     c = Channel([[1, 1, 0], [2, 0, 0], [0, 2, 0]], 2)
@@ -420,9 +421,9 @@ def test_packing_walks_no_set_past_its_ceiling(monkeypatch):
     walk = capacity.minimal_sets
 
     def spy(c, x, threshold, *args):
-        for mask, disjoint in walk(c, x, threshold, *args):
+        for mask in walk(c, x, threshold, *args):
             visited.append((x, mask))
-            yield mask, disjoint
+            yield mask
 
     monkeypatch.setattr(capacity, "minimal_sets", spy)
     c = Channel([[1, 1, 1, 1], [1, 1, 1, 1]], 4)
@@ -446,6 +447,24 @@ def check_avg_capacity(c: Channel, eps: Fraction) -> None:
     assert (r.codebook_size, r.witness.codebook) == (len(codebook), codebook)
 
 
+def test_avg_codebook_oracle_matches_trying_every_codebook():
+    # the oracle's pruned depth-first search against the literal loop over
+    # every codebook, largest size first, each size in lexicographic order
+    def literal(c: Channel, eps: Fraction) -> tuple[int, ...]:
+        kept, whole = eps.denominator - eps.numerator, eps.denominator
+        for k in range(c.num_inputs, 0, -1):
+            for cb in combinations(range(c.num_inputs), k):
+                if sum(map(max, zip(*[c.weights[x] for x in cb]))) * whole >= k * c.scale * kept:
+                    return cb
+        raise AssertionError("a singleton codebook keeps its whole row")
+
+    channels = random_channels(180, seed0=3210, max_inputs=9, max_outputs=6, denominator_bound=6)
+    channels += [typewriter(n) for n in range(3, 10)]
+    for c in channels:
+        for eps in EPS_GRID + [F(2, 3)]:
+            assert oracle_avg_codebook(c, eps) == literal(c, eps)
+
+
 def test_avg_capacity_matches_the_exhaustive_search_on_dense_channels():
     for n in range(8, 13):
         for i in range(2):
@@ -456,8 +475,8 @@ def test_avg_capacity_matches_the_exhaustive_search_on_dense_channels():
 
 @pytest.mark.parametrize("n", range(8, 25))
 def test_avg_capacity_matches_the_exhaustive_search_on_typewriters(n):
-    # the answer is n // 2 codewords, 0, 2, 4, ...; the exhaustive search
-    # tries every earlier codebook of that size
+    # the answer is n // 2 codewords, 0, 2, 4, ...; the oracle's search
+    # drops each prefix whose rows overlap as soon as they do
     check_avg_capacity(typewriter(n), F(0))
     assert avg_capacity(typewriter(n), F(0)).witness.codebook == tuple(range(0, n - 1, 2))
 

@@ -213,16 +213,6 @@ def test_heaviest_first_view():
         assert len(sums) == len(order) + 1 and sums[-1] == 7
 
 
-def test_column_maxima_view():
-    for c in random_channels(12, seed0=700, max_inputs=5, max_outputs=5):
-        maxima = c.column_maxima
-        assert len(maxima) == c.num_inputs + 1
-        assert maxima[-1] == (0,) * c.num_outputs
-        for x in range(c.num_inputs):
-            assert maxima[x] == tuple(max(row[y] for row in c.weights[x:])
-                                      for y in range(c.num_outputs))
-
-
 def test_roundtrip_exact(funnel3):
     for c in [funnel3] + random_channels(20, seed0=500):
         assert parse_channel(serialize_channel(c)) == c
@@ -366,6 +356,11 @@ def test_funnel_spec_invariants():
         FunnelSpec.make(3, [F(1, 2)])  # wrong count
     with pytest.raises(ValueError):
         FunnelSpec.make(1, [])
+    # a binary float or a bool cannot say which rational leak it means
+    for leaks in ([0.1, 0.2], [F(1, 10), 0.5], [True, F(1, 2)], [F(1, 10), True]):
+        with pytest.raises(ValueError, match="float|bool"):
+            FunnelSpec.make(3, leaks)
+    assert FunnelSpec.make(3, [F(1, 10), "1/5"]) == FunnelSpec.make(3, ["0.1", F(1, 5)])
 
 
 def test_funnel_rows_sum_to_one():

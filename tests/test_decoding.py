@@ -152,7 +152,7 @@ def test_min_sets_walk_order():
     # the walk: heaviest first (output 1, then 2 and 3 by index, then 0),
     # depth first; the list form: by size, then lexicographically
     c = Channel([[1, 3, 2, 2]], 8)
-    assert [mask for mask, _ in minimal_sets(c, 0, 4)] == [0b0110, 0b1010, 0b0011, 0b1100]
+    assert list(minimal_sets(c, 0, 4)) == [0b0110, 0b1010, 0b0011, 0b1100]
     assert minimal_decoding_masks(c, 0, 4) == [0b0011, 0b0110, 0b1010, 0b1100]
 
 
@@ -163,9 +163,9 @@ def test_min_sets_within_a_mask_are_the_sets_inside_it():
         for x in range(c.num_inputs):
             for eps in (F(0), F(1, 4), F(1, 2), F(3, 4)):
                 threshold = c.min_mass(eps, 1)
-                walked = [d for d, _ in minimal_sets(c, x, threshold)]
+                walked = list(minimal_sets(c, x, threshold))
                 for within in {full, rng.randrange(full + 1), rng.randrange(full + 1)}:
-                    assert [d for d, _ in minimal_sets(c, x, threshold, within=within)] == \
+                    assert list(minimal_sets(c, x, threshold, within=within)) == \
                         [d for d in walked if d & within == d]
 
 

@@ -487,6 +487,26 @@ def test_subset_masses_sum_each_mask():
         assert bitsets.subset_masses(row) == expected
 
 
+def test_disjoint_tables_hold_the_subsets_disjoint_from_each_mask():
+    # every mask of widths 1 to 12, and 40 seeded masks at each of 13 to
+    # 16, against the subsets of the mask's complement, walked one by one
+    rng = random.Random(3201)
+    for width in range(1, 17):
+        low, high = bitsets.disjoint_tables(width)
+        full = (1 << width) - 1
+        masks = range(1 << width) if width <= 12 else rng.sample(range(1 << width), 40)
+        for mask in masks:
+            expected, rest = 0, full & ~mask
+            subset = rest
+            while True:  # every subset of rest, from rest down to the empty set
+                assert not subset & mask
+                expected |= 1 << subset
+                if not subset:
+                    break
+                subset = (subset - 1) & rest
+            assert low[mask & 255] & high[mask >> 8] == expected
+
+
 def test_packing_count_takes_sizes_smallest_first():
     assert bitsets.packing_count([3, 1, 2], 4) == 2  # 1 + 2 fit, 3 more do not
     assert bitsets.packing_count([3, 1, 2], 6) == 3
@@ -606,11 +626,28 @@ def test_sparse_number_builds_tables_only_where_its_bounds_reach(monkeypatch):
     assert (size, witness) == (1, (OneShotNode(0, 1),))
     assert tables == []
     # here branches get past the root to inputs 0 and 1 only: their two
-    # rows' tables and two ceiling tables are built, none for inputs 2..7
-    g = build_avg_graph(gen_random(8, 8, 2, 24))
-    assert sparse_number(g, F(1, 10))[0] == 1
-    assert len(tables) == 4
-    assert [t is not None for t in g._row_tables] == [True, True] + [False] * 6
+    # rows' tables are built, each once, and none for inputs 2..7
+    c = gen_random(8, 8, 2, 24)
+    assert sparse_number(build_avg_graph(c), F(1, 10))[0] == 1
+    assert tables == [c.weights[0], c.weights[1]]
+
+
+def test_sparse_ceiling_reads_the_column_maxima_of_the_inputs_to_come(monkeypatch):
+    # at eps 1/2, k = 2: once input 0 takes output 0, only output 1 is
+    # free, and inputs 1 and 2 put no weight there, so that branch stops
+    # before it builds their tables; the column maxima over every input
+    # (1 on output 1, from row 0) would let it through to both
+    tables = []
+    subset_masses = bitsets.subset_masses
+
+    def spy(row):
+        tables.append(tuple(row))
+        return subset_masses(row)
+
+    monkeypatch.setattr(bitsets, "subset_masses", spy)
+    g = build_avg_graph(Channel([[1, 1], [2, 0], [2, 0]], 2))
+    assert sparse_number(g, F(1, 2)) == (2, (OneShotNode(0, 0b10), OneShotNode(1, 0b01)))
+    assert tables == [(1, 1), (2, 0)]
 
 
 def test_sparse_number_walks_1200_inputs_without_recursion():

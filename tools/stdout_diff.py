@@ -2,92 +2,26 @@
 
     python3 tools/stdout_diff.py <other-checkout>
 
-Builds each benchmark workload's seed-1 corpus with ``bench/corpus.py``
-(imported as it is), plus a ``graph-dump`` group: the max variant at
-eps 1/10 and 1/3, with and without ``--minimal-only``, the avg
-variant, and ``sparse`` at eps 0, 1/3, 1/2 and 1 (edges of the escape
-budget), on 10 seeded random channels, and the max variant with
-``--minimal-only`` at eps 1/3 on a 5x9 and a 4x12 channel, whose masks
-span two bytes; and a ``generators`` group: ``gen
-random`` from 1x1 up over denominators whose counts share factors, ``gen
-funnel`` (leaks spelled as fractions, as decimals and as both),
-``reduce`` on the 5 named and 10 random cubic graphs,
-``validate`` on each of those channels written to a file, and
-``simulate`` on the max and avg witness schemes of a few of them; and a
-``wide`` group, where the searches' packing bounds prune most: ``curve
---metric max`` on two 8x6, 10x6 and 12x8 channels each, and on three
-8x12, 10x12 and 12x12 channels each (seeds 1 to 3, the widest curves a
-checkout with a 12-output curve limit accepts), ``curve --metric avg``
-on the three 12x12 channels and on two 10x10 channels (seeds 1 and 2,
-past the sweep corpus's 8 inputs, up to the avg curve's 12), ``capacity
---metric max --json`` at eps 1/2 and 3/4 on the two 10x10 channels and at
-eps 1/3 and 2/3 on an 8x14, a 6x16 and a 16x16 channel, ``capacity
---metric avg --json`` at eps 1/2 and 2/3 on the two 10x10 channels, at
-1/10 and 1/3 on a 24x24 and a 40x40 channel (rows of 32 and 64 packed
-fields in the avg search), and at
-eps 0 on the typewriter channels of 12 and 16 symbols (x goes to x and
-x + 1 mod n), avg answers of 3 and more, ``capacity --metric max
---json`` at eps 1/2 on uniform 1x22, 2x17 and 3x16 channels, whose first-fit
-packings meet the packing bound where the conflict graph is too large,
-``capacity --metric max --json`` at eps 2/3 on a 16x12 channel, where
-the max search takes longest against the subset DP it replaced, and at
-1/10 on 2000 point-mass rows over 15 of 16 outputs, where first-fit falls
-short of the packing bound and only the outputs the rows reach bound the
-search, and ``capacity --cross-check`` on a 6x18 channel at 1/3, first-fit
-answering past the search's own 16 outputs, ``capacity --metric max
---json`` at eps 1/3 on 80 equal rows that all need output 0 (a search
-that does not count forced outputs takes seconds there), and
-``sparse`` at eps 1/4 and 1/2 on two 8x8 channels (a checkout without
-those bounds takes minutes over this group), and ``sparse`` at eps 0, 1/4
-and 1/2 on ``identity_channel(6)`` and on a 6x6 random channel with
-denominator 4, two channels with zero entries whose sparse numbers run from
-2 to 6, so their witnesses name nodes past the first, and ``capacity
---metric max --epsilon 0 --json`` on a uniform 2x1100 channel, whose one
-minimal set per row holds all 1100 outputs (a walk that recurses once per
-output it adds fails there), ``sparse --epsilon 0`` on 1197 uniform
-3-output rows followed by the 3x3 identity, whose answer the search reaches
-only past 1197 inputs (a search that recurses once per input fails
-there), ``curve --metric max`` on an 8x8 channel with half of every
-row on output 0, where the packing bound is loose, ``curve --metric
-max`` on an 8x8 channel of 8 equal rows and on 4 rows of 5/8, 1/8, 1/8,
-1/8, where it stays loose over long runs of thresholds, and ``curve --metric
-avg`` on three channels whose sizes tie at eps 0: a 4x7 random channel
-with denominator 3, where sizes 1 and 2 tie, a 3x7 one with denominator 2
-and ``identity_channel(6)``, where every size fits at eps 0.  A ``hardness``
-group runs ``verify-reduction --epsilon 1/4`` on random cubic graphs of 60,
-80, 100, 120 and 160 vertices (a checkout whose search does not fold
-takes about 25 s over them), and ``capacity --metric max --epsilon 1/4
---json`` on the 60-vertex graph's channel, which the conflict graph
-answers: the independent-set search's largest instances.  A ``cross-check``
-group runs ``capacity --cross-check``: max on the 3-symbol funnel at eps
-1/100 and on 8x8 and 8x17 channels at 1/3 (the 8x17 one goes to the
-graph alone), avg on a 6x6 channel at 1/10 and on the gap channel (two rows
-of one output) at 1/2, and the edges of the max check's graph leg: a
-1000x16 point-mass channel at 1/10, whose first-fit packing meets the
-packing bound, 16, and the graph agrees, a uniform 3x16 channel at 1/2,
-whose conflict graph is too large, and
-``--engine brute`` on the 6x6 channel; and each engine choice of the
-``capacity`` handler: ``--engine brute`` on the funnel, max at 1/100 and
-avg at 1/200, alone and (max) with ``--cross-check``, ``--engine graph
---cross-check`` on the 8x8 channel at 1/3, and max at eps 1 on the
-funnel with ``--cross-check``.  An ``errors`` group runs first:
-usage errors (an epsilon that is not a number, is 3/2 or is 1/0, an
-unknown ``--metric`` choice, an unknown command), failing ops (a missing
-file, a row that does not sum to 1, ``verify-reduction`` at eps 1/3 and,
-at eps 1/4, on a graph file whose header gives -1 edges, ``--engine
-brute`` past its size limit, ``graph-dump --variant max`` without
-``--epsilon``, ``gen funnel --e 1/0``), and one ``capacity`` op with eps
-spelled 1/4 and 0.25, so every later op runs after the parser
-has raised ``SystemExit``.  The files are written
-once and both checkouts read the same files.  One worker process per
-checkout imports that checkout's ``src`` and runs every op in-process
-through ``oneshotcap.cli.main``.  A last ``demos`` group runs each
-``demos/*.py`` script of this checkout by name, each worker from its own
-checkout's ``demos`` directory, in-process as ``__main__``; a demo's
-stderr is not compared.  Stdout, stderr and the exit code are compared op
-by op; every differing op is printed on one line, and the first five
-with the first line of each difference.  Exits 1 on any difference, 0
-when every op matches.
+One worker process per checkout imports that checkout's ``src`` and runs
+every op in-process through ``oneshotcap.cli.main``; the input files are
+written once, and both read them.  The groups, in order:
+
+- ``errors``: usage errors and failing ops, so later ops run after ``SystemExit``.
+- ``generators``: ``gen``, ``reduce``, ``validate`` and ``simulate`` on generated inputs.
+- ``reduction``, ``dense``, ``sweep``: the benchmark's seed-1 corpora (``bench/corpus.py``).
+- ``graph-dump``: max and avg dumps and ``sparse`` at the budget's edges, on small channels.
+- ``wide``: curves, capacities and sparse numbers where the searches' bounds prune most.
+- ``hardness``: ``verify-reduction`` on cubic graphs of 60 to 160 vertices.
+- ``cross-check``: ``capacity --cross-check`` and each engine choice of ``capacity``.
+- ``demos``: each ``demos/*.py`` script of its own checkout; its stderr is not compared.
+
+Stdout, stderr and the exit code are compared op by op; every differing
+op is printed on one line, and the first five with the first line of
+each difference.  An op of the three workload groups whose stdout
+differs is re-checked on both sides with ``bench/check.py``'s checker
+for its kind, and each group counts apart the ops whose witness differs
+but re-checks ok, whose size differs, and whose answer fails its check.
+Exits 1 on any difference, 0 when every op matches.
 """
 
 from __future__ import annotations
@@ -97,6 +31,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -377,18 +312,22 @@ def _cross_check_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
             for name, metric, eps, flags in runs]
 
 
-def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
+def _corpus_ops(directory: Path) -> tuple[list[tuple[str, str, list[str]]], dict]:
     """(group, key, argv) of every op, with the input files written; the
-    ``errors`` group comes first."""
+    ``errors`` group comes first.  Also (group, key) -> (op, input text)
+    of each benchmark workload's op, for ``bench/check.py``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from corpus import WORKLOADS, build_corpus
     from oneshotcap.channel import gen_random, serialize_channel
 
     ops = _error_ops(directory) + _generator_ops(directory)
+    checked = {}
     for workload in WORKLOADS:
         corpus = build_corpus(workload, SEED)
         paths = corpus.write(directory / workload)
-        ops += [(workload, op.key, op.argv(paths[op.instance])) for op in corpus.ops]
+        for op in corpus.ops:
+            ops.append((workload, op.key, op.argv(paths[op.instance])))
+            checked[workload, op.key] = (op, corpus.files[op.instance])
     dumps = directory / "graph-dump"
     dumps.mkdir()
     for i in range(10):
@@ -414,7 +353,7 @@ def _corpus_ops(directory: Path) -> list[tuple[str, str, list[str]]]:
     demos = [("demos", path.name, ["demo", path.name])
              for path in sorted((ROOT / "demos").glob("*.py"))]
     return (ops + _wide_ops(directory) + _hardness_ops(directory)
-            + _cross_check_ops(directory) + demos)
+            + _cross_check_ops(directory) + demos), checked
 
 
 def _worker(src: str, manifest: str, out: str) -> int:
@@ -455,6 +394,26 @@ def _first_line_diff(a: str, b: str) -> str:
     return "the lines match; the line endings differ"
 
 
+def _recheck(op, text: str, outputs: dict[str, str]) -> str:
+    """How a differing op's two answers fare under ``bench/check.py``'s
+    checker for its kind: "witness", when both pass with equal sizes (or
+    curves), "size" when both pass with different ones, else "check"."""
+    from check import CHECKS
+
+    answers = {}
+    for side, stdout in outputs.items():
+        try:
+            answers[side] = CHECKS[op.kind](op, text, stdout)
+        except Exception as exc:  # a malformed answer fails its check too
+            return f"check: {side} fails: {type(exc).__name__}: {exc}"
+    if answers["this"] != answers["other"]:
+        # a size, or a curve's (epsilon, size) breakpoints
+        shown = {side: a if isinstance(a, int) else " ".join(f"{t}:{k}" for t, k in a)
+                 for side, a in answers.items()}
+        return f"size: this {shown['this']}, other {shown['other']}"
+    return "witness: differs, re-checked ok"
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
         return _worker(*argv[1:])
@@ -464,7 +423,7 @@ def main(argv: list[str]) -> int:
     checkouts = {"this": ROOT, "other": Path(argv[0]).resolve()}
     with tempfile.TemporaryDirectory(prefix="stdout_diff-") as tmp:
         work = Path(tmp)
-        ops = _corpus_ops(work)
+        ops, checked = _corpus_ops(work)
         manifest = work / "manifest.json"
         manifest.write_text(json.dumps([a for _, _, a in ops]), encoding="utf-8")
         workers = {
@@ -481,6 +440,7 @@ def main(argv: list[str]) -> int:
                    for side in checkouts}
 
     counts: dict[str, list[int]] = {}
+    rechecks: dict[str, Counter] = {}  # group -> verdict -> ops
     shown = 0
     for (group, key, op_argv), mine, theirs in zip(ops, results["this"], results["other"]):
         tally = counts.setdefault(group, [0, 0])
@@ -491,6 +451,10 @@ def main(argv: list[str]) -> int:
         shown_argv = ["python3", f"demos/{key}"] if group == "demos" else \
             ["oneshotcap", *op_argv[:1], *op_argv[2:]]
         print(f"DIFF {group} {key}: {' '.join(shown_argv)}")
+        if (group, key) in checked and mine[0] != theirs[0]:
+            verdict = _recheck(*checked[group, key], {"this": mine[0], "other": theirs[0]})
+            rechecks.setdefault(group, Counter())[verdict.split(":", 1)[0]] += 1
+            print(f"  re-check: {verdict}")
         if shown < SHOWN:
             shown += 1
             for field, a, b in zip(("stdout", "stderr"), mine, theirs):
@@ -499,7 +463,10 @@ def main(argv: list[str]) -> int:
             if mine[2] != theirs[2]:
                 print(f"  exit code: {mine[2]!r} != {theirs[2]!r}")
     for group, (total, differ) in counts.items():
-        print(f"{group}: {total} ops, {differ} differ")
+        v = rechecks.get(group)
+        detail = "" if not v else (f" ({v['witness']} witness differs, re-checked ok, "
+                                   f"{v['size']} size differs, {v['check']} fail their check)")
+        print(f"{group}: {total} ops, {differ} differ{detail}")
     return 1 if any(differ for _, differ in counts.values()) else 0
 
 
